@@ -32,9 +32,7 @@ from .core import (
     DegreeSignature,
     GeneralBarycentricModel,
     SampleSet,
-    classify,
     classify_degree,
-    classify_degree_general,
     eval_barycentric,
     eval_general,
     evaluate,
@@ -89,9 +87,7 @@ __all__ = [
     "add_noise",
     "better",
     "chain_matrices",
-    "classify",
     "classify_degree",
-    "classify_degree_general",
     "cutoff_radius",
     "eval_asymptotic",
     "eval_barycentric",

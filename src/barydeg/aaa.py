@@ -33,23 +33,18 @@ class AaaConfig:
     ``target_degree`` is the relative degree to impose (0 recovers the
     unconstrained algorithm; negative degrees constrain the numerator
     side).  ``max_terms`` caps the number of barycentric terms; ``None``
-    selects ``min(len(samples) - 1, 120)``.  ``zero_guard`` floors the
-    denominators of relative errors; ``None`` selects a data-scaled value
-    that only matters for exact zeros.
+    selects ``min(len(samples) - 1, 120)``.
     """
 
     tol: float
     target_degree: int = 0
     max_terms: int = None
-    zero_guard: float = None
 
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.max_terms is not None and self.max_terms < 1:
             raise ValueError("max_terms must be at least 1")
-        if self.zero_guard is not None and not self.zero_guard > 0:
-            raise ValueError("zero_guard must be positive")
 
 
 @dataclass(frozen=True)
@@ -93,7 +88,7 @@ def aaa(samples, config):
             f"target degree {delta} needs at least {abs(delta) + 1} samples, got {mprime}"
         )
     tol = config.tol
-    guard = resolve_zero_guard(vals, config.zero_guard)
+    guard = resolve_zero_guard(vals)
     cap = DEFAULT_MAX_TERMS if config.max_terms is None else config.max_terms
     # keep at least one sample outside the support set so the least-squares
     # problem never loses all of its rows

@@ -30,12 +30,10 @@ from .core import (
     GeneralBarycentricModel,
     _power_sum_scan,
     _rescale_sums,
-    denominator_coefficients,
     evaluate,
-    numerator_coefficients,
 )
 from .errors import PoleEvaluationError
-from .util import relative_errors, resolve_zero_guard
+from .util import as_point_vector, relative_errors, resolve_zero_guard
 
 DEFAULT_ORDER = 10
 EPS_FLOOR = 1e-16
@@ -117,7 +115,7 @@ class PiecewiseModel:
         return eval_piecewise(self, s)
 
 
-def moments(model, order=DEFAULT_ORDER, rel_tol=1e-8, warn_tol=1e-15):
+def moments(model, order=DEFAULT_ORDER):
     """Asymptotic expansion of a model, truncated after ``order + 1`` terms.
 
     Works for both model kinds; the degree defects are located with the
@@ -126,14 +124,7 @@ def moments(model, order=DEFAULT_ORDER, rel_tol=1e-8, warn_tol=1e-15):
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    mu, nu, num_sums, den_sums, shat, _ = _power_sum_scan(
-        model.supports,
-        numerator_coefficients(model),
-        denominator_coefficients(model),
-        rel_tol,
-        warn_tol,
-        extra_orders=order,
-    )
+    mu, nu, num_sums, den_sums, shat = _power_sum_scan(model, extra_orders=order)
     return AsymptoticModel(
         mu=mu, nu=nu, rdeg=nu - mu, order=order, scale=shat,
         num_moments_scaled=num_sums, den_moments_scaled=den_sums,
@@ -142,8 +133,7 @@ def moments(model, order=DEFAULT_ORDER, rel_tol=1e-8, warn_tol=1e-15):
 
 def eval_asymptotic(asym, s):
     """Evaluate the truncated expansion at scalar or array ``s`` (s != 0)."""
-    scalar = np.isscalar(s) or np.ndim(s) == 0
-    sv = np.atleast_1d(np.asarray(s, dtype=complex)).ravel()
+    sv, restore = as_point_vector(s)
     if np.any(sv == 0):
         raise ValueError("asymptotic form is undefined at s = 0")
     inv = asym.scale / sv
@@ -154,10 +144,7 @@ def eval_asymptotic(asym, s):
         raise PoleEvaluationError(
             f"truncated denominator series vanishes at {point}", point=point
         )
-    out = num / den * (sv / asym.scale) ** asym.rdeg
-    if scalar:
-        return complex(out[0])
-    return out.reshape(np.shape(s))
+    return restore(num / den * (sv / asym.scale) ** asym.rdeg)
 
 
 def _horner(coeffs, x):
@@ -189,7 +176,7 @@ def cutoff_radius(T, eps, rdeg, order):
     return float(T * eps ** (-1.0 / (abs(rdeg) + order + 1)))
 
 
-def make_piecewise(model, samples, order=DEFAULT_ORDER, zero_guard=None):
+def make_piecewise(model, samples, order=DEFAULT_ORDER):
     """Attach the asymptotic continuation and cutoff to a fitted model.
 
     The training error that enters the cutoff formula is the largest
@@ -197,7 +184,7 @@ def make_piecewise(model, samples, order=DEFAULT_ORDER, zero_guard=None):
     exact fit still yields a finite cutoff.
     """
     asym = moments(model, order)
-    guard = resolve_zero_guard(samples.values, zero_guard)
+    guard = resolve_zero_guard(samples.values)
     rel = relative_errors(samples.values, evaluate(model, samples.points), guard)
     eps = max(float(np.max(rel)), EPS_FLOOR)
     T = float(np.max(np.abs(samples.points)))
@@ -212,14 +199,11 @@ def make_piecewise(model, samples, order=DEFAULT_ORDER, zero_guard=None):
 
 def eval_piecewise(pm, s):
     """Barycentric evaluation for |s| <= cutoff, asymptotic beyond."""
-    scalar = np.isscalar(s) or np.ndim(s) == 0
-    sv = np.atleast_1d(np.asarray(s, dtype=complex)).ravel()
+    sv, restore = as_point_vector(s)
     near = np.abs(sv) <= pm.cutoff
     out = np.empty(sv.shape, dtype=complex)
     if np.any(near):
         out[near] = evaluate(pm.bary, sv[near])
     if np.any(~near):
         out[~near] = eval_asymptotic(pm.asym, sv[~near])
-    if scalar:
-        return complex(out[0])
-    return out.reshape(np.shape(s))
+    return restore(out)

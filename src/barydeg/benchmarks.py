@@ -12,39 +12,31 @@ import numpy as np
 
 from .core import SampleSet
 from .errors import PoleEvaluationError
+from .util import as_point_vector
 
 CSV_HEADER = "s_re,s_im,f_re,f_im"
 
 
 @dataclass(frozen=True, eq=False)
 class MassChainSystem:
-    """Chain of n masses with n-1 springs.
-
-    ``lengths`` are the spring rest lengths; they only enter the affine load
-    term, which the transfer functions here ignore (rest lengths are taken
-    as zero for the linear part).
-    """
+    """Chain of n masses with n-1 springs."""
 
     n: int
     masses: np.ndarray = None
     springs: np.ndarray = None
-    lengths: np.ndarray = None
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("a mass chain needs at least 2 masses")
         masses = np.ones(self.n) if self.masses is None else np.asarray(self.masses, float)
         springs = np.ones(self.n - 1) if self.springs is None else np.asarray(self.springs, float)
-        lengths = np.zeros(self.n - 1) if self.lengths is None else np.asarray(self.lengths, float)
         if masses.size != self.n:
             raise ValueError("need one mass per node")
-        if springs.size != self.n - 1 or lengths.size != self.n - 1:
-            raise ValueError("need n-1 springs and rest lengths")
+        if springs.size != self.n - 1:
+            raise ValueError("need n-1 springs")
         if not (np.all(masses > 0) and np.all(springs > 0)):
             raise ValueError("masses and spring constants must be positive")
-        if np.any(lengths < 0):
-            raise ValueError("rest lengths must be nonnegative")
-        for name, arr in (("masses", masses), ("springs", springs), ("lengths", lengths)):
+        for name, arr in (("masses", masses), ("springs", springs)):
             arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -79,8 +71,7 @@ def forward_tf(sys, s):
     system matrix is singular.
     """
     M, A, B, C = chain_matrices(sys)
-    scalar = np.isscalar(s) or np.ndim(s) == 0
-    sv = np.atleast_1d(np.asarray(s, dtype=complex)).ravel()
+    sv, restore = as_point_vector(s)
     lhs = sv[:, None, None] ** 2 * M[None, :, :] - A[None, :, :]
     try:
         sol = np.linalg.solve(lhs, np.broadcast_to(B, (sv.size, sys.n, 1)))
@@ -94,11 +85,8 @@ def forward_tf(sys, s):
                 raise PoleEvaluationError(
                     f"system matrix singular at {si}", point=si
                 ) from None
-        return complex(out[0]) if scalar else out.reshape(np.shape(s))
-    out = (C[None, :, :] @ sol)[:, 0, 0]
-    if scalar:
-        return complex(out[0])
-    return out.reshape(np.shape(s))
+        return restore(out)
+    return restore((C[None, :, :] @ sol)[:, 0, 0])
 
 
 def inverse_tf(sys, s):

@@ -24,13 +24,11 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .aaa import AaaConfig, aaa
 from .asymptotic import AsymptoticModel, PiecewiseModel, eval_piecewise, make_piecewise
 from .benchmarks import MassChainSystem, add_noise, forward_tf, inverse_tf, load_samples, sample_grid, save_samples
-from .core import BarycentricModel, GeneralBarycentricModel, SampleSet, classify
+from .core import BarycentricModel, GeneralBarycentricModel, SampleSet, classify_degree
 from .errors import BarydegError
 from .identify import aaa_backend, identify, vf_backend
-from .vf import VfConfig, vf_adaptive
 
 REPORT_SCHEMA_VERSION = "1"
 MODEL_SCHEMA_VERSION = "1"
@@ -146,7 +144,7 @@ def _base_report(command, args_echo, config):
     }
 
 
-def _fit_summary(report, signature, pm):
+def _fit_summary(report, signature, pm, piecewise_error):
     return {
         "terms": report.terms,
         "effective_degree": report.effective_degree,
@@ -161,6 +159,7 @@ def _fit_summary(report, signature, pm):
         "cutoff": None if pm is None else pm.cutoff,
         "train_T": None if pm is None else pm.train_T,
         "train_eps": None if pm is None else pm.train_eps,
+        "piecewise_error": piecewise_error,
     }
 
 
@@ -185,33 +184,34 @@ def _load_input(path):
         raise BarydegError(f"input file not found: {path}") from None
 
 
+def _backend(args):
+    make = aaa_backend if args.backend == "aaa" else vf_backend
+    return make(tol=args.tol, max_terms=args.max_terms)
+
+
 def cmd_fit(args):
     samples = _load_input(args.input)
     t0 = time.perf_counter()
-    if args.backend == "aaa":
-        model, rep = aaa(samples, AaaConfig(tol=args.tol, target_degree=args.degree,
-                                            max_terms=args.max_terms))
-    else:
-        model, rep = vf_adaptive(samples, VfConfig(
-            tol=args.tol, target_degree=args.degree,
-            max_terms=args.max_terms if args.max_terms is not None else 60))
-    signature = pm = None
+    model, rep = _backend(args)(samples, args.degree)
+    signature = pm = piecewise_error = None
     try:
-        signature = classify(model)
+        signature = classify_degree(model)
         pm = make_piecewise(model, samples, args.order)
-    except BarydegError:
-        pass
+    except BarydegError as exc:
+        piecewise_error = str(exc)
     elapsed = (time.perf_counter() - t0) * 1e3
 
     doc = _base_report("fit", _echo(args), {
         "input": args.input, "backend": args.backend, "tol": args.tol,
         "degree": args.degree, "order": args.order, "max_terms": args.max_terms,
     })
-    doc["result"] = _fit_summary(rep, signature, pm)
+    doc["result"] = _fit_summary(rep, signature, pm, piecewise_error)
     doc["timing_ms"] = elapsed
     _write_json(args.report, doc)
     if args.model_out and pm is not None:
         _write_json(args.model_out, model_to_json(pm))
+    if piecewise_error is not None:
+        print(f"no piecewise model: {piecewise_error}", file=sys.stderr)
     print(f"fit: {rep.terms} terms, linf={rep.linf_rel_error:.3e}, "
           f"converged={rep.converged}; report -> {args.report}")
     return EXIT_OK if rep.converged else EXIT_NOT_CONVERGED
@@ -219,10 +219,8 @@ def cmd_fit(args):
 
 def cmd_identify(args):
     samples = _load_input(args.input)
-    backend = (aaa_backend(tol=args.tol, max_terms=args.max_terms) if args.backend == "aaa"
-               else vf_backend(tol=args.tol, max_terms=args.max_terms))
     t0 = time.perf_counter()
-    result = identify(samples, backend, max_abs_degree=args.max_abs_degree, order=args.order)
+    result = identify(samples, _backend(args), max_abs_degree=args.max_abs_degree, order=args.order)
     elapsed = (time.perf_counter() - t0) * 1e3
 
     doc = _base_report("identify", _echo(args), {

@@ -16,9 +16,14 @@ numerator coefficients vanish, and likewise for the denominator.  This
 module provides the models, their stable evaluation, the Loewner and
 Vandermonde matrices used by the fitting routines, null-space extraction
 for degree constraints, and the degree classification itself.
+
+Both model kinds expose the same ``coefficients`` pair (numerator,
+denominator): ``(w_k f_k, w_k)`` for the interpolatory form and
+``(n_k, d_k)`` for the general form.  Evaluation, classification and the
+asymptotic moments read only that pair.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,8 +33,13 @@ from .errors import (
     TrivialModelError,
     UndefinedValueError,
 )
+from .util import as_point_vector
 
 _NORM_TOL = 1e-12
+# A power sum counts as nonzero when it exceeds this fraction of the sum of
+# its term magnitudes; degree classification and the asymptotic moments
+# share it, so they always locate the same degree defects.
+_REL_TOL = 1e-8
 
 
 def _as_complex_vector(x, name):
@@ -114,6 +124,11 @@ class BarycentricModel:
         """Number m+1 of barycentric terms."""
         return self.supports.size
 
+    @property
+    def coefficients(self):
+        """Numerator and denominator barycentric coefficients (w_k f_k, w_k)."""
+        return self.weights * self.support_values, self.weights
+
 
 @dataclass(frozen=True, eq=False)
 class GeneralBarycentricModel:
@@ -161,6 +176,11 @@ class GeneralBarycentricModel:
     def terms(self):
         return self.supports.size
 
+    @property
+    def coefficients(self):
+        """Numerator and denominator barycentric coefficients (n_k, d_k)."""
+        return self.num_weights, self.den_weights
+
 
 @dataclass(frozen=True)
 class DegreeSignature:
@@ -170,8 +190,6 @@ class DegreeSignature:
     exact rational type is (m - mu, m - nu) and the relative degree is
     ``rdeg = nu - mu``.  ``lead_num`` and ``lead_den`` are the first
     non-vanishing power sums of the numerator and denominator coefficients.
-    ``borderline`` flags a leading sum small enough in absolute terms that
-    the classification should be treated with suspicion.
     """
 
     mu: int
@@ -179,7 +197,6 @@ class DegreeSignature:
     rdeg: int
     lead_num: complex
     lead_den: complex
-    borderline: bool = field(default=False)
 
 
 def eval_barycentric(model, s):
@@ -188,8 +205,7 @@ def eval_barycentric(model, s):
     Points that hit a support exactly (bitwise) return the stored support
     value; everywhere else the ratio of the two barycentric sums is used.
     """
-    return _eval_ratio(model.supports, model.weights * model.support_values,
-                       model.weights, s, on_support=_interp_hit(model))
+    return _eval_ratio(model, s, lambda k: model.support_values[k])
 
 
 def eval_general(model, s):
@@ -198,33 +214,22 @@ def eval_general(model, s):
     At a support point the value is ``n_k / d_k`` by construction; a zero
     ``d_k`` there means the function value is undefined.
     """
-    return _eval_ratio(model.supports, model.num_weights, model.den_weights,
-                       s, on_support=_general_hit(model))
-
-
-def _interp_hit(model):
-    def hit(k, s):
-        return model.support_values[k]
-    return hit
-
-
-def _general_hit(model):
-    def hit(k, s):
+    def on_support(k):
         dk = model.den_weights[k]
         if dk == 0:
             raise UndefinedValueError(
                 f"model value undefined at support {model.supports[k]}: zero denominator weight"
             )
         return model.num_weights[k] / dk
-    return hit
+    return _eval_ratio(model, s, on_support)
 
 
-def _eval_ratio(supports, num_coeffs, den_coeffs, s, on_support):
-    scalar = np.isscalar(s) or np.ndim(s) == 0
-    sv = np.atleast_1d(np.asarray(s, dtype=complex)).ravel()
+def _eval_ratio(model, s, on_support):
+    sv, restore = as_point_vector(s)
     if not np.all(np.isfinite(sv)):
         raise ValueError("evaluation points must be finite")
-    diff = sv[:, None] - supports[None, :]
+    num_coeffs, den_coeffs = model.coefficients
+    diff = sv[:, None] - model.supports[None, :]
     hit_i, hit_k = np.nonzero(diff == 0)
     with np.errstate(divide="ignore", invalid="ignore"):
         diff_safe = diff.copy()
@@ -234,15 +239,13 @@ def _eval_ratio(supports, num_coeffs, den_coeffs, s, on_support):
         den = cauchy @ den_coeffs
         out = num / den
     for i, k in zip(hit_i, hit_k):
-        out[i] = on_support(k, sv[i])
+        out[i] = on_support(k)
     bad = den == 0
     bad[hit_i] = False
     if np.any(bad):
         point = sv[np.argmax(bad)]
         raise PoleEvaluationError(f"denominator vanishes at {point}", point=point)
-    if scalar:
-        return complex(out[0])
-    return out.reshape(np.shape(s))
+    return restore(out)
 
 
 def loewner_matrix(samples, supports, support_values):
@@ -318,35 +321,31 @@ def solve_constrained_weights(L, Q):
     return Q @ v
 
 
-def _power_sum_scan(supports, num_coeffs, den_coeffs, rel_tol, warn_tol, extra_orders=0):
+def _power_sum_scan(model, extra_orders=0):
     """Locate the degree defects mu, nu and return the scaled power sums.
 
-    Scans l = 0, 1, ... for the first index where the power sum of the
-    coefficients (in the scaled variable s_k / shat) is significant relative
-    to the sum of its term magnitudes.  Returns
-    (mu, nu, num_sums, den_sums, shat, borderline) with num_sums[i] =
+    Scans l = 0, 1, ... for the first index where the power sum of each
+    coefficient side (in the scaled variable s_k / shat) is significant
+    relative to the sum of its term magnitudes.  Returns
+    (mu, nu, num_sums, den_sums, shat) with num_sums[i] =
     sum_k c_k (s_k/shat)^(mu+i) for i = 0..extra_orders, and likewise for
     den_sums from nu.
     """
-    supports = np.asarray(supports, dtype=complex)
-    shat = support_scale(supports)
-    z = supports / shat
-    mu, num_sums = _first_significant(z, num_coeffs, rel_tol, extra_orders, "numerator")
-    nu, den_sums = _first_significant(z, den_coeffs, rel_tol, extra_orders, "denominator")
-    borderline = (warn_tol < abs(num_sums[0]) <= rel_tol * 10) or (
-        warn_tol < abs(den_sums[0]) <= rel_tol * 10
-    )
-    return mu, nu, num_sums, den_sums, shat, borderline
+    shat = support_scale(model.supports)
+    z = model.supports / shat
+    num_coeffs, den_coeffs = model.coefficients
+    mu, num_sums = _first_significant(z, num_coeffs, extra_orders, "numerator")
+    nu, den_sums = _first_significant(z, den_coeffs, extra_orders, "denominator")
+    return mu, nu, num_sums, den_sums, shat
 
 
-def _first_significant(z, coeffs, rel_tol, extra_orders, what):
-    coeffs = np.asarray(coeffs, dtype=complex)
+def _first_significant(z, coeffs, extra_orders, what):
     mags = np.abs(coeffs)
     zl = np.ones_like(z)
     for l in range(z.size):
         total = np.sum(coeffs * zl)
         weight = np.sum(mags * np.abs(zl))
-        if abs(total) > rel_tol * weight:
+        if abs(total) > _REL_TOL * weight:
             sums = np.empty(extra_orders + 1, dtype=complex)
             sums[0] = total
             for i in range(1, extra_orders + 1):
@@ -362,68 +361,25 @@ def _rescale_sums(sums, shat, start):
     return sums * shat ** (start + np.arange(sums.size))
 
 
-def classify_degree(model, rel_tol=1e-8, warn_tol=1e-15):
-    """Degree defects and relative degree of an interpolatory model.
+def classify_degree(model):
+    """Degree defects and relative degree of a model of either kind.
 
     The defect ``mu`` is the smallest l with a numerator power sum that is
-    significant relative to its term magnitudes (threshold ``rel_tol``);
-    ``nu`` is the analogue for the denominator.  The relative test makes
-    the classification invariant under rescaling of the data.  A leading
-    sum whose absolute (scaled) magnitude falls in (warn_tol, 10*rel_tol]
-    sets the ``borderline`` flag.
+    significant relative to its term magnitudes; ``nu`` is the analogue for
+    the denominator.  The relative test makes the classification invariant
+    under rescaling of the data.
     """
-    return _classify(model.supports, model.weights * model.support_values,
-                     model.weights, rel_tol, warn_tol)
-
-
-def classify_degree_general(model, rel_tol=1e-8, warn_tol=1e-15):
-    """Degree classification for the non-interpolatory form.
-
-    Identical to :func:`classify_degree` with the numerator and denominator
-    weights taking the roles of ``w_k f_k`` and ``w_k``.
-    """
-    return _classify(model.supports, model.num_weights, model.den_weights,
-                     rel_tol, warn_tol)
-
-
-def classify(model, rel_tol=1e-8, warn_tol=1e-15):
-    """Dispatch degree classification on the model kind."""
-    if isinstance(model, GeneralBarycentricModel):
-        return classify_degree_general(model, rel_tol, warn_tol)
-    return classify_degree(model, rel_tol, warn_tol)
-
-
-def _classify(supports, num_coeffs, den_coeffs, rel_tol, warn_tol):
-    mu, nu, num_sums, den_sums, shat, borderline = _power_sum_scan(
-        supports, num_coeffs, den_coeffs, rel_tol, warn_tol
-    )
-    lead_num = complex(_rescale_sums(num_sums, shat, mu)[0])
-    lead_den = complex(_rescale_sums(den_sums, shat, nu)[0])
+    mu, nu, num_sums, den_sums, shat = _power_sum_scan(model)
     return DegreeSignature(
-        mu=mu, nu=nu, rdeg=nu - mu, lead_num=lead_num, lead_den=lead_den,
-        borderline=borderline,
+        mu=mu, nu=nu, rdeg=nu - mu,
+        lead_num=complex(_rescale_sums(num_sums, shat, mu)[0]),
+        lead_den=complex(_rescale_sums(den_sums, shat, nu)[0]),
     )
-
-
-def numerator_coefficients(model):
-    """Numerator-side barycentric coefficients (w_k f_k, or n_k)."""
-    if isinstance(model, GeneralBarycentricModel):
-        return model.num_weights
-    return model.weights * model.support_values
-
-
-def denominator_coefficients(model):
-    """Denominator-side barycentric coefficients (w_k, or d_k)."""
-    if isinstance(model, GeneralBarycentricModel):
-        return model.den_weights
-    return model.weights
 
 
 def evaluate(model, s):
     """Evaluate either model kind at ``s``."""
-    if isinstance(model, GeneralBarycentricModel):
-        return eval_general(model, s)
-    return eval_barycentric(model, s)
+    return model(s)
 
 
 def degree_diagnostics(model, effective_degree):
@@ -436,8 +392,7 @@ def degree_diagnostics(model, effective_degree):
     the imposed degree to be exact: at order |d| on the constrained side
     and at order 0 on the other.
     """
-    u = numerator_coefficients(model)
-    w = denominator_coefficients(model)
+    u, w = model.coefficients
     z = model.supports / support_scale(model.supports)
     depth = abs(effective_degree)
     powers = np.power.outer(z, np.arange(depth + 1))

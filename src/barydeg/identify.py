@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .aaa import AaaConfig, aaa
 from .asymptotic import DEFAULT_ORDER, make_piecewise
-from .vf import DEFAULT_MAX_TERMS, VfConfig, vf_adaptive
+from .vf import VfConfig, vf_adaptive
 
 DEFAULT_MAX_ABS_DEGREE = 20
 
@@ -68,22 +68,17 @@ def better(a, b):
     return a.linf_rel_error < b.linf_rel_error
 
 
-def aaa_backend(tol, max_terms=None, zero_guard=None):
+def aaa_backend(tol, max_terms=None):
     """Fit backend running degree-constrained AAA at the given tolerance."""
     def fit(samples, degree):
-        cfg = AaaConfig(tol=tol, target_degree=degree, max_terms=max_terms,
-                        zero_guard=zero_guard)
-        return aaa(samples, cfg)
+        return aaa(samples, AaaConfig(tol=tol, target_degree=degree, max_terms=max_terms))
     return fit
 
 
-def vf_backend(tol=1e-4, max_terms=None, zero_guard=None):
+def vf_backend(tol=1e-4, max_terms=None):
     """Fit backend running adaptive-complexity vector fitting."""
     def fit(samples, degree):
-        cfg = VfConfig(tol=tol, target_degree=degree,
-                       max_terms=DEFAULT_MAX_TERMS if max_terms is None else max_terms,
-                       zero_guard=zero_guard)
-        return vf_adaptive(samples, cfg)
+        return vf_adaptive(samples, VfConfig(tol=tol, target_degree=degree, max_terms=max_terms))
     return fit
 
 

@@ -1,24 +1,20 @@
-"""Small shared helpers for relative-error bookkeeping."""
+"""Small shared helpers: relative-error bookkeeping and point vectors."""
 
 import numpy as np
 
 # Relative errors at data points where f == 0 would divide by zero.  The
-# default guard is small enough to be inert for any nonzero value while
-# keeping exact zeros from crashing the error computation.
+# guard is small enough to be inert for any nonzero value while keeping
+# exact zeros from crashing the error computation.
 _GUARD_FACTOR = 1e-300
 _TINY = np.nextafter(0.0, 1.0)
 
 
-def resolve_zero_guard(values, zero_guard=None):
+def resolve_zero_guard(values):
     """Return the floor used in relative-error denominators.
 
-    ``None`` selects the default ``1e-300 * max|values|`` (clamped away from
-    zero so all-zero data stays finite).
+    The floor is ``1e-300 * max|values|``, clamped away from zero so
+    all-zero data stays finite.
     """
-    if zero_guard is not None:
-        if not zero_guard > 0.0:
-            raise ValueError("zero_guard must be positive")
-        return float(zero_guard)
     guard = _GUARD_FACTOR * float(np.max(np.abs(values), initial=0.0))
     return guard if guard > 0.0 else _TINY
 
@@ -28,3 +24,16 @@ def relative_errors(values, approx, zero_guard):
     values = np.asarray(values)
     approx = np.asarray(approx)
     return np.abs(values - approx) / np.maximum(np.abs(values), zero_guard)
+
+
+def as_point_vector(s):
+    """Flatten scalar or array ``s`` to a 1-D complex vector.
+
+    Returns ``(sv, restore)``: ``restore`` maps a result vector over ``sv``
+    back to the shape of ``s``, as a Python complex when ``s`` is a scalar.
+    """
+    sv = np.atleast_1d(np.asarray(s, dtype=complex)).ravel()
+    if np.ndim(s) == 0:
+        return sv, lambda out: complex(out[0])
+    shape = np.shape(s)
+    return sv, lambda out: out.reshape(shape)

@@ -31,20 +31,20 @@ DEFAULT_MAX_TERMS = 60
 
 @dataclass(frozen=True)
 class VfConfig:
-    """Knobs for :func:`vf_adaptive`; see :class:`barydeg.aaa.AaaConfig`."""
+    """Knobs for :func:`vf_adaptive`; see :class:`barydeg.aaa.AaaConfig`.
+
+    ``max_terms=None`` selects ``DEFAULT_MAX_TERMS``.
+    """
 
     tol: float = 1e-4
     target_degree: int = 0
-    max_terms: int = DEFAULT_MAX_TERMS
-    zero_guard: float = None
+    max_terms: int = None
 
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.max_terms < 1:
+        if self.max_terms is not None and self.max_terms < 1:
             raise ValueError("max_terms must be at least 1")
-        if self.zero_guard is not None and not self.zero_guard > 0:
-            raise ValueError("zero_guard must be positive")
 
 
 def geometric_supports(samples, m):
@@ -121,15 +121,14 @@ def vf_adaptive(samples, config):
     ``(model, report)`` with ``converged=False`` when the term cap is hit.
     """
     delta = int(config.target_degree)
-    if config.max_terms < abs(delta) + 1:
-        raise ConfigurationError(
-            f"max_terms={config.max_terms} cannot accommodate degree {delta}"
-        )
-    guard = resolve_zero_guard(samples.values, config.zero_guard)
+    cap = DEFAULT_MAX_TERMS if config.max_terms is None else config.max_terms
+    if cap < abs(delta) + 1:
+        raise ConfigurationError(f"max_terms={cap} cannot accommodate degree {delta}")
+    guard = resolve_zero_guard(samples.values)
     model = None
     rel = None
     converged = False
-    for m in range(abs(delta), config.max_terms):
+    for m in range(abs(delta), cap):
         model = vf_solve(samples, geometric_supports(samples, m), delta)
         rel = relative_errors(samples.values, eval_general(model, samples.points), guard)
         if float(np.max(rel)) <= config.tol:

@@ -12,8 +12,6 @@ def test_config_validation():
         bd.AaaConfig(tol=0.0)
     with pytest.raises(ValueError):
         bd.AaaConfig(tol=1e-6, max_terms=0)
-    with pytest.raises(ValueError):
-        bd.AaaConfig(tol=1e-6, zero_guard=-1.0)
 
 
 def test_constant_data_returns_initial_model():

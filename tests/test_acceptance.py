@@ -12,7 +12,6 @@ import pytest
 
 import barydeg as bd
 from barydeg.asymptotic import eval_asymptotic
-from barydeg.core import denominator_coefficients, numerator_coefficients
 from barydeg.identify import CandidateRecord, better
 
 from conftest import chain_samples, distinct_unit_disc_points, exact_type_model, inverse_decay_samples
@@ -181,10 +180,7 @@ def _branch_error_estimates(pm):
     e_a = abs(c[-1] / c[0] - d[-1] / d[0]) * (shat / R) ** (order + 1)
     z = pm.bary.supports / shat
     e_b = 0.0
-    for coeffs, defect, lead in (
-        (numerator_coefficients(pm.bary), ext.mu, c[0]),
-        (denominator_coefficients(pm.bary), ext.nu, d[0]),
-    ):
+    for coeffs, defect, lead in zip(pm.bary.coefficients, (ext.mu, ext.nu), (c[0], d[0])):
         for l in range(defect):
             e_b += abs(np.sum(coeffs * z**l)) / abs(lead) * (R / shat) ** (defect - l)
     return e_a, e_b

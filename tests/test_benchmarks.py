@@ -11,7 +11,6 @@ class TestMassChainSystem:
         sys2 = bd.MassChainSystem(2)
         assert np.array_equal(sys2.masses, [1.0, 1.0])
         assert np.array_equal(sys2.springs, [1.0])
-        assert np.array_equal(sys2.lengths, [0.0])
 
     def test_too_few_masses(self):
         with pytest.raises(ValueError, match="at least 2"):

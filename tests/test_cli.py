@@ -77,6 +77,7 @@ class TestFit:
         assert doc["result"]["classified_rdeg"] == -4
         assert doc["result"]["converged"] is True
         assert doc["result"]["constraint_residual"] <= 1e-10
+        assert doc["result"]["piecewise_error"] is None
         assert doc["timing_ms"] >= 0
 
     def test_vf_backend(self, tmp_path):
@@ -98,6 +99,21 @@ class TestFit:
         doc = json.loads(report_path.read_text())
         assert doc["result"]["terms"] == 1
         assert doc["result"]["linf_rel_error"] == 0.0
+
+    def test_zero_data_reports_piecewise_error(self, tmp_path, capsys):
+        # the exact fit of all-zero data is trivial: no degree, no piecewise model
+        path = tmp_path / "zero.csv"
+        bd.save_samples(bd.SampleSet(bd.sample_grid(1.0, 10.0, 20), np.zeros(20)), path)
+        report_path = tmp_path / "fit.json"
+        model_path = tmp_path / "model.json"
+        code = run("fit", str(path), "-o", str(report_path), "--model-out", str(model_path))
+        assert code == EXIT_OK
+        doc = json.loads(report_path.read_text())
+        jsonschema.validate(doc, report_schema())
+        assert "trivial" in doc["result"]["piecewise_error"]
+        assert doc["result"]["classified_rdeg"] is None and doc["result"]["cutoff"] is None
+        assert not model_path.exists()
+        assert "trivial" in capsys.readouterr().err
 
     def test_missing_input(self, tmp_path, capsys):
         code = run("fit", str(tmp_path / "nope.csv"), "-o", str(tmp_path / "r.json"))

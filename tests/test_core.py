@@ -133,6 +133,21 @@ class TestEvalGeneral:
         assert bd.eval_general(m, 1.0) == pytest.approx(1.0)
 
 
+class TestCoefficientPair:
+    def test_both_kinds_expose_numerator_and_denominator(self):
+        # r(s) = s/(2s-1) in both forms: (w_k f_k, w_k) becomes (n_k, d_k)
+        interp = bd.BarycentricModel([0.0, 1.0], [0.0, 1.0], [1 / SQ2, 1 / SQ2])
+        num, den = interp.coefficients
+        assert np.array_equal(num, interp.weights * interp.support_values)
+        assert np.array_equal(den, interp.weights)
+        general = bd.GeneralBarycentricModel.from_weights(interp.supports, num, den)
+        assert all(a is b for a, b in zip(general.coefficients,
+                                          (general.num_weights, general.den_weights)))
+        assert bd.evaluate(general, 3.0) == pytest.approx(bd.evaluate(interp, 3.0), rel=1e-14)
+        a, b = bd.classify_degree(interp), bd.classify_degree(general)
+        assert (a.mu, a.nu, a.rdeg) == (b.mu, b.nu, b.rdeg)
+
+
 class TestLoewner:
     def test_hand_example(self):
         ss = bd.SampleSet([2.0], [3.0])
@@ -272,9 +287,8 @@ class TestClassifyDegree:
         n = np.array([0.0, 1.0]) / np.sqrt(3.0)
         d = np.array([1.0, 1.0]) / np.sqrt(3.0)
         m = bd.GeneralBarycentricModel([0.0, 1.0], n, d)
-        sig = bd.classify_degree_general(m)
+        sig = bd.classify_degree(m)
         assert (sig.mu, sig.nu, sig.rdeg) == (0, 0, 0)
-        assert bd.classify(m) == sig
 
 
 class TestDegreeRoundTrip:

@@ -93,7 +93,7 @@ class TestVfAdaptive:
     def test_forward_chain_prescribed_degree(self, fwd2_samples):
         model, rep = bd.vf_adaptive(fwd2_samples, bd.VfConfig(tol=1e-4, target_degree=-4))
         assert rep.converged
-        assert bd.classify_degree_general(model).rdeg == -4
+        assert bd.classify_degree(model).rdeg == -4
         assert rep.constraint_residual <= 1e-10
         assert rep.effective_degree == -4
 
@@ -152,4 +152,4 @@ class TestClassificationCoherence:
         model, rep = bd.vf_adaptive(ss, bd.VfConfig(tol=1e-4, target_degree=degree))
         assert rep.converged
         if min(rep.leading_sum_magnitudes) > 1e-15:
-            assert bd.classify_degree_general(model).rdeg == degree
+            assert bd.classify_degree(model).rdeg == degree
