@@ -6,10 +6,11 @@ barycentric weights, identify an unknown relative degree by model
 selection, and evaluate the result stably far outside the sampled band.
 """
 
-from .aaa import AaaConfig, FitReport, aaa
+from .aaa import AaaConfig, aaa
 from .asymptotic import (
     AsymptoticModel,
     PiecewiseModel,
+    classify_degree,
     cutoff_radius,
     eval_asymptotic,
     eval_piecewise,
@@ -29,10 +30,9 @@ from .benchmarks import (
 )
 from .core import (
     BarycentricModel,
-    DegreeSignature,
+    FitReport,
     GeneralBarycentricModel,
     SampleSet,
-    classify_degree,
     eval_barycentric,
     eval_general,
     evaluate,
@@ -70,7 +70,6 @@ __all__ = [
     "CandidateRecord",
     "ConfigurationError",
     "ConstraintError",
-    "DegreeSignature",
     "FitReport",
     "GeneralBarycentricModel",
     "GridError",

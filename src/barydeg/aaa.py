@@ -14,7 +14,9 @@ import numpy as np
 
 from .core import (
     BarycentricModel,
+    FitReport,
     degree_diagnostics,
+    loewner_matrix,
     nullspace_basis,
     solve_constrained_weights,
     support_scale,
@@ -45,30 +47,6 @@ class AaaConfig:
             raise ValueError("tol must be positive")
         if self.max_terms is not None and self.max_terms < 1:
             raise ValueError("max_terms must be at least 1")
-
-
-@dataclass(frozen=True)
-class FitReport:
-    """Diagnostics of a single fit.
-
-    ``linf_rel_error`` and ``l2_rel_error`` are taken over the full sample
-    set (max, resp. Euclidean norm, of the pointwise relative errors).
-    ``effective_degree`` is the degree actually imposed on the returned
-    model, sign(target) * min(|target|, terms - 1).  ``constraint_residual``
-    is the largest scaled power sum that the constraints force to zero, and
-    ``leading_sum_magnitudes`` the two power sums that must stay away from
-    zero for the imposed degree to be exact.  ``greedy_rel_error`` is the
-    relative error at the last greedily examined point (AAA only).
-    """
-
-    terms: int
-    linf_rel_error: float
-    l2_rel_error: float
-    converged: bool
-    constraint_residual: float
-    leading_sum_magnitudes: tuple
-    effective_degree: int
-    greedy_rel_error: float = None
 
 
 def aaa(samples, config):
@@ -123,12 +101,9 @@ def aaa(samples, config):
             Q = nullspace_basis(V, left_scaling=fj if delta < 0 else None)
         else:
             Q = np.eye(m + 1, dtype=complex)
-        L = (vals[in_pool, None] - fj[None, :]) / (pts[in_pool, None] - sj[None, :])
-        w = solve_constrained_weights(L, Q)
-        model = BarycentricModel.from_weights(sj, fj, w)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cauchy = 1.0 / (pts[in_pool, None] - sj[None, :])
-            approx[in_pool] = (cauchy @ (w * fj)) / (cauchy @ w)
+        L = loewner_matrix(pts[in_pool], vals[in_pool], sj, fj)
+        model = BarycentricModel.from_weights(sj, fj, solve_constrained_weights(L, Q))
+        approx[in_pool] = model(pts[in_pool])
         approx[sup_idx] = fj
 
     if model is None:

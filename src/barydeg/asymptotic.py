@@ -29,7 +29,6 @@ from .core import (
     BarycentricModel,
     GeneralBarycentricModel,
     _power_sum_scan,
-    _rescale_sums,
     evaluate,
 )
 from .errors import PoleEvaluationError
@@ -47,14 +46,12 @@ class AsymptoticModel:
     the largest support magnitude) so that they stay representable for
     supports of any magnitude; the unscaled moments are exposed as
     properties.  ``num_moments_scaled[i]`` is the power sum of the
-    numerator coefficients at order mu + i, and the expansion truncates
-    after ``order + 1`` terms.
+    numerator coefficients at order mu + i; the expansion truncates after
+    as many terms as the (equally long) moment arrays hold.
     """
 
     mu: int
     nu: int
-    rdeg: int
-    order: int
     scale: float
     num_moments_scaled: np.ndarray
     den_moments_scaled: np.ndarray
@@ -66,12 +63,22 @@ class AsymptoticModel:
         den.setflags(write=False)
         object.__setattr__(self, "num_moments_scaled", num)
         object.__setattr__(self, "den_moments_scaled", den)
-        if num.size != self.order + 1 or den.size != self.order + 1:
-            raise ValueError("moment arrays must have order + 1 entries")
+        if num.size == 0 or num.size != den.size:
+            raise ValueError("moment arrays must be non-empty and of equal length")
         if num[0] == 0 or den[0] == 0:
             raise ValueError("leading moments must be nonzero")
         if not self.scale > 0:
             raise ValueError("scale must be positive")
+
+    @property
+    def rdeg(self):
+        """Relative degree nu - mu."""
+        return self.nu - self.mu
+
+    @property
+    def order(self):
+        """Truncation order: the expansion keeps order + 1 moments."""
+        return self.num_moments_scaled.size - 1
 
     @property
     def num_moments(self):
@@ -118,17 +125,35 @@ class PiecewiseModel:
 def moments(model, order=DEFAULT_ORDER):
     """Asymptotic expansion of a model, truncated after ``order + 1`` terms.
 
-    Works for both model kinds; the degree defects are located with the
-    same scan as degree classification, so the leading moments coincide
-    bit-for-bit with the classified leading sums.
+    Works for both model kinds.  The degree defects come from the power-sum
+    scan, so every order shares the leading moments of
+    :func:`classify_degree` bit for bit.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     mu, nu, num_sums, den_sums, shat = _power_sum_scan(model, extra_orders=order)
     return AsymptoticModel(
-        mu=mu, nu=nu, rdeg=nu - mu, order=order, scale=shat,
+        mu=mu, nu=nu, scale=shat,
         num_moments_scaled=num_sums, den_moments_scaled=den_sums,
     )
+
+
+def classify_degree(model):
+    """Degree defects and relative degree of a model of either kind.
+
+    Returns the order-0 expansion at infinity, ``moments(model, 0)``.  The
+    defect ``mu`` is the smallest l with a numerator power sum that is
+    significant relative to its term magnitudes, ``nu`` the analogue for
+    the denominator, and ``rdeg = nu - mu``; ``num_moments[0]`` and
+    ``den_moments[0]`` are the leading power sums.  The relative test makes
+    the classification invariant under rescaling of the data.
+    """
+    return moments(model, 0)
+
+
+def _rescale_sums(sums, shat, start):
+    """Undo the s_k/shat scaling: sums[i] * shat**(start+i), elementwise."""
+    return sums * shat ** (start + np.arange(sums.size))
 
 
 def eval_asymptotic(asym, s):

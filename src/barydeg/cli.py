@@ -24,9 +24,9 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .asymptotic import AsymptoticModel, PiecewiseModel, eval_piecewise, make_piecewise
+from .asymptotic import AsymptoticModel, PiecewiseModel, classify_degree, eval_piecewise, make_piecewise
 from .benchmarks import MassChainSystem, add_noise, forward_tf, inverse_tf, load_samples, sample_grid, save_samples
-from .core import BarycentricModel, GeneralBarycentricModel, SampleSet, classify_degree
+from .core import BarycentricModel, GeneralBarycentricModel, SampleSet
 from .errors import BarydegError
 from .identify import aaa_backend, identify, vf_backend
 
@@ -103,7 +103,11 @@ def model_to_json(pm):
 
 
 def model_from_json(doc):
-    """Rebuild a piecewise model written by :func:`model_to_json`."""
+    """Rebuild a piecewise model written by :func:`model_to_json`.
+
+    Raises ``ValueError`` when the stored ``rdeg`` or ``order`` disagrees
+    with the defects and moment arrays that define it.
+    """
     supports = _pairs_to_complex(doc["supports"])
     if doc["kind"] == "general":
         bary = GeneralBarycentricModel(
@@ -119,10 +123,15 @@ def model_from_json(doc):
         )
     a = doc["asymptotic"]
     asym = AsymptoticModel(
-        mu=a["mu"], nu=a["nu"], rdeg=a["rdeg"], order=a["order"], scale=a["scale"],
+        mu=a["mu"], nu=a["nu"], scale=a["scale"],
         num_moments_scaled=_pairs_to_complex(a["num_moments_scaled"]),
         den_moments_scaled=_pairs_to_complex(a["den_moments_scaled"]),
     )
+    if (a["rdeg"], a["order"]) != (asym.rdeg, asym.order):
+        raise ValueError(
+            f"model file gives rdeg={a['rdeg']}, order={a['order']}, but its moments "
+            f"define rdeg={asym.rdeg}, order={asym.order}"
+        )
     return PiecewiseModel(bary=bary, asym=asym, cutoff=doc["cutoff"],
                           train_T=doc["train_T"], train_eps=doc["train_eps"])
 

@@ -15,7 +15,7 @@ degree drops below the maximal ``m`` exactly when leading power sums of the
 numerator coefficients vanish, and likewise for the denominator.  This
 module provides the models, their stable evaluation, the Loewner and
 Vandermonde matrices used by the fitting routines, null-space extraction
-for degree constraints, and the degree classification itself.
+for degree constraints, and the power-sum scan that classifies the degree.
 
 Both model kinds expose the same ``coefficients`` pair (numerator,
 denominator): ``(w_k f_k, w_k)`` for the interpolatory form and
@@ -183,20 +183,27 @@ class GeneralBarycentricModel:
 
 
 @dataclass(frozen=True)
-class DegreeSignature:
-    """Result of degree classification.
+class FitReport:
+    """Diagnostics of a single fit (AAA or vector fitting).
 
-    ``mu`` and ``nu`` are the numerator and denominator degree defects: the
-    exact rational type is (m - mu, m - nu) and the relative degree is
-    ``rdeg = nu - mu``.  ``lead_num`` and ``lead_den`` are the first
-    non-vanishing power sums of the numerator and denominator coefficients.
+    ``linf_rel_error`` and ``l2_rel_error`` are taken over the full sample
+    set (max, resp. Euclidean norm, of the pointwise relative errors).
+    ``effective_degree`` is the degree actually imposed on the returned
+    model, sign(target) * min(|target|, terms - 1).  ``constraint_residual``
+    is the largest scaled power sum that the constraints force to zero, and
+    ``leading_sum_magnitudes`` the two power sums that must stay away from
+    zero for the imposed degree to be exact.  ``greedy_rel_error`` is the
+    relative error at the last greedily examined point (AAA only).
     """
 
-    mu: int
-    nu: int
-    rdeg: int
-    lead_num: complex
-    lead_den: complex
+    terms: int
+    linf_rel_error: float
+    l2_rel_error: float
+    converged: bool
+    constraint_residual: float
+    leading_sum_magnitudes: tuple
+    effective_degree: int
+    greedy_rel_error: float = None
 
 
 def eval_barycentric(model, s):
@@ -229,14 +236,15 @@ def _eval_ratio(model, s, on_support):
     if not np.all(np.isfinite(sv)):
         raise ValueError("evaluation points must be finite")
     num_coeffs, den_coeffs = model.coefficients
-    diff = sv[:, None] - model.supports[None, :]
-    hit_i, hit_k = np.nonzero(diff == 0)
+    # a single M x m array: differences, exact support hits patched to 1,
+    # then inverted in place
+    cauchy = np.subtract.outer(sv, model.supports)
+    hit_i, hit_k = np.nonzero(cauchy == 0)
+    cauchy[hit_i, hit_k] = 1.0
+    np.divide(1.0, cauchy, out=cauchy)
+    num = cauchy @ num_coeffs
+    den = cauchy @ den_coeffs
     with np.errstate(divide="ignore", invalid="ignore"):
-        diff_safe = diff.copy()
-        diff_safe[hit_i, hit_k] = 1.0
-        cauchy = 1.0 / diff_safe
-        num = cauchy @ num_coeffs
-        den = cauchy @ den_coeffs
         out = num / den
     for i, k in zip(hit_i, hit_k):
         out[i] = on_support(k)
@@ -248,18 +256,19 @@ def _eval_ratio(model, s, on_support):
     return restore(out)
 
 
-def loewner_matrix(samples, supports, support_values):
-    """Divided-difference matrix (f(s'_j) - f_k) / (s'_j - s_k).
+def loewner_matrix(points, values, supports, support_values):
+    """Divided-difference matrix (f_j - f_k) / (s'_j - s_k).
 
-    Rows run over the sample points, columns over the supports.  Sample and
-    support points must be disjoint.
+    Rows run over the sample points ``s'_j`` with values ``f_j``, columns
+    over the supports ``s_k`` with values ``f_k``.  Sample and support
+    points must be disjoint.
     """
-    pts = np.asarray(samples.points, dtype=complex)
-    vals = np.asarray(samples.values, dtype=complex)
+    pts = np.asarray(points, dtype=complex).ravel()
+    vals = np.asarray(values, dtype=complex).ravel()
     sj = np.asarray(supports, dtype=complex).ravel()
     fj = np.asarray(support_values, dtype=complex).ravel()
-    if sj.size != fj.size:
-        raise ValueError("supports and support_values must have equal length")
+    if pts.size != vals.size or sj.size != fj.size:
+        raise ValueError("points and values, supports and support_values must have equal lengths")
     diff = pts[:, None] - sj[None, :]
     if np.any(diff == 0):
         j, k = np.argwhere(diff == 0)[0]
@@ -316,7 +325,10 @@ def solve_constrained_weights(L, Q):
     Q = np.asarray(Q, dtype=complex)
     if Q.shape[1] == 0:
         raise ConstraintError("constraint basis has no columns")
-    _, _, vh = np.linalg.svd(L @ Q, full_matrices=True)
+    LQ = L @ Q
+    # the economy factorization already holds every right singular vector
+    # unless LQ is wide; the full one would add an unused rows x rows factor
+    _, _, vh = np.linalg.svd(LQ, full_matrices=LQ.shape[0] < LQ.shape[1])
     v = np.conj(vh[-1, :])
     return Q @ v
 
@@ -354,27 +366,6 @@ def _first_significant(z, coeffs, extra_orders, what):
             return l, sums
         zl = zl * z
     raise TrivialModelError(f"all {what} power sums are negligible; model is trivial")
-
-
-def _rescale_sums(sums, shat, start):
-    """Undo the s_k/shat scaling: sums[i] * shat**(start+i), elementwise."""
-    return sums * shat ** (start + np.arange(sums.size))
-
-
-def classify_degree(model):
-    """Degree defects and relative degree of a model of either kind.
-
-    The defect ``mu`` is the smallest l with a numerator power sum that is
-    significant relative to its term magnitudes; ``nu`` is the analogue for
-    the denominator.  The relative test makes the classification invariant
-    under rescaling of the data.
-    """
-    mu, nu, num_sums, den_sums, shat = _power_sum_scan(model)
-    return DegreeSignature(
-        mu=mu, nu=nu, rdeg=nu - mu,
-        lead_num=complex(_rescale_sums(num_sums, shat, mu)[0]),
-        lead_den=complex(_rescale_sums(den_sums, shat, nu)[0]),
-    )
 
 
 def evaluate(model, s):

@@ -14,12 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aaa import FitReport
 from .core import (
+    FitReport,
     GeneralBarycentricModel,
     degree_diagnostics,
     eval_general,
     nullspace_basis,
+    solve_constrained_weights,
     support_scale,
     vandermonde,
 )
@@ -100,16 +101,15 @@ def vf_solve(samples, supports, target_degree):
         else:
             basis_n = nullspace_basis(V)
     A_n = cauchy @ basis_n
-    A_d = (vals[:, None] * cauchy) @ basis_d
-    # project the d-side columns onto the orthogonal complement of range(A_n)
-    u_l, sing, _ = np.linalg.svd(A_n, full_matrices=False)
+    fc = vals[:, None] * cauchy
+    # one SVD of A_n projects the d-side columns onto the orthogonal
+    # complement of range(A_n) and gives the numerator by the rank-truncated
+    # pseudo-inverse that lstsq(rcond=None) would apply
+    u_l, sing, vh_l = np.linalg.svd(A_n, full_matrices=False)
     rank = int(np.sum(sing > sing[0] * max(A_n.shape) * np.finfo(float).eps))
-    u_l = u_l[:, :rank]
-    resid = A_d - u_l @ (u_l.conj().T @ A_d)
-    _, _, vh = np.linalg.svd(resid, full_matrices=True)
-    v = np.conj(vh[-1, :])
-    den = basis_d @ v
-    num = basis_n @ np.linalg.lstsq(A_n, A_d @ v, rcond=None)[0]
+    u_l, sing, vh_l = u_l[:, :rank], sing[:rank], vh_l[:rank]
+    den = solve_constrained_weights(fc - u_l @ (u_l.conj().T @ fc), basis_d)
+    num = basis_n @ (vh_l.conj().T @ ((u_l.conj().T @ (fc @ den)) / sing))
     return GeneralBarycentricModel.from_weights(supports, num, den)
 
 

@@ -53,8 +53,8 @@ class TestMoments:
                       exact_type_model(np.random.default_rng(3), 6, 2, 1)):
             sig = bd.classify_degree(model)
             asym = moments(model)
-            assert asym.num_moments[0] == sig.lead_num
-            assert asym.den_moments[0] == sig.lead_den
+            assert asym.num_moments[0] == sig.num_moments[0]
+            assert asym.den_moments[0] == sig.den_moments[0]
 
     def test_general_model_moments(self):
         ss = inverse_decay_samples(1.0, 10.0, 20)
@@ -80,7 +80,7 @@ class TestEvalAsymptotic:
             eval_asymptotic(moments(exact_inverse_model()), 0.0)
 
     def test_truncated_denominator_zero(self):
-        asym = AsymptoticModel(mu=0, nu=0, rdeg=0, order=1, scale=1.0,
+        asym = AsymptoticModel(mu=0, nu=0, scale=1.0,
                                num_moments_scaled=np.array([1.0, 0.0]),
                                den_moments_scaled=np.array([1.0, -1.0]))
         # denominator series 1 - 1/s vanishes at s = 1
@@ -194,9 +194,15 @@ class TestPiecewiseModelInvariants:
             bd.PiecewiseModel(bary=model, asym=asym, cutoff=1.0,
                               train_T=10.0, train_eps=1e-6)
 
+    @pytest.mark.parametrize("num, den", [([1.0], [1.0, 0.5]), ([], [])])
+    def test_unequal_or_empty_moment_arrays_rejected(self, num, den):
+        with pytest.raises(ValueError, match="equal length"):
+            AsymptoticModel(mu=0, nu=2, scale=1.0, num_moments_scaled=np.array(num),
+                            den_moments_scaled=np.array(den))
+
     def test_bad_moment_arrays_rejected(self):
         with pytest.raises(ValueError, match="leading"):
-            AsymptoticModel(mu=0, nu=0, rdeg=0, order=0, scale=1.0,
+            AsymptoticModel(mu=0, nu=0, scale=1.0,
                             num_moments_scaled=np.array([0.0]),
                             den_moments_scaled=np.array([1.0]))
 

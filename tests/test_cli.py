@@ -202,6 +202,17 @@ class TestEval:
         mags = [float(line.split(",")[3]) for line in out_path.read_text().splitlines()[1:]]
         assert np.allclose(mags, 3.0, rtol=1e-10)
 
+    @pytest.mark.parametrize("key, value", [("rdeg", 0), ("order", 3)])
+    def test_tampered_degree_or_order_rejected(self, tmp_path, capsys, key, value):
+        model_path = self.fit_model(tmp_path)
+        doc = json.loads(model_path.read_text())
+        doc["asymptotic"][key] = value
+        model_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("eval", "--model", str(model_path), "--wmin", "1e-2",
+                   "--wmax", "1e6", "--count", "10", "-o", str(tmp_path / "s.csv")) == EXIT_USAGE
+        assert key in capsys.readouterr().err
+
     def test_inverse_decay_sweep_accuracy(self, tmp_path):
         pts = bd.sample_grid(0.1, 10.0, 50)
         data_path = tmp_path / "inv.csv"

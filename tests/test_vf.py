@@ -51,6 +51,23 @@ class TestVfSolve:
         rel = np.abs(bd.eval_general(model, pts) - ss.values) / np.abs(ss.values)
         assert np.max(rel) <= 1e-10
 
+    @pytest.mark.parametrize("degree", [-4, 0, 3])
+    def test_numerator_attains_lstsq_residual(self, degree):
+        # np.linalg.lstsq on the constrained numerator block is the reference
+        ss = chain_samples(2, noise=1e-6, seed=1)
+        supports = bd.geometric_supports(ss, 8)
+        model = bd.vf_solve(ss, supports, degree)
+        cauchy = 1.0 / (ss.points[:, None] - supports[None, :])
+        basis_n = np.eye(supports.size)
+        if degree < 0:
+            basis_n = bd.nullspace_basis(
+                bd.vandermonde(supports, -degree, np.max(np.abs(supports))))
+        rhs = (ss.values[:, None] * cauchy) @ model.den_weights
+        ref = np.linalg.lstsq(cauchy @ basis_n, rhs, rcond=None)[0]
+        resid = np.linalg.norm(cauchy @ model.num_weights - rhs)
+        ref_resid = np.linalg.norm(cauchy @ basis_n @ ref - rhs)
+        assert resid == pytest.approx(ref_resid, rel=1e-8)
+
     def test_infeasible_constraint_count(self):
         pts = bd.sample_grid(1.0, 10.0, 20)
         ss = bd.SampleSet(pts, 1.0 / pts)
