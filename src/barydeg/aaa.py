@@ -19,7 +19,6 @@ from .core import (
     loewner_matrix,
     nullspace_basis,
     solve_constrained_weights,
-    support_scale,
     vandermonde,
 )
 from .errors import ConfigurationError
@@ -78,16 +77,14 @@ def aaa(samples, config):
     sup_idx = []
     model = None
     converged = False
-    greedy_err = np.inf
     j = 0
 
     for m in range(cap + 1):
         rel = relative_errors(vals, approx, guard)
         rel[~in_pool] = -np.inf
         j = int(np.argmax(rel))
-        greedy_err = float(rel[j])
         in_pool[j] = False
-        if greedy_err <= tol:
+        if rel[j] <= tol:
             converged = True
             break
         if m == cap:
@@ -95,12 +92,8 @@ def aaa(samples, config):
         sup_idx.append(j)
         sj = pts[sup_idx]
         fj = vals[sup_idx]
-        depth = min(abs(delta), m)
-        if depth:
-            V = vandermonde(sj, depth, support_scale(sj))
-            Q = nullspace_basis(V, left_scaling=fj if delta < 0 else None)
-        else:
-            Q = np.eye(m + 1, dtype=complex)
+        V = vandermonde(sj, min(abs(delta), m))
+        Q = nullspace_basis(V, left_scaling=fj if delta < 0 else None)
         L = loewner_matrix(pts[in_pool], vals[in_pool], sj, fj)
         model = BarycentricModel.from_weights(sj, fj, solve_constrained_weights(L, Q))
         approx[in_pool] = model(pts[in_pool])
@@ -111,11 +104,11 @@ def aaa(samples, config):
         # a single-term model anchored at that point
         model = BarycentricModel([pts[j]], [mean], [1.0])
 
-    report = _build_report(samples, model, approx, guard, delta, converged, greedy_err)
+    report = _build_report(samples, model, approx, guard, delta, converged)
     return model, report
 
 
-def _build_report(samples, model, approx, guard, delta, converged, greedy_err):
+def _build_report(samples, model, approx, guard, delta, converged):
     rel = relative_errors(samples.values, approx, guard)
     effective = int(np.sign(delta)) * min(abs(delta), model.terms - 1)
     residual, leading = degree_diagnostics(model, effective)
@@ -127,5 +120,4 @@ def _build_report(samples, model, approx, guard, delta, converged, greedy_err):
         constraint_residual=residual,
         leading_sum_magnitudes=leading,
         effective_degree=effective,
-        greedy_rel_error=greedy_err,
     )

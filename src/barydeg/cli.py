@@ -17,6 +17,7 @@ converge or the identification failed.
 
 import argparse
 import json
+import operator
 import sys
 import time
 from importlib import resources
@@ -24,11 +25,12 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .asymptotic import AsymptoticModel, PiecewiseModel, classify_degree, eval_piecewise, make_piecewise
-from .benchmarks import MassChainSystem, add_noise, forward_tf, inverse_tf, load_samples, sample_grid, save_samples
-from .core import BarycentricModel, GeneralBarycentricModel, SampleSet
+from .asymptotic import (DEFAULT_ORDER, AsymptoticModel, PiecewiseModel, classify_degree,
+                         eval_piecewise, make_piecewise)
+from .benchmarks import load_samples, mass_chain_samples, sample_grid, save_samples
+from .core import BarycentricModel, GeneralBarycentricModel
 from .errors import BarydegError
-from .identify import aaa_backend, identify, vf_backend
+from .identify import DEFAULT_MAX_ABS_DEGREE, aaa_backend, identify, vf_backend
 
 REPORT_SCHEMA_VERSION = "1"
 MODEL_SCHEMA_VERSION = "1"
@@ -102,38 +104,57 @@ def model_to_json(pm):
     return doc
 
 
+def _entry(doc, key, convert):
+    """``convert(doc[key])``; a missing or malformed entry raises ValueError naming it."""
+    if key not in doc:
+        raise ValueError(f"model file has no {key!r} entry")
+    try:
+        return convert(doc[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"model file entry {key!r} is invalid: {exc}") from None
+
+
 def model_from_json(doc):
     """Rebuild a piecewise model written by :func:`model_to_json`.
 
-    Raises ``ValueError`` when the stored ``rdeg`` or ``order`` disagrees
-    with the defects and moment arrays that define it.
+    Raises ``ValueError`` naming the entry when one is missing or malformed,
+    or when the stored ``rdeg`` or ``order`` disagrees with the defects and
+    moment arrays that define it.
     """
-    supports = _pairs_to_complex(doc["supports"])
-    if doc["kind"] == "general":
+    if not isinstance(doc, dict):
+        raise ValueError("model file must hold a JSON object")
+    supports = _entry(doc, "supports", _pairs_to_complex)
+    kind = _entry(doc, "kind", str)
+    if kind == "general":
         bary = GeneralBarycentricModel(
             supports,
-            _pairs_to_complex(doc["num_weights"]),
-            _pairs_to_complex(doc["den_weights"]),
+            _entry(doc, "num_weights", _pairs_to_complex),
+            _entry(doc, "den_weights", _pairs_to_complex),
         )
-    else:
+    elif kind == "interpolatory":
         bary = BarycentricModel(
             supports,
-            _pairs_to_complex(doc["support_values"]),
-            _pairs_to_complex(doc["weights"]),
+            _entry(doc, "support_values", _pairs_to_complex),
+            _entry(doc, "weights", _pairs_to_complex),
         )
-    a = doc["asymptotic"]
+    else:
+        raise ValueError(f"model file entry 'kind' is invalid: {kind!r}")
+    a = _entry(doc, "asymptotic", dict)
     asym = AsymptoticModel(
-        mu=a["mu"], nu=a["nu"], scale=a["scale"],
-        num_moments_scaled=_pairs_to_complex(a["num_moments_scaled"]),
-        den_moments_scaled=_pairs_to_complex(a["den_moments_scaled"]),
+        mu=_entry(a, "mu", operator.index), nu=_entry(a, "nu", operator.index),
+        scale=_entry(a, "scale", float),
+        num_moments_scaled=_entry(a, "num_moments_scaled", _pairs_to_complex),
+        den_moments_scaled=_entry(a, "den_moments_scaled", _pairs_to_complex),
     )
-    if (a["rdeg"], a["order"]) != (asym.rdeg, asym.order):
+    stored = (_entry(a, "rdeg", operator.index), _entry(a, "order", operator.index))
+    if stored != (asym.rdeg, asym.order):
         raise ValueError(
-            f"model file gives rdeg={a['rdeg']}, order={a['order']}, but its moments "
+            f"model file gives rdeg={stored[0]}, order={stored[1]}, but its moments "
             f"define rdeg={asym.rdeg}, order={asym.order}"
         )
-    return PiecewiseModel(bary=bary, asym=asym, cutoff=doc["cutoff"],
-                          train_T=doc["train_T"], train_eps=doc["train_eps"])
+    return PiecewiseModel(bary=bary, asym=asym, cutoff=_entry(doc, "cutoff", float),
+                          train_T=_entry(doc, "train_T", float),
+                          train_eps=_entry(doc, "train_eps", float))
 
 
 def _write_json(path, doc):
@@ -173,12 +194,10 @@ def _fit_summary(report, signature, pm, piecewise_error):
 
 
 def cmd_generate(args):
-    sys_ = MassChainSystem(args.chain)
-    grid = sample_grid(args.wmin, args.wmax, args.count, args.spacing)
-    values = inverse_tf(sys_, grid) if args.inverted else forward_tf(sys_, grid)
-    if args.noise > 0:
-        values = add_noise(values, args.noise, args.seed)
-    save_samples(SampleSet(grid, values), args.output)
+    samples = mass_chain_samples(args.chain, forward=not args.inverted, omega_min=args.wmin,
+                                 omega_max=args.wmax, count=args.count, spacing=args.spacing,
+                                 noise=args.noise, seed=args.seed)
+    save_samples(samples, args.output)
     expected = 2 * args.chain if args.inverted else -2 * args.chain
     kind = "inverted" if args.inverted else "forward"
     print(f"wrote {args.count} samples of the {kind} {args.chain}-mass chain to {args.output}")
@@ -310,7 +329,7 @@ def build_parser():
     f.add_argument("--backend", choices=["aaa", "vf"], default="aaa")
     f.add_argument("--tol", type=float, default=1e-6)
     f.add_argument("--degree", type=int, default=0)
-    f.add_argument("--order", type=int, default=10, help="asymptotic truncation order")
+    f.add_argument("--order", type=int, default=DEFAULT_ORDER, help="asymptotic truncation order")
     f.add_argument("--max-terms", type=int, default=None)
     f.add_argument("--report", "-o", required=True)
     f.add_argument("--model-out", default=None)
@@ -320,8 +339,8 @@ def build_parser():
     i.add_argument("input")
     i.add_argument("--backend", choices=["aaa", "vf"], default="aaa")
     i.add_argument("--tol", type=float, default=1e-6)
-    i.add_argument("--max-abs-degree", type=int, default=20)
-    i.add_argument("--order", type=int, default=10)
+    i.add_argument("--max-abs-degree", type=int, default=DEFAULT_MAX_ABS_DEGREE)
+    i.add_argument("--order", type=int, default=DEFAULT_ORDER)
     i.add_argument("--max-terms", type=int, default=None)
     i.add_argument("--report", "-o", required=True)
     i.add_argument("--model-out", default=None)

@@ -192,8 +192,7 @@ class FitReport:
     model, sign(target) * min(|target|, terms - 1).  ``constraint_residual``
     is the largest scaled power sum that the constraints force to zero, and
     ``leading_sum_magnitudes`` the two power sums that must stay away from
-    zero for the imposed degree to be exact.  ``greedy_rel_error`` is the
-    relative error at the last greedily examined point (AAA only).
+    zero for the imposed degree to be exact.
     """
 
     terms: int
@@ -203,7 +202,6 @@ class FitReport:
     constraint_residual: float
     leading_sum_magnitudes: tuple
     effective_degree: int
-    greedy_rel_error: float = None
 
 
 def eval_barycentric(model, s):
@@ -276,16 +274,17 @@ def loewner_matrix(points, values, supports, support_values):
     return (vals[:, None] - fj[None, :]) / diff
 
 
-def vandermonde(supports, cols, scale):
-    """Scaled-monomial Vandermonde block: entry (k, l) = (s_k / scale)**l."""
-    sj = np.asarray(supports, dtype=complex).ravel()
-    if cols > sj.size:
-        raise ValueError(f"cannot build {cols} columns from {sj.size} supports")
+def vandermonde(supports, cols):
+    """Scaled-monomial Vandermonde block: entry (k, l) = (s_k / shat)**l.
+
+    ``shat`` is :func:`support_scale` of the supports.  The degree
+    constraints, their diagnostics and the power-sum scan all read this
+    block, so they share the scaled power sums c @ vandermonde(s, cols).
+    """
     if cols < 0:
         raise ValueError("column count must be nonnegative")
-    if not scale > 0.0:
-        raise ValueError("scale must be positive")
-    return np.power.outer(sj / scale, np.arange(cols))
+    sj = np.asarray(supports, dtype=complex).ravel()
+    return np.power.outer(sj / support_scale(sj), np.arange(cols))
 
 
 def nullspace_basis(V, left_scaling=None):
@@ -336,36 +335,24 @@ def solve_constrained_weights(L, Q):
 def _power_sum_scan(model, extra_orders=0):
     """Locate the degree defects mu, nu and return the scaled power sums.
 
-    Scans l = 0, 1, ... for the first index where the power sum of each
-    coefficient side (in the scaled variable s_k / shat) is significant
-    relative to the sum of its term magnitudes.  Returns
+    The defect of each coefficient side is the first l < terms where its
+    power sum (in the scaled variable s_k / shat) is significant relative
+    to the sum of its term magnitudes.  Returns
     (mu, nu, num_sums, den_sums, shat) with num_sums[i] =
     sum_k c_k (s_k/shat)^(mu+i) for i = 0..extra_orders, and likewise for
     den_sums from nu.
     """
-    shat = support_scale(model.supports)
-    z = model.supports / shat
-    num_coeffs, den_coeffs = model.coefficients
-    mu, num_sums = _first_significant(z, num_coeffs, extra_orders, "numerator")
-    nu, den_sums = _first_significant(z, den_coeffs, extra_orders, "denominator")
-    return mu, nu, num_sums, den_sums, shat
-
-
-def _first_significant(z, coeffs, extra_orders, what):
-    mags = np.abs(coeffs)
-    zl = np.ones_like(z)
-    for l in range(z.size):
-        total = np.sum(coeffs * zl)
-        weight = np.sum(mags * np.abs(zl))
-        if abs(total) > _REL_TOL * weight:
-            sums = np.empty(extra_orders + 1, dtype=complex)
-            sums[0] = total
-            for i in range(1, extra_orders + 1):
-                zl = zl * z
-                sums[i] = np.sum(coeffs * zl)
-            return l, sums
-        zl = zl * z
-    raise TrivialModelError(f"all {what} power sums are negligible; model is trivial")
+    terms = model.terms
+    P = vandermonde(model.supports, terms + extra_orders)
+    coeffs = np.array(model.coefficients)
+    sums = coeffs @ P
+    significant = np.abs(sums[:, :terms]) > _REL_TOL * (np.abs(coeffs) @ np.abs(P[:, :terms]))
+    for side, what in enumerate(("numerator", "denominator")):
+        if not significant[side].any():
+            raise TrivialModelError(f"all {what} power sums are negligible; model is trivial")
+    mu, nu = (int(l) for l in np.argmax(significant, axis=1))
+    return (mu, nu, sums[0, mu:mu + extra_orders + 1], sums[1, nu:nu + extra_orders + 1],
+            support_scale(model.supports))
 
 
 def evaluate(model, s):
@@ -384,9 +371,8 @@ def degree_diagnostics(model, effective_degree):
     and at order 0 on the other.
     """
     u, w = model.coefficients
-    z = model.supports / support_scale(model.supports)
     depth = abs(effective_degree)
-    powers = np.power.outer(z, np.arange(depth + 1))
+    powers = vandermonde(model.supports, depth + 1)
     num_sums = np.abs(powers.T @ u)
     den_sums = np.abs(powers.T @ w)
     if effective_degree > 0:

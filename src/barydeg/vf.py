@@ -21,7 +21,6 @@ from .core import (
     eval_general,
     nullspace_basis,
     solve_constrained_weights,
-    support_scale,
     vandermonde,
 )
 from .errors import ConfigurationError, ConstraintError, GridError
@@ -93,13 +92,11 @@ def vf_solve(samples, supports, target_degree):
     if np.any(diff == 0):
         raise ValueError("supports must be disjoint from the sample points")
     cauchy = 1.0 / diff
-    basis_n = basis_d = np.eye(mp1, dtype=complex)
-    if delta:
-        V = vandermonde(supports, abs(delta), support_scale(supports))
-        if delta > 0:
-            basis_d = nullspace_basis(V)
-        else:
-            basis_n = nullspace_basis(V)
+    # the constrained side gets the null-space basis (the identity at degree
+    # 0), the other side stays unconstrained
+    Q = nullspace_basis(vandermonde(supports, abs(delta)))
+    eye = np.eye(mp1, dtype=complex)
+    basis_n, basis_d = (Q, eye) if delta < 0 else (eye, Q)
     A_n = cauchy @ basis_n
     fc = vals[:, None] * cauchy
     # one SVD of A_n projects the d-side columns onto the orthogonal

@@ -46,6 +46,18 @@ class TestGenerate:
                    "--wmax", "1.3", "-o", str(path)) == EXIT_OK
         assert "expected relative degree: +6" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("chain, inverted, noise", [(2, False, 0.0), (3, True, 1e-6)])
+    def test_csv_matches_mass_chain_samples(self, tmp_path, chain, inverted, noise):
+        path = tmp_path / "cli.csv"
+        assert run("generate", "--chain", str(chain), "--inverted" if inverted else "--forward",
+                   "--wmin", "1e-2", "--wmax", "1.3", "--count", "50", "--spacing", "linear",
+                   "--noise", str(noise), "--seed", "5", "-o", str(path)) == EXIT_OK
+        ref = tmp_path / "ref.csv"
+        bd.save_samples(bd.mass_chain_samples(chain, forward=not inverted, omega_min=1e-2,
+                                              omega_max=1.3, count=50, spacing="linear",
+                                              noise=noise, seed=5), ref)
+        assert path.read_bytes() == ref.read_bytes()
+
     def test_noise_seed_determinism(self, tmp_path):
         a = generate_fwd2(tmp_path, noise="1e-6", seed="7")
         data_a = a.read_bytes()
@@ -202,11 +214,23 @@ class TestEval:
         mags = [float(line.split(",")[3]) for line in out_path.read_text().splitlines()[1:]]
         assert np.allclose(mags, 3.0, rtol=1e-10)
 
-    @pytest.mark.parametrize("key, value", [("rdeg", 0), ("order", 3)])
+    @pytest.mark.parametrize("key, value", [
+        ("rdeg", 0), ("order", 3), ("kind", None), ("cutoff", "far"),
+        pytest.param("object", [], id="top-level-list"),
+    ])
     def test_tampered_degree_or_order_rejected(self, tmp_path, capsys, key, value):
+        # a tampered or malformed model file exits 2 and names the bad entry;
+        # value None deletes the entry, key "object" replaces the whole file
         model_path = self.fit_model(tmp_path)
         doc = json.loads(model_path.read_text())
-        doc["asymptotic"][key] = value
+        if key == "object":
+            doc = value
+        elif value is None:
+            del doc[key]
+        elif key in doc["asymptotic"]:
+            doc["asymptotic"][key] = value
+        else:
+            doc[key] = value
         model_path.write_text(json.dumps(doc))
         capsys.readouterr()
         assert run("eval", "--model", str(model_path), "--wmin", "1e-2",

@@ -195,24 +195,28 @@ class TestLoewner:
 
 class TestVandermonde:
     def test_degree_zero_basis(self):
-        V = bd.vandermonde([0.0, 1.0], 1, 1.0)
+        V = bd.vandermonde([0.0, 1.0], 1)
         assert np.array_equal(V, np.ones((2, 1), dtype=complex))
 
     def test_scaled_columns(self):
-        V = bd.vandermonde([0.0, 2.0], 2, 2.0)
+        V = bd.vandermonde([0.0, 2.0], 2)
         assert np.allclose(V, [[1.0, 0.0], [1.0, 1.0]])
 
     def test_complex_support(self):
-        V = bd.vandermonde([1j, 2j], 2, 1.0)
-        assert np.allclose(V, [[1.0, 1j], [1.0, 2j]])
+        # the scale is max |s_k| = 2
+        V = bd.vandermonde([1j, 2j], 2)
+        assert np.allclose(V, [[1.0, 0.5j], [1.0, 1j]])
 
-    def test_too_many_columns(self):
-        with pytest.raises(ValueError, match="columns"):
-            bd.vandermonde([0.0, 1.0], 3, 1.0)
+    def test_more_columns_than_supports(self):
+        # the power-sum scan reads terms + order columns; scale 4 is derived
+        V = bd.vandermonde([2.0, -4.0], 5)
+        assert V.shape == (2, 5)
+        assert np.array_equal(V, [[1.0, 0.5, 0.25, 0.125, 0.0625],
+                                  [1.0, -1.0, 1.0, -1.0, 1.0]])
 
-    def test_bad_scale(self):
-        with pytest.raises(ValueError, match="scale"):
-            bd.vandermonde([0.0, 1.0], 1, 0.0)
+    def test_negative_columns(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            bd.vandermonde([0.0, 1.0], -1)
 
 
 class TestNullspaceBasis:
@@ -249,6 +253,18 @@ class TestNullspaceBasis:
     def test_zero_columns_gives_identity(self):
         Q = bd.nullspace_basis(np.empty((3, 0)))
         assert np.allclose(Q, np.eye(3))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 121])
+    def test_degree_zero_constraint_is_exact_identity(self, n):
+        # AAA and VF send degree 0 through the same constraint path as any
+        # other degree, so its basis must be the identity bit for bit
+        rng = np.random.default_rng(n)
+        s = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        for scaling in (None, f):
+            Q = bd.nullspace_basis(bd.vandermonde(s, 0), left_scaling=scaling)
+            assert Q.dtype == complex
+            assert np.array_equal(Q, np.eye(n))
 
 
 class TestSolveConstrainedWeights:

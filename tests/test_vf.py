@@ -60,8 +60,7 @@ class TestVfSolve:
         cauchy = 1.0 / (ss.points[:, None] - supports[None, :])
         basis_n = np.eye(supports.size)
         if degree < 0:
-            basis_n = bd.nullspace_basis(
-                bd.vandermonde(supports, -degree, np.max(np.abs(supports))))
+            basis_n = bd.nullspace_basis(bd.vandermonde(supports, -degree))
         rhs = (ss.values[:, None] * cauchy) @ model.den_weights
         ref = np.linalg.lstsq(cauchy @ basis_n, rhs, rcond=None)[0]
         resid = np.linalg.norm(cauchy @ model.num_weights - rhs)
