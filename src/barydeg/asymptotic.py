@@ -32,7 +32,7 @@ from .core import (
     evaluate,
 )
 from .errors import PoleEvaluationError
-from .util import as_point_vector, relative_errors, resolve_zero_guard
+from .util import as_point_vector, blockwise, relative_errors, resolve_zero_guard
 
 DEFAULT_ORDER = 10
 EPS_FLOOR = 1e-16
@@ -157,19 +157,28 @@ def _rescale_sums(sums, shat, start):
 
 
 def eval_asymptotic(asym, s):
-    """Evaluate the truncated expansion at scalar or array ``s`` (s != 0)."""
+    """Evaluate the truncated expansion at scalar or array ``s``.
+
+    Points must be finite and nonzero.
+    """
     sv, restore = as_point_vector(s)
+    if not np.all(np.isfinite(sv)):
+        raise ValueError("evaluation points must be finite")
     if np.any(sv == 0):
         raise ValueError("asymptotic form is undefined at s = 0")
-    inv = asym.scale / sv
-    num = _horner(asym.num_moments_scaled, inv)
-    den = _horner(asym.den_moments_scaled, inv)
-    if np.any(den == 0):
-        point = sv[np.argmax(den == 0)]
-        raise PoleEvaluationError(
-            f"truncated denominator series vanishes at {point}", point=point
-        )
-    return restore(num / den * (sv / asym.scale) ** asym.rdeg)
+
+    def block(x):
+        inv = asym.scale / x
+        num = _horner(asym.num_moments_scaled, inv)
+        den = _horner(asym.den_moments_scaled, inv)
+        if np.any(den == 0):
+            point = x[np.argmax(den == 0)]
+            raise PoleEvaluationError(
+                f"truncated denominator series vanishes at {point}", point=point
+            )
+        return num / den * (x / asym.scale) ** asym.rdeg
+
+    return restore(blockwise(block, sv))
 
 
 def _horner(coeffs, x):
@@ -223,12 +232,20 @@ def make_piecewise(model, samples, order=DEFAULT_ORDER):
 
 
 def eval_piecewise(pm, s):
-    """Barycentric evaluation for |s| <= cutoff, asymptotic beyond."""
+    """Barycentric evaluation for |s| <= cutoff, asymptotic beyond.
+
+    Points are split and evaluated block by block, so non-finite points,
+    which fall beyond the cutoff, raise in the asymptotic branch.
+    """
     sv, restore = as_point_vector(s)
-    near = np.abs(sv) <= pm.cutoff
-    out = np.empty(sv.shape, dtype=complex)
-    if np.any(near):
-        out[near] = evaluate(pm.bary, sv[near])
-    if np.any(~near):
-        out[~near] = eval_asymptotic(pm.asym, sv[~near])
-    return restore(out)
+
+    def block(x):
+        near = np.abs(x) <= pm.cutoff
+        out = np.empty(x.shape, dtype=complex)
+        if np.any(near):
+            out[near] = evaluate(pm.bary, x[near])
+        if not np.all(near):
+            out[~near] = eval_asymptotic(pm.asym, x[~near])
+        return out
+
+    return restore(blockwise(block, sv))

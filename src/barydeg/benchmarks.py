@@ -12,7 +12,7 @@ import numpy as np
 
 from .core import SampleSet
 from .errors import PoleEvaluationError
-from .util import as_point_vector
+from .util import as_point_vector, blockwise
 
 CSV_HEADER = "s_re,s_im,f_re,f_im"
 
@@ -72,21 +72,25 @@ def forward_tf(sys, s):
     """
     M, A, B, C = chain_matrices(sys)
     sv, restore = as_point_vector(s)
-    lhs = sv[:, None, None] ** 2 * M[None, :, :] - A[None, :, :]
-    try:
-        sol = np.linalg.solve(lhs, np.broadcast_to(B, (sv.size, sys.n, 1)))
-    except np.linalg.LinAlgError:
-        # fall back pointwise to report which frequency is resonant
-        out = np.empty(sv.size, dtype=complex)
-        for i, si in enumerate(sv):
-            try:
-                out[i] = (C @ np.linalg.solve(si**2 * M - A, B))[0, 0]
-            except np.linalg.LinAlgError:
-                raise PoleEvaluationError(
-                    f"system matrix singular at {si}", point=si
-                ) from None
-        return restore(out)
-    return restore((C[None, :, :] @ sol)[:, 0, 0])
+
+    def block(x):
+        lhs = x[:, None, None] ** 2 * M[None, :, :] - A[None, :, :]
+        try:
+            sol = np.linalg.solve(lhs, np.broadcast_to(B, (x.size, sys.n, 1)))
+        except np.linalg.LinAlgError:
+            # fall back pointwise to report which frequency is resonant
+            out = np.empty(x.size, dtype=complex)
+            for i, si in enumerate(x):
+                try:
+                    out[i] = (C @ np.linalg.solve(si**2 * M - A, B))[0, 0]
+                except np.linalg.LinAlgError:
+                    raise PoleEvaluationError(
+                        f"system matrix singular at {si}", point=si
+                    ) from None
+            return out
+        return (C[None, :, :] @ sol)[:, 0, 0]
+
+    return restore(blockwise(block, sv))
 
 
 def inverse_tf(sys, s):
@@ -99,8 +103,8 @@ def inverse_tf(sys, s):
 
 def sample_grid(omega_min, omega_max, count, spacing="log"):
     """Points i*omega on the positive imaginary axis, endpoints included."""
-    if not (omega_min > 0 and omega_min < omega_max):
-        raise ValueError("need 0 < omega_min < omega_max")
+    if not (omega_min > 0 and omega_min < omega_max and np.isfinite(omega_max)):
+        raise ValueError("need 0 < omega_min < omega_max < inf")
     if count < 2:
         raise ValueError("need at least 2 grid points")
     if spacing == "log":

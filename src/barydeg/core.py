@@ -33,7 +33,7 @@ from .errors import (
     TrivialModelError,
     UndefinedValueError,
 )
-from .util import as_point_vector
+from .util import as_point_vector, blockwise
 
 _NORM_TOL = 1e-12
 # A power sum counts as nonzero when it exceeds this fraction of the sum of
@@ -234,24 +234,28 @@ def _eval_ratio(model, s, on_support):
     if not np.all(np.isfinite(sv)):
         raise ValueError("evaluation points must be finite")
     num_coeffs, den_coeffs = model.coefficients
-    # a single M x m array: differences, exact support hits patched to 1,
-    # then inverted in place
-    cauchy = np.subtract.outer(sv, model.supports)
-    hit_i, hit_k = np.nonzero(cauchy == 0)
-    cauchy[hit_i, hit_k] = 1.0
-    np.divide(1.0, cauchy, out=cauchy)
-    num = cauchy @ num_coeffs
-    den = cauchy @ den_coeffs
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = num / den
-    for i, k in zip(hit_i, hit_k):
-        out[i] = on_support(k)
-    bad = den == 0
-    bad[hit_i] = False
-    if np.any(bad):
-        point = sv[np.argmax(bad)]
-        raise PoleEvaluationError(f"denominator vanishes at {point}", point=point)
-    return restore(out)
+
+    def block(x):
+        # a single block x m array: differences, exact support hits patched
+        # to 1, then inverted in place
+        cauchy = np.subtract.outer(x, model.supports)
+        hit_i, hit_k = np.nonzero(cauchy == 0)
+        cauchy[hit_i, hit_k] = 1.0
+        np.divide(1.0, cauchy, out=cauchy)
+        num = cauchy @ num_coeffs
+        den = cauchy @ den_coeffs
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = num / den
+        for i, k in zip(hit_i, hit_k):
+            out[i] = on_support(k)
+        bad = den == 0
+        bad[hit_i] = False
+        if np.any(bad):
+            point = x[np.argmax(bad)]
+            raise PoleEvaluationError(f"denominator vanishes at {point}", point=point)
+        return out
+
+    return restore(blockwise(block, sv))
 
 
 def loewner_matrix(points, values, supports, support_values):

@@ -1,4 +1,5 @@
-"""Small shared helpers: relative-error bookkeeping and point vectors."""
+"""Small shared helpers: relative-error bookkeeping, point vectors and
+blockwise evaluation."""
 
 import numpy as np
 
@@ -7,6 +8,10 @@ import numpy as np
 # exact zeros from crashing the error computation.
 _GUARD_FACTOR = 1e-300
 _TINY = np.nextafter(0.0, 1.0)
+
+# Evaluators work on at most this many points at a time, so their scratch
+# memory is O(BLOCK * terms) whatever the input length.
+BLOCK = 2**13
 
 
 def resolve_zero_guard(values):
@@ -37,3 +42,18 @@ def as_point_vector(s):
         return sv, lambda out: complex(out[0])
     shape = np.shape(s)
     return sv, lambda out: out.reshape(shape)
+
+
+def blockwise(fn, sv):
+    """``fn`` applied to consecutive slices of at most ``BLOCK`` points of ``sv``.
+
+    ``fn`` maps a 1-D point vector to complex values of the same length.
+    Up to ``BLOCK`` points it is called once on ``sv`` itself; longer inputs
+    are written block by block into one preallocated complex output.
+    """
+    if sv.size <= BLOCK:
+        return fn(sv)
+    out = np.empty(sv.size, dtype=complex)
+    for start in range(0, sv.size, BLOCK):
+        out[start:start + BLOCK] = fn(sv[start:start + BLOCK])
+    return out

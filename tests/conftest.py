@@ -1,15 +1,47 @@
-"""Shared test helpers: benchmark sample sets and exact-type model builders."""
+"""Shared test helpers: benchmark sample sets, exact-type model builders,
+memory and blockwise-evaluation checks."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import barydeg as bd
+from barydeg.util import BLOCK
+
+# Input lengths around the evaluators' block boundaries.
+BLOCK_LENGTHS = [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]
+
+# Scratch an evaluator may hold beyond its output, whatever the input
+# length: 32 complex vectors of one block, room for a block x terms
+# Cauchy matrix or the block's Horner and linear-solve temporaries.
+BLOCK_SCRATCH_BYTES = 32 * BLOCK * np.dtype(complex).itemsize
 
 # Upper band edge per chain size.  The 3-mass chain has an exact resonance
 # at omega = 1 (an eigenvalue of its stiffness matrix), which a log grid
 # ending at 1.0 hits bitwise; the band is extended past it so the resonant
 # peak is sampled instead.
 CHAIN_WMAX = {2: 1.0, 3: 1.3}
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that tracemalloc sees while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def sliced(fn, s):
+    """``fn`` called on each ``BLOCK``-point slice of ``s`` alone, joined.
+
+    Each call takes the evaluators' direct path.  The reference is per
+    block, not per point: a one-point call uses numpy's dot product
+    instead of its matrix-vector product and may differ in the last bit.
+    """
+    return np.concatenate([fn(s[i:i + BLOCK]) for i in range(0, s.size, BLOCK)])
 
 
 def chain_samples(n, forward=True, noise=0.0, seed=0, count=200):

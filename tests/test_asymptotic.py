@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -11,13 +13,43 @@ from barydeg.asymptotic import (
     moments,
 )
 from barydeg.errors import PoleEvaluationError, TrivialModelError
+from barydeg.util import BLOCK
 
-from conftest import chain_samples, exact_type_model, inverse_decay_samples
+from conftest import (
+    BLOCK_LENGTHS,
+    BLOCK_SCRATCH_BYTES,
+    chain_samples,
+    exact_type_model,
+    inverse_decay_samples,
+    sliced,
+    traced_peak,
+)
+
+NONFINITE_POINTS = [np.nan, np.inf, -np.inf, complex(np.nan, 1.0), complex(1.0, np.inf)]
 
 
 def exact_inverse_model():
     """The two-support representation of f(s) = 1/s."""
     return bd.BarycentricModel.from_weights([1.0, 2.0], [1.0, 0.5], [1.0, -2.0])
+
+
+def fwd3_piecewise():
+    """Forward 3-mass chain fitted at its true degree, with its continuation."""
+    samples = chain_samples(3)
+    model, _ = bd.aaa(samples, bd.AaaConfig(tol=1e-6, target_degree=-6))
+    return make_piecewise(model, samples)
+
+
+def sweep(n):
+    """``n`` log-spaced points on i[1e-2, 1e6], across the cutoff of a fit."""
+    return bd.sample_grid(1e-2, 1e6, n)
+
+
+def pole_piecewise():
+    """r(s) = (3s - 1) / (2s): its barycentric form has a pole at s = 0 only."""
+    model = bd.BarycentricModel([1.0, -1.0], [1.0, 2.0], [2**-0.5, 2**-0.5])
+    return bd.PiecewiseModel(bary=model, asym=moments(model), cutoff=10.0,
+                             train_T=1.0, train_eps=1e-3)
 
 
 class TestMoments:
@@ -91,6 +123,57 @@ class TestEvalAsymptotic:
         asym = moments(exact_inverse_model())
         s = np.array([50.0, 100.0, 200.0])
         assert np.allclose(eval_asymptotic(asym, s), 1.0 / s, rtol=1e-10)
+
+    @pytest.mark.parametrize("point", NONFINITE_POINTS)
+    def test_nonfinite_point_rejected(self, point):
+        asym = moments(exact_inverse_model())
+        with pytest.raises(ValueError, match="finite"):
+            eval_asymptotic(asym, point)
+        with pytest.raises(ValueError, match="finite"):
+            eval_asymptotic(asym, np.array([50.0, point]))
+
+    @pytest.mark.parametrize("n", BLOCK_LENGTHS)
+    def test_matches_sliced_evaluation(self, n):
+        asym = fwd3_piecewise().asym
+        s = sweep(n)
+        assert np.array_equal(eval_asymptotic(asym, s), sliced(partial(eval_asymptotic, asym), s))
+
+    def test_pole_in_third_block_raises_there(self):
+        asym = AsymptoticModel(mu=0, nu=0, scale=1.0,
+                               num_moments_scaled=np.array([1.0, 0.0]),
+                               den_moments_scaled=np.array([1.0, -1.0]))
+        s = np.full(3 * BLOCK, 2.0 + 0j)
+        s[2 * BLOCK + 7] = 1.0  # denominator series 1 - 1/s vanishes there
+        with pytest.raises(PoleEvaluationError) as exc:
+            eval_asymptotic(asym, s)
+        assert exc.value.point == 1.0
+
+    def test_zero_checked_before_first_block(self):
+        asym = AsymptoticModel(mu=0, nu=0, scale=1.0,
+                               num_moments_scaled=np.array([1.0, 0.0]),
+                               den_moments_scaled=np.array([1.0, -1.0]))
+        s = np.full(3 * BLOCK, 2.0 + 0j)
+        s[0] = 1.0  # a pole of the series in the first block
+        s[2 * BLOCK + 7] = 0.0
+        with pytest.raises(ValueError, match="s = 0"):
+            eval_asymptotic(asym, s)
+
+    @pytest.mark.parametrize("shape", [(), (0,), (3, 0), (2, BLOCK + 1)])
+    def test_shape_kept(self, shape):
+        asym = fwd3_piecewise().asym
+        s = np.full(shape, 1e4j)
+        out = eval_asymptotic(asym, s)
+        if shape == ():
+            assert isinstance(out, complex)
+        else:
+            assert out.shape == shape
+            assert np.array_equal(out, eval_asymptotic(asym, s.ravel()).reshape(shape))
+
+    def test_peak_memory_is_output_plus_blocks(self):
+        asym = fwd3_piecewise().asym
+        s = sweep(32 * BLOCK)
+        out_bytes = s.size * np.dtype(complex).itemsize
+        assert traced_peak(eval_asymptotic, asym, s) < out_bytes + BLOCK_SCRATCH_BYTES
 
 
 class TestCutoffRadius:
@@ -184,6 +267,59 @@ class TestEvalPiecewise:
         pm = make_piecewise(model, bd.SampleSet(pts, bd.eval_barycentric(model, pts)))
         assert pm(1e5j) == eval_piecewise(pm, 1e5j)
         assert pm.asym(1e5j) == eval_asymptotic(pm.asym, 1e5j)
+
+
+class TestEvalPiecewiseBlocks:
+    """Long inputs are split and evaluated block by block."""
+
+    @pytest.mark.parametrize("n", BLOCK_LENGTHS)
+    def test_matches_sliced_evaluation(self, n):
+        pm = fwd3_piecewise()
+        s = sweep(n)
+        assert np.array_equal(eval_piecewise(pm, s), sliced(partial(eval_piecewise, pm), s))
+
+    def test_support_hit_in_later_block(self):
+        pm = fwd3_piecewise()
+        s = sweep(2 * BLOCK + 3)
+        s[BLOCK + 5] = pm.bary.supports[3]
+        assert eval_piecewise(pm, s)[BLOCK + 5] == pm.bary.support_values[3]
+
+    def test_pole_in_third_block_raises_there(self):
+        s = np.full(3 * BLOCK, 2.0 + 0j)
+        s[2 * BLOCK + 7] = 0.0
+        with pytest.raises(PoleEvaluationError) as exc:
+            eval_piecewise(pole_piecewise(), s)
+        assert exc.value.point == 0
+
+    @pytest.mark.parametrize("point", NONFINITE_POINTS)
+    def test_nonfinite_point_rejected(self, point):
+        pm = pole_piecewise()
+        with pytest.raises(ValueError, match="finite"):
+            eval_piecewise(pm, point)
+        s = np.full(3 * BLOCK, 2.0 + 0j)
+        s[2 * BLOCK + 7] = point
+        with pytest.raises(ValueError, match="finite"):
+            eval_piecewise(pm, s)
+
+    @pytest.mark.parametrize("shape", [(), (0,), (3, 0), (2, BLOCK + 1)])
+    def test_shape_kept(self, shape):
+        pm = fwd3_piecewise()
+        s = np.full(shape, 1.0j)
+        if s.size:
+            s.flat[-1] = 1e6j  # one point beyond the cutoff
+        out = eval_piecewise(pm, s)
+        if shape == ():
+            assert isinstance(out, complex)
+        else:
+            assert out.shape == shape
+            assert np.array_equal(out, eval_piecewise(pm, s.ravel()).reshape(shape))
+
+    def test_peak_memory_is_output_plus_blocks(self):
+        pm = fwd3_piecewise()
+        s = sweep(32 * BLOCK)
+        assert np.any(np.abs(s) <= pm.cutoff) and np.any(np.abs(s) > pm.cutoff)
+        out_bytes = s.size * np.dtype(complex).itemsize
+        assert traced_peak(eval_piecewise, pm, s) < out_bytes + BLOCK_SCRATCH_BYTES
 
 
 class TestPiecewiseModelInvariants:

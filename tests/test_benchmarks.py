@@ -1,9 +1,14 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 import barydeg as bd
 from barydeg.benchmarks import CSV_HEADER
 from barydeg.errors import PoleEvaluationError
+from barydeg.util import BLOCK
+
+from conftest import BLOCK_LENGTHS, BLOCK_SCRATCH_BYTES, sliced, traced_peak
 
 
 class TestMassChainSystem:
@@ -86,6 +91,40 @@ class TestForwardTf:
         assert out[0] == pytest.approx(bd.forward_tf(sys_, 0.5j), rel=1e-14)
 
 
+class TestForwardTfBlocks:
+    """Long inputs are solved block by block."""
+
+    @pytest.mark.parametrize("n", BLOCK_LENGTHS)
+    def test_matches_sliced_evaluation(self, n):
+        sys_ = bd.MassChainSystem(3)
+        s = bd.sample_grid(2e-2, 1e6, n)  # no point lands on the resonance omega = 1
+        assert np.array_equal(bd.forward_tf(sys_, s), sliced(partial(bd.forward_tf, sys_), s))
+
+    def test_exact_resonance_in_third_block_raises_there(self):
+        s = np.full(3 * BLOCK, 2.0j)
+        s[2 * BLOCK + 7] = 1j  # an eigenfrequency of the unit 3-mass chain
+        with pytest.raises(PoleEvaluationError) as exc:
+            bd.forward_tf(bd.MassChainSystem(3), s)
+        assert exc.value.point == 1j
+
+    @pytest.mark.parametrize("shape", [(), (0,), (3, 0), (2, BLOCK + 1)])
+    def test_shape_kept(self, shape):
+        sys_ = bd.MassChainSystem(2)
+        s = np.full(shape, 0.5j)
+        out = bd.forward_tf(sys_, s)
+        if shape == ():
+            assert isinstance(out, complex)
+        else:
+            assert out.shape == shape
+            assert np.array_equal(out, bd.forward_tf(sys_, s.ravel()).reshape(shape))
+
+    def test_peak_memory_is_output_plus_blocks(self):
+        s = bd.sample_grid(1e-2, 1e6, 32 * BLOCK)
+        out_bytes = s.size * np.dtype(complex).itemsize
+        peak = traced_peak(bd.forward_tf, bd.MassChainSystem(3), s)
+        assert peak < out_bytes + BLOCK_SCRATCH_BYTES
+
+
 class TestInverseTf:
     def test_reciprocal_values(self):
         sys_ = bd.MassChainSystem(2)
@@ -128,6 +167,11 @@ class TestSampleGrid:
             bd.sample_grid(1.0, 2.0, 1)
         with pytest.raises(ValueError):
             bd.sample_grid(1.0, 2.0, 5, "cubic")
+
+    @pytest.mark.parametrize("wmin, wmax", [(1e-2, np.inf), (np.nan, 1.0), (1e-2, np.nan)])
+    def test_nonfinite_bounds_rejected(self, wmin, wmax):
+        with pytest.raises(ValueError, match="omega_max < inf"):
+            bd.sample_grid(wmin, wmax, 4)
 
 
 class TestAddNoise:

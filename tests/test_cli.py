@@ -237,6 +237,15 @@ class TestEval:
                    "--wmax", "1e6", "--count", "10", "-o", str(tmp_path / "s.csv")) == EXIT_USAGE
         assert key in capsys.readouterr().err
 
+    def test_nonfinite_band_edge_rejected(self, tmp_path, capsys):
+        model_path = self.fit_model(tmp_path)
+        out_path = tmp_path / "s.csv"
+        capsys.readouterr()
+        assert run("eval", "--model", str(model_path), "--wmin", "0.01",
+                   "--wmax", "inf", "-o", str(out_path)) == EXIT_USAGE
+        assert "omega_max" in capsys.readouterr().err
+        assert not out_path.exists()
+
     def test_inverse_decay_sweep_accuracy(self, tmp_path):
         pts = bd.sample_grid(0.1, 10.0, 50)
         data_path = tmp_path / "inv.csv"

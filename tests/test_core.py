@@ -1,4 +1,4 @@
-import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,20 +12,17 @@ from barydeg.errors import (
     TrivialModelError,
     UndefinedValueError,
 )
+from barydeg.util import BLOCK
 
-from conftest import distinct_unit_disc_points, exact_type_model
+from conftest import (
+    BLOCK_LENGTHS,
+    distinct_unit_disc_points,
+    exact_type_model,
+    sliced,
+    traced_peak,
+)
 
 SQ2 = np.sqrt(2.0)
-
-
-def traced_peak(fn, *args):
-    """Peak bytes that tracemalloc sees while ``fn(*args)`` runs."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def random_complex(rng, shape):
@@ -130,6 +127,56 @@ class TestEval:
         s = random_complex(rng, 100_000)
         cauchy_bytes = s.size * m.terms * np.dtype(complex).itemsize
         assert traced_peak(bd.eval_barycentric, m, s) < 2 * cauchy_bytes
+
+
+class TestEvalBlocks:
+    """Inputs longer than one block evaluate exactly as their slices do."""
+
+    @staticmethod
+    def model():
+        rng = np.random.default_rng(11)
+        return bd.BarycentricModel.from_weights(
+            random_complex(rng, 7), random_complex(rng, 7), random_complex(rng, 7))
+
+    @pytest.mark.parametrize("n", BLOCK_LENGTHS)
+    def test_matches_sliced_evaluation(self, n):
+        m = self.model()
+        s = random_complex(np.random.default_rng(n), n)
+        assert np.array_equal(bd.eval_barycentric(m, s), sliced(partial(bd.eval_barycentric, m), s))
+
+    def test_support_hit_in_later_block(self):
+        m = self.model()
+        s = random_complex(np.random.default_rng(1), 2 * BLOCK + 3)
+        s[BLOCK + 5] = m.supports[3]
+        assert bd.eval_barycentric(m, s)[BLOCK + 5] == m.support_values[3]
+
+    def test_pole_in_third_block_raises_there(self):
+        # denominator sum vanishes exactly at s = 0 only
+        m = bd.BarycentricModel([1.0, -1.0], [1.0, 2.0], [1 / SQ2, 1 / SQ2])
+        s = random_complex(np.random.default_rng(2), 3 * BLOCK)
+        s[2 * BLOCK + 7] = 0.0
+        with pytest.raises(PoleEvaluationError) as exc:
+            bd.eval_barycentric(m, s)
+        assert exc.value.point == 0
+
+    def test_nonfinite_point_checked_before_first_block(self):
+        m = bd.BarycentricModel([1.0, -1.0], [1.0, 2.0], [1 / SQ2, 1 / SQ2])
+        s = random_complex(np.random.default_rng(3), 3 * BLOCK)
+        s[0] = 0.0  # a pole in the first block
+        s[2 * BLOCK + 7] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            bd.eval_barycentric(m, s)
+
+    @pytest.mark.parametrize("shape", [(), (0,), (3, 0), (2, BLOCK + 1)])
+    def test_shape_kept(self, shape):
+        m = self.model()
+        s = random_complex(np.random.default_rng(4), shape)
+        out = bd.eval_barycentric(m, s)
+        if shape == ():
+            assert isinstance(out, complex)
+        else:
+            assert out.shape == shape
+            assert np.array_equal(out, bd.eval_barycentric(m, s.ravel()).reshape(shape))
 
 
 class TestEvalGeneral:
