@@ -22,7 +22,7 @@ from .core import (
     vandermonde,
 )
 from .errors import ConfigurationError
-from .util import relative_errors, resolve_zero_guard
+from .util import relative_errors
 
 DEFAULT_MAX_TERMS = 120
 
@@ -65,7 +65,6 @@ def aaa(samples, config):
             f"target degree {delta} needs at least {abs(delta) + 1} samples, got {mprime}"
         )
     tol = config.tol
-    guard = resolve_zero_guard(vals)
     cap = DEFAULT_MAX_TERMS if config.max_terms is None else config.max_terms
     # keep at least one sample outside the support set so the least-squares
     # problem never loses all of its rows
@@ -80,7 +79,7 @@ def aaa(samples, config):
     j = 0
 
     for m in range(cap + 1):
-        rel = relative_errors(vals, approx, guard)
+        rel = relative_errors(vals, approx)
         rel[~in_pool] = -np.inf
         j = int(np.argmax(rel))
         in_pool[j] = False
@@ -104,12 +103,12 @@ def aaa(samples, config):
         # a single-term model anchored at that point
         model = BarycentricModel([pts[j]], [mean], [1.0])
 
-    report = _build_report(samples, model, approx, guard, delta, converged)
+    report = _build_report(samples, model, approx, delta, converged)
     return model, report
 
 
-def _build_report(samples, model, approx, guard, delta, converged):
-    rel = relative_errors(samples.values, approx, guard)
+def _build_report(samples, model, approx, delta, converged):
+    rel = relative_errors(samples.values, approx)
     effective = int(np.sign(delta)) * min(abs(delta), model.terms - 1)
     residual, leading = degree_diagnostics(model, effective)
     return FitReport(

@@ -32,7 +32,7 @@ from .core import (
     evaluate,
 )
 from .errors import PoleEvaluationError
-from .util import as_point_vector, blockwise, relative_errors, resolve_zero_guard
+from .util import blockwise, relative_errors
 
 DEFAULT_ORDER = 10
 EPS_FLOOR = 1e-16
@@ -161,10 +161,7 @@ def eval_asymptotic(asym, s):
 
     Points must be finite and nonzero.
     """
-    sv, restore = as_point_vector(s)
-    if not np.all(np.isfinite(sv)):
-        raise ValueError("evaluation points must be finite")
-    if np.any(sv == 0):
+    if np.any(np.asarray(s) == 0):
         raise ValueError("asymptotic form is undefined at s = 0")
 
     def block(x):
@@ -178,7 +175,7 @@ def eval_asymptotic(asym, s):
             )
         return num / den * (x / asym.scale) ** asym.rdeg
 
-    return restore(blockwise(block, sv))
+    return blockwise(block, s)
 
 
 def _horner(coeffs, x):
@@ -218,8 +215,7 @@ def make_piecewise(model, samples, order=DEFAULT_ORDER):
     exact fit still yields a finite cutoff.
     """
     asym = moments(model, order)
-    guard = resolve_zero_guard(samples.values)
-    rel = relative_errors(samples.values, evaluate(model, samples.points), guard)
+    rel = relative_errors(samples.values, evaluate(model, samples.points))
     eps = max(float(np.max(rel)), EPS_FLOOR)
     T = float(np.max(np.abs(samples.points)))
     return PiecewiseModel(
@@ -234,11 +230,9 @@ def make_piecewise(model, samples, order=DEFAULT_ORDER):
 def eval_piecewise(pm, s):
     """Barycentric evaluation for |s| <= cutoff, asymptotic beyond.
 
-    Points are split and evaluated block by block, so non-finite points,
-    which fall beyond the cutoff, raise in the asymptotic branch.
+    Points are split and evaluated block by block; a non-finite point
+    raises before any block runs.
     """
-    sv, restore = as_point_vector(s)
-
     def block(x):
         near = np.abs(x) <= pm.cutoff
         out = np.empty(x.shape, dtype=complex)
@@ -248,4 +242,4 @@ def eval_piecewise(pm, s):
             out[~near] = eval_asymptotic(pm.asym, x[~near])
         return out
 
-    return restore(blockwise(block, sv))
+    return blockwise(block, s)

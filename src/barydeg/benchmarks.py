@@ -12,7 +12,7 @@ import numpy as np
 
 from .core import SampleSet
 from .errors import PoleEvaluationError
-from .util import as_point_vector, blockwise
+from .util import blockwise
 
 CSV_HEADER = "s_re,s_im,f_re,f_im"
 
@@ -70,8 +70,25 @@ def forward_tf(sys, s):
     Accepts scalar or array ``s``; raises at exact resonances where the
     system matrix is singular.
     """
+    return blockwise(_chain_solver(sys), s)
+
+
+def inverse_tf(sys, s):
+    """Position-to-force map, the reciprocal of :func:`forward_tf`."""
+    forward = _chain_solver(sys)
+
+    def block(x):
+        h = forward(x)
+        if np.any(h == 0):
+            raise ZeroDivisionError("forward transfer function vanishes at the requested point")
+        return np.divide(1.0, h, out=h)
+
+    return blockwise(block, s)
+
+
+def _chain_solver(sys):
+    """Block function for :func:`blockwise`: the forward map at a point vector."""
     M, A, B, C = chain_matrices(sys)
-    sv, restore = as_point_vector(s)
 
     def block(x):
         lhs = x[:, None, None] ** 2 * M[None, :, :] - A[None, :, :]
@@ -90,15 +107,7 @@ def forward_tf(sys, s):
             return out
         return (C[None, :, :] @ sol)[:, 0, 0]
 
-    return restore(blockwise(block, sv))
-
-
-def inverse_tf(sys, s):
-    """Position-to-force map, the reciprocal of :func:`forward_tf`."""
-    h = forward_tf(sys, s)
-    if np.any(np.asarray(h) == 0):
-        raise ZeroDivisionError("forward transfer function vanishes at the requested point")
-    return 1.0 / h
+    return block
 
 
 def sample_grid(omega_min, omega_max, count, spacing="log"):

@@ -33,7 +33,7 @@ from .errors import (
     TrivialModelError,
     UndefinedValueError,
 )
-from .util import as_point_vector, blockwise
+from .util import blockwise
 
 _NORM_TOL = 1e-12
 # A power sum counts as nonzero when it exceeds this fraction of the sum of
@@ -230,9 +230,6 @@ def eval_general(model, s):
 
 
 def _eval_ratio(model, s, on_support):
-    sv, restore = as_point_vector(s)
-    if not np.all(np.isfinite(sv)):
-        raise ValueError("evaluation points must be finite")
     num_coeffs, den_coeffs = model.coefficients
 
     def block(x):
@@ -255,7 +252,7 @@ def _eval_ratio(model, s, on_support):
             raise PoleEvaluationError(f"denominator vanishes at {point}", point=point)
         return out
 
-    return restore(blockwise(block, sv))
+    return blockwise(block, s)
 
 
 def loewner_matrix(points, values, supports, support_values):

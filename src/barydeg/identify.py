@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .aaa import AaaConfig, aaa
 from .asymptotic import DEFAULT_ORDER, make_piecewise
-from .vf import VfConfig, vf_adaptive
+from .vf import DEFAULT_TOL, VfConfig, vf_adaptive
 
 DEFAULT_MAX_ABS_DEGREE = 20
 
@@ -75,7 +75,7 @@ def aaa_backend(tol, max_terms=None):
     return fit
 
 
-def vf_backend(tol=1e-4, max_terms=None):
+def vf_backend(tol=DEFAULT_TOL, max_terms=None):
     """Fit backend running adaptive-complexity vector fitting."""
     def fit(samples, degree):
         return vf_adaptive(samples, VfConfig(tol=tol, target_degree=degree, max_terms=max_terms))

@@ -1,12 +1,11 @@
-"""Small shared helpers: relative-error bookkeeping, point vectors and
-blockwise evaluation."""
+"""Small shared helpers: relative errors and blockwise evaluation."""
 
 import numpy as np
 
 # Relative errors at data points where f == 0 would divide by zero.  The
-# guard is small enough to be inert for any nonzero value while keeping
+# floor is small enough to be inert for any nonzero value while keeping
 # exact zeros from crashing the error computation.
-_GUARD_FACTOR = 1e-300
+_FLOOR_FACTOR = 1e-300
 _TINY = np.nextafter(0.0, 1.0)
 
 # Evaluators work on at most this many points at a time, so their scratch
@@ -14,46 +13,37 @@ _TINY = np.nextafter(0.0, 1.0)
 BLOCK = 2**13
 
 
-def resolve_zero_guard(values):
-    """Return the floor used in relative-error denominators.
+def relative_errors(values, approx):
+    """Pointwise |values - approx| / max(|values|, floor).
 
     The floor is ``1e-300 * max|values|``, clamped away from zero so
     all-zero data stays finite.
     """
-    guard = _GUARD_FACTOR * float(np.max(np.abs(values), initial=0.0))
-    return guard if guard > 0.0 else _TINY
-
-
-def relative_errors(values, approx, zero_guard):
-    """Pointwise |values - approx| / max(|values|, zero_guard)."""
     values = np.asarray(values)
-    approx = np.asarray(approx)
-    return np.abs(values - approx) / np.maximum(np.abs(values), zero_guard)
+    mag = np.abs(values)
+    floor = max(_FLOOR_FACTOR * float(np.max(mag, initial=0.0)), _TINY)
+    return np.abs(values - np.asarray(approx)) / np.maximum(mag, floor)
 
 
-def as_point_vector(s):
-    """Flatten scalar or array ``s`` to a 1-D complex vector.
+def blockwise(fn, s):
+    """``fn`` applied to the finite points of scalar or array ``s``, in blocks.
 
-    Returns ``(sv, restore)``: ``restore`` maps a result vector over ``sv``
-    back to the shape of ``s``, as a Python complex when ``s`` is a scalar.
+    ``s`` is flattened to a complex vector; any non-finite point raises
+    ``ValueError`` before ``fn`` runs.  ``fn`` maps a 1-D point vector to
+    complex values of the same length.  Up to ``BLOCK`` points it is called
+    once on the whole vector; longer inputs are written block by block of at
+    most ``BLOCK`` points into one preallocated complex output.  The result
+    has the shape of ``s``, or is a Python complex when ``s`` is a scalar.
     """
-    sv = np.atleast_1d(np.asarray(s, dtype=complex)).ravel()
-    if np.ndim(s) == 0:
-        return sv, lambda out: complex(out[0])
-    shape = np.shape(s)
-    return sv, lambda out: out.reshape(shape)
-
-
-def blockwise(fn, sv):
-    """``fn`` applied to consecutive slices of at most ``BLOCK`` points of ``sv``.
-
-    ``fn`` maps a 1-D point vector to complex values of the same length.
-    Up to ``BLOCK`` points it is called once on ``sv`` itself; longer inputs
-    are written block by block into one preallocated complex output.
-    """
+    sv = np.asarray(s, dtype=complex).ravel()
+    if not np.all(np.isfinite(sv)):
+        raise ValueError("evaluation points must be finite")
     if sv.size <= BLOCK:
-        return fn(sv)
-    out = np.empty(sv.size, dtype=complex)
-    for start in range(0, sv.size, BLOCK):
-        out[start:start + BLOCK] = fn(sv[start:start + BLOCK])
-    return out
+        out = fn(sv)
+    else:
+        out = np.empty(sv.size, dtype=complex)
+        for start in range(0, sv.size, BLOCK):
+            out[start:start + BLOCK] = fn(sv[start:start + BLOCK])
+    if np.ndim(s) == 0:
+        return complex(out[0])
+    return out.reshape(np.shape(s))

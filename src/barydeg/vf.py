@@ -24,8 +24,9 @@ from .core import (
     vandermonde,
 )
 from .errors import ConfigurationError, ConstraintError, GridError
-from .util import relative_errors, resolve_zero_guard
+from .util import relative_errors
 
+DEFAULT_TOL = 1e-4
 DEFAULT_MAX_TERMS = 60
 
 
@@ -36,7 +37,7 @@ class VfConfig:
     ``max_terms=None`` selects ``DEFAULT_MAX_TERMS``.
     """
 
-    tol: float = 1e-4
+    tol: float = DEFAULT_TOL
     target_degree: int = 0
     max_terms: int = None
 
@@ -121,13 +122,12 @@ def vf_adaptive(samples, config):
     cap = DEFAULT_MAX_TERMS if config.max_terms is None else config.max_terms
     if cap < abs(delta) + 1:
         raise ConfigurationError(f"max_terms={cap} cannot accommodate degree {delta}")
-    guard = resolve_zero_guard(samples.values)
     model = None
     rel = None
     converged = False
     for m in range(abs(delta), cap):
         model = vf_solve(samples, geometric_supports(samples, m), delta)
-        rel = relative_errors(samples.values, eval_general(model, samples.points), guard)
+        rel = relative_errors(samples.values, eval_general(model, samples.points))
         if float(np.max(rel)) <= config.tol:
             converged = True
             break

@@ -12,6 +12,9 @@ from barydeg.util import BLOCK
 # Input lengths around the evaluators' block boundaries.
 BLOCK_LENGTHS = [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]
 
+# Points every evaluator must reject with ValueError.
+NONFINITE_POINTS = [np.nan, np.inf, -np.inf, complex(np.nan, 1.0), complex(1.0, np.inf)]
+
 # Scratch an evaluator may hold beyond its output, whatever the input
 # length: 32 complex vectors of one block, room for a block x terms
 # Cauchy matrix or the block's Horner and linear-solve temporaries.

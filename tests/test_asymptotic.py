@@ -18,14 +18,13 @@ from barydeg.util import BLOCK
 from conftest import (
     BLOCK_LENGTHS,
     BLOCK_SCRATCH_BYTES,
+    NONFINITE_POINTS,
     chain_samples,
     exact_type_model,
     inverse_decay_samples,
     sliced,
     traced_peak,
 )
-
-NONFINITE_POINTS = [np.nan, np.inf, -np.inf, complex(np.nan, 1.0), complex(1.0, np.inf)]
 
 
 def exact_inverse_model():

@@ -8,7 +8,7 @@ from barydeg.benchmarks import CSV_HEADER
 from barydeg.errors import PoleEvaluationError
 from barydeg.util import BLOCK
 
-from conftest import BLOCK_LENGTHS, BLOCK_SCRATCH_BYTES, sliced, traced_peak
+from conftest import BLOCK_LENGTHS, BLOCK_SCRATCH_BYTES, NONFINITE_POINTS, sliced, traced_peak
 
 
 class TestMassChainSystem:
@@ -91,14 +91,19 @@ class TestForwardTf:
         assert out[0] == pytest.approx(bd.forward_tf(sys_, 0.5j), rel=1e-14)
 
 
+# The two chain references; both are solved block by block.
+CHAIN_MAPS = [bd.forward_tf, bd.inverse_tf]
+
+
 class TestForwardTfBlocks:
-    """Long inputs are solved block by block."""
+    """Long inputs are solved block by block, for both chain maps."""
 
     @pytest.mark.parametrize("n", BLOCK_LENGTHS)
     def test_matches_sliced_evaluation(self, n):
         sys_ = bd.MassChainSystem(3)
         s = bd.sample_grid(2e-2, 1e6, n)  # no point lands on the resonance omega = 1
-        assert np.array_equal(bd.forward_tf(sys_, s), sliced(partial(bd.forward_tf, sys_), s))
+        for tf in CHAIN_MAPS:
+            assert np.array_equal(tf(sys_, s), sliced(partial(tf, sys_), s))
 
     def test_exact_resonance_in_third_block_raises_there(self):
         s = np.full(3 * BLOCK, 2.0j)
@@ -107,22 +112,35 @@ class TestForwardTfBlocks:
             bd.forward_tf(bd.MassChainSystem(3), s)
         assert exc.value.point == 1j
 
+    @pytest.mark.parametrize("tf", CHAIN_MAPS, ids=["forward", "inverse"])
+    @pytest.mark.parametrize("point", NONFINITE_POINTS)
+    def test_nonfinite_point_rejected(self, tf, point):
+        sys_ = bd.MassChainSystem(2)
+        with pytest.raises(ValueError, match="finite"):
+            tf(sys_, point)
+        s = np.full(3 * BLOCK, 2.0j)
+        s[2 * BLOCK + 7] = point
+        with pytest.raises(ValueError, match="finite"):
+            tf(sys_, s)
+
     @pytest.mark.parametrize("shape", [(), (0,), (3, 0), (2, BLOCK + 1)])
     def test_shape_kept(self, shape):
         sys_ = bd.MassChainSystem(2)
         s = np.full(shape, 0.5j)
-        out = bd.forward_tf(sys_, s)
-        if shape == ():
-            assert isinstance(out, complex)
-        else:
-            assert out.shape == shape
-            assert np.array_equal(out, bd.forward_tf(sys_, s.ravel()).reshape(shape))
+        for tf in CHAIN_MAPS:
+            out = tf(sys_, s)
+            if shape == ():
+                assert isinstance(out, complex)
+            else:
+                assert out.shape == shape
+                assert np.array_equal(out, tf(sys_, s.ravel()).reshape(shape))
 
     def test_peak_memory_is_output_plus_blocks(self):
         s = bd.sample_grid(1e-2, 1e6, 32 * BLOCK)
         out_bytes = s.size * np.dtype(complex).itemsize
-        peak = traced_peak(bd.forward_tf, bd.MassChainSystem(3), s)
-        assert peak < out_bytes + BLOCK_SCRATCH_BYTES
+        for tf in CHAIN_MAPS:
+            peak = traced_peak(tf, bd.MassChainSystem(3), s)
+            assert peak < out_bytes + BLOCK_SCRATCH_BYTES, tf.__name__
 
 
 class TestInverseTf:
@@ -143,6 +161,13 @@ class TestInverseTf:
         # far enough out the forward map underflows to exactly zero
         with pytest.raises(ZeroDivisionError):
             bd.inverse_tf(bd.MassChainSystem(2), 1e81)
+
+    def test_scalar_matches_array_bitwise(self):
+        # an off-axis point where Python's complex division and numpy's
+        # differ in the last bit
+        sys_ = bd.MassChainSystem(3)
+        s = 2.46 + 2.75j
+        assert bd.inverse_tf(sys_, s) == bd.inverse_tf(sys_, np.array([s]))[0]
 
 
 class TestSampleGrid:
