@@ -103,20 +103,7 @@ def aaa(samples, config):
         # a single-term model anchored at that point
         model = BarycentricModel([pts[j]], [mean], [1.0])
 
-    report = _build_report(samples, model, approx, delta, converged)
-    return model, report
-
-
-def _build_report(samples, model, approx, delta, converged):
-    rel = relative_errors(samples.values, approx)
     effective = int(np.sign(delta)) * min(abs(delta), model.terms - 1)
-    residual, leading = degree_diagnostics(model, effective)
-    return FitReport(
-        terms=model.terms,
-        linf_rel_error=float(np.max(rel)),
-        l2_rel_error=float(np.linalg.norm(rel)),
-        converged=converged,
-        constraint_residual=residual,
-        leading_sum_magnitudes=leading,
-        effective_degree=effective,
-    )
+    report = FitReport.from_errors(model, relative_errors(vals, approx), converged,
+                                   effective, degree_diagnostics(model, effective))
+    return model, report

@@ -203,6 +203,23 @@ class FitReport:
     leading_sum_magnitudes: tuple
     effective_degree: int
 
+    @classmethod
+    def from_errors(cls, model, rel, converged, effective_degree, diagnostics):
+        """Report of ``model`` from its pointwise relative errors ``rel``.
+
+        ``diagnostics`` is ``degree_diagnostics(model, effective_degree)``.
+        """
+        residual, leading = diagnostics
+        return cls(
+            terms=model.terms,
+            linf_rel_error=float(np.max(rel)),
+            l2_rel_error=float(np.linalg.norm(rel)),
+            converged=converged,
+            constraint_residual=residual,
+            leading_sum_magnitudes=leading,
+            effective_degree=effective_degree,
+        )
+
 
 def eval_barycentric(model, s):
     """Evaluate an interpolatory model at scalar or array ``s``.
@@ -374,15 +391,8 @@ def degree_diagnostics(model, effective_degree):
     u, w = model.coefficients
     depth = abs(effective_degree)
     powers = vandermonde(model.supports, depth + 1)
-    num_sums = np.abs(powers.T @ u)
-    den_sums = np.abs(powers.T @ w)
-    if effective_degree > 0:
-        residual = float(np.max(den_sums[:depth]))
-        leading = (float(num_sums[0]), float(den_sums[depth]))
-    elif effective_degree < 0:
-        residual = float(np.max(num_sums[:depth]))
-        leading = (float(num_sums[depth]), float(den_sums[0]))
-    else:
-        residual = 0.0
-        leading = (float(num_sums[0]), float(den_sums[0]))
-    return residual, leading
+    sides = (w, u) if effective_degree > 0 else (u, w)
+    constrained, free = (np.abs(powers.T @ c) for c in sides)
+    residual = float(np.max(constrained[:depth], initial=0.0))
+    leading = (float(constrained[depth]), float(free[0]))
+    return residual, leading[::-1] if effective_degree > 0 else leading

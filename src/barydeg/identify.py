@@ -5,8 +5,10 @@ the fits are compared by a complexity-first criterion: fewer barycentric
 terms win; at equal complexity the larger |degree| wins (it is the more
 constrained, hence simpler, model); only full ties fall through to the
 approximation error.  The search sweeps degrees 0, 1, 2, ... until a fit
-stops improving, repeats toward negative degrees, and keeps the better of
-the two directions' winners.
+stops improving or its effective degree stops growing (AAA caps it at
+terms - 1, after which every further target repeats the same fit), repeats
+toward negative degrees, and keeps the better of the two directions'
+winners.
 """
 
 from dataclasses import dataclass
@@ -115,6 +117,8 @@ def identify(samples, backend, max_abs_degree=DEFAULT_MAX_ABS_DEGREE,
             candidates.append(cand)
             if better(prev, cand):
                 return prev
+            if cand.degree == prev.degree:
+                return cand
             prev = cand
         return prev
 

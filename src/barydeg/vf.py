@@ -76,10 +76,13 @@ def vf_solve(samples, supports, target_degree):
     degree) or n (negative degree) constrained to zero.  Normalizing the
     denominator weights alone keeps the minimizer away from the degenerate
     d -> 0 corner that a jointly normalized solve can fall into when the
-    data magnitudes are large.  The numerator weights are eliminated by
-    projection, leaving a small singular-value problem for d.  The returned
-    model stores [n; d] jointly rescaled to unit norm, which leaves the
-    represented function unchanged.
+    data magnitudes are large.  One QR factorization of [A_n | f C] splits
+    the sides: its trailing triangle R22 holds the residual left after the
+    best numerator, so d minimizes ||R22 d|| under the constraints and n
+    solves R11 n = R12 d in the least-squares sense (R11 is wide when there
+    are fewer samples than numerator unknowns).  The returned model stores
+    [n; d] jointly rescaled to unit norm, which leaves the represented
+    function unchanged.
     """
     supports = np.asarray(supports, dtype=complex).ravel()
     mp1 = supports.size
@@ -98,16 +101,10 @@ def vf_solve(samples, supports, target_degree):
     Q = nullspace_basis(vandermonde(supports, abs(delta)))
     eye = np.eye(mp1, dtype=complex)
     basis_n, basis_d = (Q, eye) if delta < 0 else (eye, Q)
-    A_n = cauchy @ basis_n
-    fc = vals[:, None] * cauchy
-    # one SVD of A_n projects the d-side columns onto the orthogonal
-    # complement of range(A_n) and gives the numerator by the rank-truncated
-    # pseudo-inverse that lstsq(rcond=None) would apply
-    u_l, sing, vh_l = np.linalg.svd(A_n, full_matrices=False)
-    rank = int(np.sum(sing > sing[0] * max(A_n.shape) * np.finfo(float).eps))
-    u_l, sing, vh_l = u_l[:, :rank], sing[:rank], vh_l[:rank]
-    den = solve_constrained_weights(fc - u_l @ (u_l.conj().T @ fc), basis_d)
-    num = basis_n @ (vh_l.conj().T @ ((u_l.conj().T @ (fc @ den)) / sing))
+    k = basis_n.shape[1]
+    r = np.linalg.qr(np.hstack([cauchy @ basis_n, vals[:, None] * cauchy]), mode="r")
+    den = solve_constrained_weights(r[k:, k:], basis_d)
+    num = basis_n @ np.linalg.lstsq(r[:k, :k], r[:k, k:] @ den, rcond=None)[0]
     return GeneralBarycentricModel.from_weights(supports, num, den)
 
 
@@ -131,14 +128,6 @@ def vf_adaptive(samples, config):
         if float(np.max(rel)) <= config.tol:
             converged = True
             break
-    residual, leading = degree_diagnostics(model, delta)
-    report = FitReport(
-        terms=model.terms,
-        linf_rel_error=float(np.max(rel)),
-        l2_rel_error=float(np.linalg.norm(rel)),
-        converged=converged,
-        constraint_residual=residual,
-        leading_sum_magnitudes=leading,
-        effective_degree=delta,
-    )
+    report = FitReport.from_errors(model, rel, converged, delta,
+                                   degree_diagnostics(model, delta))
     return model, report

@@ -60,8 +60,12 @@ class TestRecordValidation:
             rec(0, 1, -1e-6)
 
 
-def fake_backend(table):
-    """Backend stub driven by a {degree: (terms, err, converged)} table."""
+def fake_backend(table, saturate=None):
+    """Backend stub driven by a {degree: (terms, err, converged)} table.
+
+    With ``saturate`` the reported effective degree is capped at
+    +-saturate, as AAA caps it at terms - 1.
+    """
     calls = []
     model = bd.BarycentricModel([1.0, 2.0], [1.0, 1.0],
                                 np.array([1.0, 1.0]) / np.sqrt(2))
@@ -72,7 +76,8 @@ def fake_backend(table):
         report = FitReport(terms=terms, linf_rel_error=err, l2_rel_error=err,
                            converged=converged, constraint_residual=0.0,
                            leading_sum_magnitudes=(1.0, 1.0),
-                           effective_degree=degree)
+                           effective_degree=degree if saturate is None
+                           else int(np.sign(degree)) * min(abs(degree), saturate))
         return model, report
 
     fit.calls = calls
@@ -131,6 +136,15 @@ class TestSweepMechanics:
         result = bd.identify(samples, backend, max_abs_degree=6)
         assert len(backend.calls) <= 2 * 6 + 3
 
+    def test_saturated_degree_stops_sweep(self):
+        samples = inverse_decay_samples(1.0, 2.0, 5)
+        # once the effective degree stops growing, every further target
+        # repeats the same fit
+        backend = fake_backend({d: (3, 1e-8, True) for d in range(-10, 11)}, saturate=3)
+        result = bd.identify(samples, backend, max_abs_degree=10)
+        assert backend.calls == [0, 1, 2, 3, 4, -1, -2, -3, -4]
+        assert abs(result.best_degree) == 3
+
     def test_bad_max_abs_degree(self):
         samples = inverse_decay_samples(1.0, 2.0, 5)
         with pytest.raises(ValueError):
@@ -151,6 +165,14 @@ class TestIdentifyEndToEnd:
         samples = inverse_decay_samples(1.0, 10.0, 30)
         result = bd.identify(samples, bd.vf_backend(tol=1e-6))
         assert result.best_degree == -1
+
+    @pytest.mark.parametrize("count", [8, 20])
+    def test_aaa_on_few_samples(self, count):
+        # AAA caps the degree at terms - 1 <= count - 2, so the sweep must
+        # stop before a target needs more samples than there are
+        samples = bd.mass_chain_samples(2, count=count)
+        result = bd.identify(samples, bd.aaa_backend(tol=1e-8))
+        assert result.best_degree == -4
 
     def test_candidates_in_sweep_order(self, fwd2_samples):
         result = bd.identify(fwd2_samples, bd.aaa_backend(tol=1e-6), max_abs_degree=5)

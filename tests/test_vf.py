@@ -125,6 +125,21 @@ class TestVfAdaptive:
         with pytest.raises(ConfigurationError):
             bd.vf_adaptive(ss, bd.VfConfig(tol=1e-4, target_degree=-4, max_terms=3))
 
+    @pytest.mark.parametrize("count", [2, 3, 4, 6])
+    @pytest.mark.parametrize("degree", [0, -1, 2])
+    @pytest.mark.parametrize("data", ["chain", "random"])
+    def test_few_samples_converge(self, data, degree, count):
+        # with fewer samples than numerator unknowns the numerator solve is
+        # underdetermined, and the fit must still interpolate the data
+        if data == "chain":
+            ss = bd.mass_chain_samples(2, count=count)
+        else:
+            rng = np.random.default_rng(count)
+            ss = bd.SampleSet(bd.sample_grid(1e-2, 1.0, count),
+                              rng.standard_normal(count) + 1j * rng.standard_normal(count))
+        _, rep = bd.vf_adaptive(ss, bd.VfConfig(tol=1e-12, target_degree=degree))
+        assert rep.converged
+
     def test_non_convergence_reported(self):
         ss = chain_samples(2, noise=1e-3, seed=2)
         model, rep = bd.vf_adaptive(ss, bd.VfConfig(tol=1e-12, max_terms=6))
