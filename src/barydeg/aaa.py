@@ -6,6 +6,12 @@ singular vector of the Loewner least-squares problem over the remaining
 samples, restricted to the null space that encodes the degree constraint.
 The iteration stops as soon as the freshly picked point is already matched
 to tolerance by the current model, which is then returned unchanged.
+
+The fit keeps its Loewner block and its Cauchy block 1 / (s_j - s_k) over
+the remaining samples for its whole run.  Each pick drops the new support's
+row from both and appends one column to each; ``loewner_matrix`` builds the
+new Loewner column, and the Cauchy block gives the step's values on the
+remaining samples without building a model.
 """
 
 from dataclasses import dataclass
@@ -15,6 +21,7 @@ import numpy as np
 from .core import (
     BarycentricModel,
     FitReport,
+    cauchy_ratio,
     degree_diagnostics,
     loewner_matrix,
     nullspace_basis,
@@ -72,17 +79,20 @@ def aaa(samples, config):
 
     mean = complex(np.mean(vals))
     approx = np.full(mprime, mean, dtype=complex)
-    in_pool = np.ones(mprime, dtype=bool)
+    # samples not yet picked as supports, in sample order; the rows of both
+    # kept blocks (Loewner and Cauchy 1 / (s_j - s_k)) run over this pool
+    pool = np.arange(mprime)
+    L = C = np.empty((mprime, 0), dtype=complex)
     sup_idx = []
-    model = None
+    weights = None
     converged = False
     j = 0
 
     for m in range(cap + 1):
         rel = relative_errors(vals, approx)
-        rel[~in_pool] = -np.inf
-        j = int(np.argmax(rel))
-        in_pool[j] = False
+        row = int(np.argmax(rel[pool]))
+        j = int(pool[row])
+        pool = np.delete(pool, row)
         if rel[j] <= tol:
             converged = True
             break
@@ -93,17 +103,32 @@ def aaa(samples, config):
         fj = vals[sup_idx]
         V = vandermonde(sj, min(abs(delta), m))
         Q = nullspace_basis(V, left_scaling=fj if delta < 0 else None)
-        L = loewner_matrix(pts[in_pool], vals[in_pool], sj, fj)
-        model = BarycentricModel.from_weights(sj, fj, solve_constrained_weights(L, Q))
-        approx[in_pool] = model(pts[in_pool])
-        approx[sup_idx] = fj
+        x, fx = pts[pool], vals[pool]
+        L = _grow(L, row, loewner_matrix(x, fx, sj[-1:], fj[-1:])[:, 0])
+        C = _grow(C, row, 1.0 / (x - pts[j]))
+        weights = solve_constrained_weights(L, Q)
+        # normalised as from_weights does, so the values are the model's
+        w = weights / np.linalg.norm(weights)
+        approx[pool] = cauchy_ratio(C, (w * fj, w), x)
+        approx[j] = vals[j]
 
-    if model is None:
+    if weights is None:
         # the initial constant already matches the worst point: return it as
         # a single-term model anchored at that point
         model = BarycentricModel([pts[j]], [mean], [1.0])
+    else:
+        model = BarycentricModel.from_weights(sj, fj, weights)
 
     effective = int(np.sign(delta)) * min(abs(delta), model.terms - 1)
     report = FitReport.from_errors(model, relative_errors(vals, approx), converged,
                                    effective, degree_diagnostics(model, effective))
     return model, report
+
+
+def _grow(block, row, column):
+    """``block`` without row ``row`` and with ``column`` appended."""
+    out = np.empty((block.shape[0] - 1, block.shape[1] + 1), dtype=complex)
+    out[:row, :-1] = block[:row]
+    out[row:, :-1] = block[row + 1:]
+    out[:, -1] = column
+    return out

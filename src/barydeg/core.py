@@ -247,7 +247,7 @@ def eval_general(model, s):
 
 
 def _eval_ratio(model, s, on_support):
-    num_coeffs, den_coeffs = model.coefficients
+    coefficients = model.coefficients
 
     def block(x):
         # a single block x m array: differences, exact support hits patched
@@ -256,20 +256,35 @@ def _eval_ratio(model, s, on_support):
         hit_i, hit_k = np.nonzero(cauchy == 0)
         cauchy[hit_i, hit_k] = 1.0
         np.divide(1.0, cauchy, out=cauchy)
-        num = cauchy @ num_coeffs
-        den = cauchy @ den_coeffs
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = num / den
-        for i, k in zip(hit_i, hit_k):
-            out[i] = on_support(k)
-        bad = den == 0
-        bad[hit_i] = False
-        if np.any(bad):
-            point = x[np.argmax(bad)]
-            raise PoleEvaluationError(f"denominator vanishes at {point}", point=point)
+        on_hits = [on_support(k) for k in hit_k]
+        out = cauchy_ratio(cauchy, coefficients, x, exempt=hit_i)
+        out[hit_i] = on_hits
         return out
 
     return blockwise(block, s)
+
+
+def cauchy_ratio(cauchy, coefficients, points, exempt=None):
+    """Barycentric ratio (C @ n) / (C @ d) of a Cauchy block C.
+
+    ``cauchy`` holds 1 / (x_i - s_k) for the points ``x_i`` in its rows and
+    the supports ``s_k`` in its columns; ``coefficients`` is the (n, d)
+    pair.  A vanishing denominator raises PoleEvaluationError at the first
+    such point, except in the rows indexed by ``exempt``, whose values the
+    caller replaces.
+    """
+    num_coeffs, den_coeffs = coefficients
+    num = cauchy @ num_coeffs
+    den = cauchy @ den_coeffs
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = num / den
+    bad = den == 0
+    if exempt is not None:
+        bad[exempt] = False
+    if np.any(bad):
+        point = points[np.argmax(bad)]
+        raise PoleEvaluationError(f"denominator vanishes at {point}", point=point)
+    return out
 
 
 def loewner_matrix(points, values, supports, support_values):

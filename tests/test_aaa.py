@@ -1,8 +1,11 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
 import barydeg as bd
 from barydeg.errors import ConfigurationError
+from barydeg.util import relative_errors
 
 from conftest import chain_samples, distinct_unit_disc_points, inverse_decay_samples
 
@@ -118,3 +121,48 @@ def test_zero_values_do_not_crash():
     ss = bd.SampleSet(pts, vals)
     model, rep = bd.aaa(ss, bd.AaaConfig(tol=1e-8, max_terms=5))
     assert np.isfinite(rep.linf_rel_error) or rep.linf_rel_error == np.inf
+
+
+# Fits whose last step is rebuilt from scratch below: degree-constrained
+# fits of the 2-mass chains, a noisy fit stopped by the term cap, and three
+# samples, where the last step leaves a single row.
+REBUILT_FITS = {
+    **{f"{'fwd' if fwd else 'inv'}2-deg{d}": (lambda fwd=fwd: chain_samples(2, forward=fwd),
+                                             bd.AaaConfig(tol=1e-6, target_degree=d))
+       for fwd in (True, False) for d in (-4, 0, 2)},
+    "noisy-capped": (lambda: chain_samples(2, noise=1e-4, seed=0),
+                     bd.AaaConfig(tol=1e-12, target_degree=-2, max_terms=8)),
+    "three-samples": (lambda: bd.SampleSet([1j, 2j, 3j], [1.0, 2.0, 5.0]),
+                      bd.AaaConfig(tol=1e-12, target_degree=-1)),
+}
+
+
+@lru_cache(maxsize=None)
+def rebuilt_fit(name):
+    make_samples, config = REBUILT_FITS[name]
+    samples = make_samples()
+    return samples, config, *bd.aaa(samples, config)
+
+
+@pytest.mark.parametrize("name", REBUILT_FITS)
+def test_last_step_rebuilt_from_scratch_gives_the_weights(name):
+    # the fit grows its Loewner block one column per step; the block built
+    # in one go over the non-support samples must give the same weights
+    samples, config, model, rep = rebuilt_fit(name)
+    assert rep.terms >= 2
+    rest = ~np.isin(samples.points, model.supports)
+    L = bd.loewner_matrix(samples.points[rest], samples.values[rest],
+                          model.supports, model.support_values)
+    V = bd.vandermonde(model.supports, abs(rep.effective_degree))
+    Q = bd.nullspace_basis(
+        V, left_scaling=model.support_values if config.target_degree < 0 else None)
+    w = bd.solve_constrained_weights(L, Q)
+    assert np.array_equal(w / np.linalg.norm(w), model.weights)
+
+
+@pytest.mark.parametrize("name", REBUILT_FITS)
+def test_reported_error_matches_the_returned_model(name):
+    # a stale row or column in the kept Cauchy block would show here
+    samples, _, model, rep = rebuilt_fit(name)
+    err = np.max(relative_errors(samples.values, model(samples.points)))
+    assert rep.linf_rel_error == pytest.approx(err, rel=1e-12)
