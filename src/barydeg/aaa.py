@@ -12,6 +12,10 @@ the remaining samples for its whole run.  Each pick drops the new support's
 row from both and appends one column to each; ``loewner_matrix`` builds the
 new Loewner column, and the Cauchy block gives the step's values on the
 remaining samples without building a model.
+
+The fits of one degree sweep share their fully constrained prefix: with a
+``spine`` (see :func:`aaa`) a fit at target d resumes after the first |d|
+steps, which the fit at the next smaller |d| of the same sign already took.
 """
 
 from dataclasses import dataclass
@@ -55,12 +59,21 @@ class AaaConfig:
             raise ValueError("max_terms must be at least 1")
 
 
-def aaa(samples, config):
+def aaa(samples, config, *, spine=None):
     """Fit a degree-constrained interpolatory rational model to the samples.
 
     Returns ``(model, report)``.  Non-convergence within the term cap is
     reported, not raised, so callers can still compare the result against
     other fits.
+
+    ``spine`` lets fits of the same samples under the same tolerance and
+    term cap share their fully constrained steps.  At step m a fit at target
+    d imposes min(|d|, m) constraints on m + 1 weights, so the steps
+    m <= |d| depend on d only through its sign: they form one path per sign,
+    kept in ``spine[d < 0]`` as a list of (support index, weights) pairs,
+    one per step.  A fit appends the steps of its path that the list lacks,
+    and a fit at |d| >= 1 whose path reaches step |d| - 1 resumes after that
+    step, so it never repeats a step of the fit at the next smaller |d|.
     """
     pts, vals = samples.points, samples.values
     mprime = pts.size
@@ -87,8 +100,26 @@ def aaa(samples, config):
     weights = None
     converged = False
     j = 0
+    start = 0
+    # the first step has no constraint, so both sign paths start with it
+    paths = [] if spine is None else [spine.setdefault(neg, []) for neg in
+                                      ((delta < 0,) if delta else (False, True))]
 
-    for m in range(cap + 1):
+    if paths and 1 <= abs(delta) <= len(paths[0]):
+        # resume after step |d| - 1: rebuild the blocks and the values in one
+        # go; the entries are the same elementwise expressions as the grown ones
+        start = abs(delta)
+        sup_idx = [i for i, _ in paths[0][:start]]
+        weights = paths[0][start - 1][1]
+        sj, fj = pts[sup_idx], vals[sup_idx]
+        pool = np.delete(pool, sup_idx)
+        x, fx = pts[pool], vals[pool]
+        L = loewner_matrix(x, fx, sj, fj)
+        C = 1.0 / (x[:, None] - sj)
+        approx[pool] = _pool_values(C, weights, fj, x)
+        approx[sup_idx] = vals[sup_idx]
+
+    for m in range(start, cap + 1):
         rel = relative_errors(vals, approx)
         row = int(np.argmax(rel[pool]))
         j = int(pool[row])
@@ -107,9 +138,11 @@ def aaa(samples, config):
         L = _grow(L, row, loewner_matrix(x, fx, sj[-1:], fj[-1:])[:, 0])
         C = _grow(C, row, 1.0 / (x - pts[j]))
         weights = solve_constrained_weights(L, Q)
-        # normalised as from_weights does, so the values are the model's
-        w = weights / np.linalg.norm(weights)
-        approx[pool] = cauchy_ratio(C, (w * fj, w), x)
+        if m <= abs(delta):
+            for path in paths:
+                if len(path) == m:
+                    path.append((j, weights))
+        approx[pool] = _pool_values(C, weights, fj, x)
         approx[j] = vals[j]
 
     if weights is None:
@@ -123,6 +156,13 @@ def aaa(samples, config):
     report = FitReport.from_errors(model, relative_errors(vals, approx), converged,
                                    effective, degree_diagnostics(model, effective))
     return model, report
+
+
+def _pool_values(C, weights, fj, x):
+    """The step's model values at the pool points ``x`` of the Cauchy block."""
+    # normalised as from_weights does, so the values are the model's
+    w = weights / np.linalg.norm(weights)
+    return cauchy_ratio(C, (w * fj, w), x)
 
 
 def _grow(block, row, column):

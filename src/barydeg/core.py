@@ -342,6 +342,9 @@ def nullspace_basis(V, left_scaling=None):
         if f.size != rows:
             raise ValueError("left_scaling length must match the row count of V")
         A = f[:, None] * A
+    if cols == 0:
+        # no constraint: the complete QR of an empty block is the identity
+        return np.eye(rows, dtype=complex)
     Qfull, _ = np.linalg.qr(np.conj(A), mode="complete")
     return Qfull[:, cols:]
 
@@ -358,9 +361,13 @@ def solve_constrained_weights(L, Q):
     if Q.shape[1] == 0:
         raise ConstraintError("constraint basis has no columns")
     LQ = L @ Q
-    # the economy factorization already holds every right singular vector
-    # unless LQ is wide; the full one would add an unused rows x rows factor
-    _, _, vh = np.linalg.svd(LQ, full_matrices=LQ.shape[0] < LQ.shape[1])
+    rows, cols = LQ.shape
+    if rows > cols:
+        # ||LQ v|| = ||R v||: the square triangle R has the same right
+        # singular vectors, and its SVD needs no rows x cols left factor
+        LQ = np.linalg.qr(LQ, mode="r")
+    # a wide block needs the full factorization for every right singular vector
+    _, _, vh = np.linalg.svd(LQ, full_matrices=rows < cols)
     v = np.conj(vh[-1, :])
     return Q @ v
 

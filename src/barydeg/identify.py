@@ -8,7 +8,9 @@ approximation error.  The search sweeps degrees 0, 1, 2, ... until a fit
 stops improving or its effective degree stops growing (AAA caps it at
 terms - 1, after which every further target repeats the same fit), repeats
 toward negative degrees, and keeps the better of the two directions'
-winners.
+winners.  The AAA fits of a sweep share their fully constrained prefix:
+the backend from :func:`aaa_backend` lets the fit at +-k resume after the
+steps the fit at +-(k - 1) already took.
 """
 
 from dataclasses import dataclass
@@ -71,9 +73,22 @@ def better(a, b):
 
 
 def aaa_backend(tol, max_terms=None):
-    """Fit backend running degree-constrained AAA at the given tolerance."""
+    """Fit backend running degree-constrained AAA at the given tolerance.
+
+    The backend keeps the fully constrained AAA path (see :func:`aaa`) of the
+    last ``SampleSet`` it was given, so the fits of one sweep share their
+    common first steps; a new samples object starts a new path.
+    """
+    spine = {}
+    last = None
+
     def fit(samples, degree):
-        return aaa(samples, AaaConfig(tol=tol, target_degree=degree, max_terms=max_terms))
+        nonlocal last
+        if samples is not last:
+            spine.clear()
+            last = samples
+        return aaa(samples, AaaConfig(tol=tol, target_degree=degree, max_terms=max_terms),
+                   spine=spine)
     return fit
 
 

@@ -313,6 +313,18 @@ class TestNullspaceBasis:
             assert Q.dtype == complex
             assert np.array_equal(Q, np.eye(n))
 
+    def test_no_constraint_skips_the_qr(self, monkeypatch):
+        # a fifth of the constraint bases AAA and VF ask for have no constraint
+        def no_qr(*args, **kwargs):
+            raise AssertionError("QR called for an unconstrained basis")
+
+        monkeypatch.setattr(np.linalg, "qr", no_qr)
+        s = np.array([1j, 2j, 3j, 4j])
+        for scaling in (None, np.array([1.0, 2.0, 3.0, 4.0])):
+            Q = bd.nullspace_basis(bd.vandermonde(s, 0), left_scaling=scaling)
+            assert Q.dtype == complex
+            assert np.array_equal(Q, np.eye(4))
+
 
 class TestSolveConstrainedWeights:
     def test_degenerate_objective(self):
@@ -336,6 +348,22 @@ class TestSolveConstrainedWeights:
     def test_empty_basis_rejected(self):
         with pytest.raises(ConstraintError):
             bd.solve_constrained_weights(np.eye(2), np.empty((2, 0)))
+
+    @pytest.mark.parametrize("shape", [(300, 6), (7, 6), (4, 6), (3, 6)])
+    def test_minimizer_over_the_constrained_range(self, shape):
+        # Q has 4 columns, so L Q is tall, tall, square and wide.  Tall blocks
+        # are reduced to their QR triangle first, the others go to the SVD
+        # directly; each must give the minimal singular vector of L Q, mapped
+        # back into range(Q).
+        rng = np.random.default_rng(shape[0])
+        L = random_complex(rng, shape)
+        Q = bd.nullspace_basis(bd.vandermonde(random_complex(rng, shape[1]), 2))
+        w = bd.solve_constrained_weights(L, Q)
+        sigma = np.linalg.svd(L @ Q, compute_uv=False)
+        smallest = sigma[-1] if shape[0] >= Q.shape[1] else 0.0
+        assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-14)
+        assert np.linalg.norm(Q.conj().T @ w) == pytest.approx(1.0, abs=1e-14)
+        assert np.linalg.norm(L @ w) == pytest.approx(smallest, rel=1e-10, abs=1e-13)
 
     def test_tall_problem_allocates_no_rows_squared_factor(self):
         L = random_complex(np.random.default_rng(6), (4000, 8))

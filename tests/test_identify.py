@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -184,3 +186,102 @@ class TestIdentifyEndToEnd:
         pm = result.piecewise
         assert pm.bary is result.best.model
         assert pm.cutoff > pm.train_T
+
+
+def unshared_aaa_backend(tol, max_terms=None):
+    """AAA backend whose fits share nothing, as a direct ``aaa`` call."""
+    def fit(samples, degree):
+        return bd.aaa(samples, bd.AaaConfig(tol=tol, target_degree=degree, max_terms=max_terms))
+    return fit
+
+
+def recording(backend):
+    """``backend`` that also keeps every (degree, model, report) it returns."""
+    fits = []
+
+    def fit(samples, degree):
+        model, report = backend(samples, degree)
+        fits.append((degree, model, report))
+        return model, report
+
+    fit.fits = fits
+    return fit
+
+
+def assert_same_fits(got, want):
+    assert [d for d, _, _ in got] == [d for d, _, _ in want]
+    for (_, model, report), (_, ref, ref_report) in zip(got, want):
+        assert np.array_equal(model.supports, ref.supports)
+        assert np.array_equal(model.support_values, ref.support_values)
+        assert np.array_equal(model.weights, ref.weights)
+        assert report == ref_report
+
+
+# (samples, tol, max_terms): the four noiseless chains, a noisy sweep whose
+# fits end at a term cap of 8, and three samples, where every fit is short
+SHARED_SWEEPS = {
+    "fwd2": (lambda: chain_samples(2), 1e-6, None),
+    "fwd3": (lambda: chain_samples(3), 1e-6, None),
+    "inv2": (lambda: chain_samples(2, forward=False), 1e-6, None),
+    "inv3": (lambda: chain_samples(3, forward=False), 1e-7, None),
+    "noisy-capped": (lambda: chain_samples(2, noise=1e-4, seed=0), 1e-12, 8),
+    "three-samples": (lambda: bd.SampleSet([1j, 2j, 3j], [1.0, 2.0, 5.0]), 1e-12, None),
+}
+
+
+class TestSharedAaaPath:
+    """``aaa_backend`` lets the fits of a sweep share their fully
+    constrained first steps; every fit must stay what a direct call gives."""
+
+    @pytest.mark.parametrize("name", SHARED_SWEEPS)
+    def test_same_fits_as_unshared_backend(self, name):
+        make_samples, tol, max_terms = SHARED_SWEEPS[name]
+        samples = make_samples()
+        shared = recording(bd.aaa_backend(tol, max_terms))
+        unshared = recording(unshared_aaa_backend(tol, max_terms))
+        result = bd.identify(samples, shared)
+        ref = bd.identify(samples, unshared)
+        assert len(shared.fits) == len(result.candidates) >= 3
+        assert_same_fits(shared.fits, unshared.fits)
+        assert result.best_degree == ref.best_degree
+
+    def test_fewer_weight_solves_and_the_same_on_a_rerun(self, monkeypatch):
+        aaa_module = importlib.import_module("barydeg.aaa")
+        solve = aaa_module.solve_constrained_weights
+        calls = []
+
+        def counting(L, Q):
+            calls.append(L.shape)
+            return solve(L, Q)
+
+        monkeypatch.setattr(aaa_module, "solve_constrained_weights", counting)
+        samples = chain_samples(3)
+
+        def solves(backend):
+            calls.clear()
+            bd.identify(samples, backend)
+            return len(calls)
+
+        unshared = solves(unshared_aaa_backend(1e-6))
+        shared = bd.aaa_backend(1e-6)
+        first = solves(shared)
+        # the path left by the first sweep must not save the second any work
+        assert first < unshared
+        assert solves(shared) == first
+
+    def test_backend_follows_the_samples_it_is_given(self):
+        # one backend fed two sample sets in turn, within and across sweeps
+        a, b = chain_samples(2), chain_samples(2, forward=False)
+        shared = recording(bd.aaa_backend(1e-6))
+        fresh = recording(unshared_aaa_backend(1e-6))
+        for degree in (0, 1, 2, -1, -2, -3):
+            for samples in (a, b):
+                shared(samples, degree)
+                fresh(samples, degree)
+        for samples in (a, b, a):
+            shared_sweep = recording(shared)
+            fresh_sweep = recording(bd.aaa_backend(1e-6))
+            bd.identify(samples, shared_sweep)
+            bd.identify(samples, fresh_sweep)
+            assert_same_fits(shared_sweep.fits, fresh_sweep.fits)
+        assert_same_fits(shared.fits[:12], fresh.fits)
