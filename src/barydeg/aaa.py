@@ -15,7 +15,8 @@ remaining samples without building a model.
 
 The fits of one degree sweep share their fully constrained prefix: with a
 ``spine`` (see :func:`aaa`) a fit at target d resumes after the first |d|
-steps, which the fit at the next smaller |d| of the same sign already took.
+steps, which the fit at the next smaller |d| of the same sign already took;
+a fresh fit is a resume after zero steps, so there is one way into the loop.
 """
 
 from dataclasses import dataclass
@@ -69,11 +70,11 @@ def aaa(samples, config, *, spine=None):
     ``spine`` lets fits of the same samples under the same tolerance and
     term cap share their fully constrained steps.  At step m a fit at target
     d imposes min(|d|, m) constraints on m + 1 weights, so the steps
-    m <= |d| depend on d only through its sign: they form one path per sign,
-    kept in ``spine[d < 0]`` as a list of (support index, weights) pairs,
-    one per step.  A fit appends the steps of its path that the list lacks,
-    and a fit at |d| >= 1 whose path reaches step |d| - 1 resumes after that
-    step, so it never repeats a step of the fit at the next smaller |d|.
+    m <= |d| depend on d only through its sign.  The dict records them flat
+    as ``spine[sign * m] = (support index, weights)``, key 0 serving both
+    signs.  A fit records its steps m <= |d| the dict lacks.  A fit at d != 0
+    resumes after step |d| - 1 when the dict holds it, never deeper; every
+    other fit, fresh or at degree 0, resumes after zero steps.
     """
     pts, vals = samples.points, samples.values
     mprime = pts.size
@@ -90,34 +91,25 @@ def aaa(samples, config, *, spine=None):
     # problem never loses all of its rows
     cap = min(cap, mprime - 1)
 
-    mean = complex(np.mean(vals))
-    approx = np.full(mprime, mean, dtype=complex)
+    sign = -1 if delta < 0 else 1
+    # resume after step |d| - 1 of the recorded path when the record holds
+    # it, else after zero steps (as a fresh or degree-0 fit always does)
+    start = abs(delta) if sign * (abs(delta) - 1) in (spine or {}) else 0
+    sup_idx = [spine[sign * m][0] for m in range(start)]
+    weights = spine[sign * (start - 1)][1] if start else None
     # samples not yet picked as supports, in sample order; the rows of both
     # kept blocks (Loewner and Cauchy 1 / (s_j - s_k)) run over this pool
-    pool = np.arange(mprime)
-    L = C = np.empty((mprime, 0), dtype=complex)
-    sup_idx = []
-    weights = None
-    converged = False
-    j = 0
-    start = 0
-    # the first step has no constraint, so both sign paths start with it
-    paths = [] if spine is None else [spine.setdefault(neg, []) for neg in
-                                      ((delta < 0,) if delta else (False, True))]
-
-    if paths and 1 <= abs(delta) <= len(paths[0]):
-        # resume after step |d| - 1: rebuild the blocks and the values in one
-        # go; the entries are the same elementwise expressions as the grown ones
-        start = abs(delta)
-        sup_idx = [i for i, _ in paths[0][:start]]
-        weights = paths[0][start - 1][1]
-        sj, fj = pts[sup_idx], vals[sup_idx]
-        pool = np.delete(pool, sup_idx)
-        x, fx = pts[pool], vals[pool]
-        L = loewner_matrix(x, fx, sj, fj)
-        C = 1.0 / (x[:, None] - sj)
+    pool = np.delete(np.arange(mprime), sup_idx)
+    sj, fj = pts[sup_idx], vals[sup_idx]
+    x, fx = pts[pool], vals[pool]
+    L = loewner_matrix(x, fx, sj, fj)
+    C = 1.0 / (x[:, None] - sj)
+    mean = complex(np.mean(vals))
+    approx = np.full(mprime, mean, dtype=complex)
+    if start:
         approx[pool] = _pool_values(C, weights, fj, x)
         approx[sup_idx] = vals[sup_idx]
+    converged = False
 
     for m in range(start, cap + 1):
         rel = relative_errors(vals, approx)
@@ -138,10 +130,8 @@ def aaa(samples, config, *, spine=None):
         L = _grow(L, row, loewner_matrix(x, fx, sj[-1:], fj[-1:])[:, 0])
         C = _grow(C, row, 1.0 / (x - pts[j]))
         weights = solve_constrained_weights(L, Q)
-        if m <= abs(delta):
-            for path in paths:
-                if len(path) == m:
-                    path.append((j, weights))
+        if spine is not None and m <= abs(delta):
+            spine.setdefault(sign * m, (j, weights))
         approx[pool] = _pool_values(C, weights, fj, x)
         approx[j] = vals[j]
 

@@ -121,6 +121,10 @@ class PiecewiseModel:
     def __call__(self, s):
         return eval_piecewise(self, s)
 
+    def near(self, s):
+        """True where ``s`` takes the barycentric branch, |s| <= cutoff."""
+        return np.abs(s) <= self.cutoff
+
 
 def moments(model, order=DEFAULT_ORDER):
     """Asymptotic expansion of a model, truncated after ``order + 1`` terms.
@@ -234,7 +238,7 @@ def eval_piecewise(pm, s):
     raises before any block runs.
     """
     def block(x):
-        near = np.abs(x) <= pm.cutoff
+        near = pm.near(x)
         out = np.empty(x.shape, dtype=complex)
         if np.any(near):
             out[near] = evaluate(pm.bary, x[near])

@@ -284,7 +284,7 @@ def cmd_eval(args):
     with open(args.model) as fh:
         pm = model_from_json(json.load(fh))
     grid = sample_grid(args.wmin, args.wmax, args.count, args.spacing)
-    near = np.abs(grid) <= pm.cutoff
+    near = pm.near(grid)
     values = eval_piecewise(pm, grid)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write("s_abs,r_re,r_im,r_abs,branch\n")

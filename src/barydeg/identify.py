@@ -122,6 +122,8 @@ def identify(samples, backend, max_abs_degree=DEFAULT_MAX_ABS_DEGREE,
     """
     if max_abs_degree < 1:
         raise ValueError("max_abs_degree must be at least 1")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     baseline = _record(backend, samples, 0)
     candidates = [baseline]
 

@@ -267,6 +267,16 @@ class TestEvalPiecewise:
         assert pm(1e5j) == eval_piecewise(pm, 1e5j)
         assert pm.asym(1e5j) == eval_asymptotic(pm.asym, 1e5j)
 
+    def test_near_is_the_branch_eval_piecewise_takes(self):
+        model = exact_inverse_model()
+        pm = bd.PiecewiseModel(bary=model, asym=moments(model), cutoff=50.0,
+                               train_T=10.0, train_eps=1e-12)
+        s = np.array([1.0, 50.0, 50.0 * (1 + 1e-12), 1e3]) * 1j
+        near = pm.near(s)
+        assert near.tolist() == [True, True, False, False]
+        assert np.array_equal(eval_piecewise(pm, s)[near], bd.eval_barycentric(model, s[near]))
+        assert np.array_equal(eval_piecewise(pm, s)[~near], eval_asymptotic(pm.asym, s[~near]))
+
 
 class TestEvalPiecewiseBlocks:
     """Long inputs are split and evaluated block by block."""

@@ -152,6 +152,15 @@ class TestSweepMechanics:
         with pytest.raises(ValueError):
             bd.identify(samples, fake_backend({0: (1, 0.0, True)}), max_abs_degree=0)
 
+    def test_negative_order_rejected_before_any_fit(self):
+        samples = inverse_decay_samples(1.0, 2.0, 5)
+
+        def backend(samples, degree):
+            raise AssertionError(f"fit at degree {degree} ran")
+
+        with pytest.raises(ValueError, match="order"):
+            bd.identify(samples, backend, order=-1)
+
 
 class TestIdentifyEndToEnd:
     def test_inverse_decay_aaa(self):
@@ -285,3 +294,30 @@ class TestSharedAaaPath:
             bd.identify(samples, fresh_sweep)
             assert_same_fits(shared_sweep.fits, fresh_sweep.fits)
         assert_same_fits(shared.fits[:12], fresh.fits)
+
+    def test_record_does_not_depend_on_call_order(self, monkeypatch):
+        # paths recorded before any degree-0 fit, fits resuming on steps that
+        # fits of other degrees recorded, and a repeated degree
+        aaa_module = importlib.import_module("barydeg.aaa")
+        solve = aaa_module.solve_constrained_weights
+        calls = []
+
+        def counting(L, Q):
+            calls.append(L.shape)
+            return solve(L, Q)
+
+        monkeypatch.setattr(aaa_module, "solve_constrained_weights", counting)
+        samples = chain_samples(2)
+        shared, direct = bd.aaa_backend(1e-6), unshared_aaa_backend(1e-6)
+
+        def counted_fit(backend, degree):
+            calls.clear()
+            model, report = backend(samples, degree)
+            return (degree, model, report), len(calls)
+
+        for degree in (3, 1, -2, 0, 2, -1, -3, 4, -4, 1):
+            got, solves = counted_fit(shared, degree)
+            want, direct_solves = counted_fit(direct, degree)
+            assert_same_fits([got], [want])
+            # a resumed fit skips at most its first |d| steps
+            assert direct_solves - abs(degree) <= solves <= direct_solves
