@@ -10,7 +10,11 @@ terms - 1, after which every further target repeats the same fit), repeats
 toward negative degrees, and keeps the better of the two directions'
 winners.  The AAA fits of a sweep share their fully constrained prefix:
 the backend from :func:`aaa_backend` lets the fit at +-k resume after the
-steps the fit at +-(k - 1) already took.
+steps the fit at +-(k - 1) already took.  The VF fits of a sweep share
+their factorizations: the backend from :func:`vf_backend` records the QR
+triangle of every support grid the degree-0 fit factors, and the fits at
+other degrees solve from it.  Each backend keeps its record for the last
+``SampleSet`` it was given.
 """
 
 from dataclasses import dataclass
@@ -72,6 +76,25 @@ def better(a, b):
     return a.linf_rel_error < b.linf_rel_error
 
 
+def _per_samples():
+    """A backend's record: ``record_for(samples)`` always returns one dict.
+
+    The dict is emptied whenever it is asked for with a ``SampleSet`` other
+    than the last one, so a fit never reads what fits of other samples
+    recorded.
+    """
+    record = {}
+    last = None
+
+    def record_for(samples):
+        nonlocal last
+        if samples is not last:
+            record.clear()
+            last = samples
+        return record
+    return record_for
+
+
 def aaa_backend(tol, max_terms=None):
     """Fit backend running degree-constrained AAA at the given tolerance.
 
@@ -79,23 +102,26 @@ def aaa_backend(tol, max_terms=None):
     last ``SampleSet`` it was given, so the fits of one sweep share their
     common first steps; a new samples object starts a new path.
     """
-    spine = {}
-    last = None
+    spine = _per_samples()
 
     def fit(samples, degree):
-        nonlocal last
-        if samples is not last:
-            spine.clear()
-            last = samples
         return aaa(samples, AaaConfig(tol=tol, target_degree=degree, max_terms=max_terms),
-                   spine=spine)
+                   spine=spine(samples))
     return fit
 
 
 def vf_backend(tol=DEFAULT_TOL, max_terms=None):
-    """Fit backend running adaptive-complexity vector fitting."""
+    """Fit backend running adaptive-complexity vector fitting.
+
+    The backend keeps the support grids that the last degree-0 fit factored
+    (see :func:`vf_adaptive`) for the last ``SampleSet`` it was given, so
+    the other fits of a sweep reuse their QR triangles.
+    """
+    grids = _per_samples()
+
     def fit(samples, degree):
-        return vf_adaptive(samples, VfConfig(tol=tol, target_degree=degree, max_terms=max_terms))
+        return vf_adaptive(samples, VfConfig(tol=tol, target_degree=degree, max_terms=max_terms),
+                           grids=grids(samples))
     return fit
 
 

@@ -8,6 +8,15 @@ Vandermonde block, exactly as in the interpolatory case but acting on the
 numerator weights (negative degree) or denominator weights (positive
 degree) directly.  Model complexity grows one support at a time until the
 fit is uniformly below tolerance.
+
+Grid m and the QR triangle R of its block [C | f C] (C the Cauchy block
+1 / (s'_j - s_k) of the samples) depend on the samples and m alone, so a
+round solves from R: a numerator constraint re-triangularizes a block of
+R's size, not of the samples'.  A round that factors its grid writes
+[C | f C] into one buffer and takes its values from the Cauchy half; the
+model is built once, after the last round.  The fits of one degree sweep
+share their triangles: with a ``grids`` record (see :func:`vf_adaptive`)
+the fits at d != 0 reuse the grids that the degree-0 fit factored.
 """
 
 from dataclasses import dataclass
@@ -17,6 +26,7 @@ import numpy as np
 from .core import (
     FitReport,
     GeneralBarycentricModel,
+    cauchy_ratio,
     degree_diagnostics,
     eval_general,
     nullspace_basis,
@@ -68,7 +78,7 @@ def geometric_supports(samples, m):
     return anchor * ratio ** (np.arange(m + 1) / m)
 
 
-def vf_solve(samples, supports, target_degree):
+def vf_solve(samples, supports, target_degree, r=None):
     """One linearized least-squares fit over fixed supports.
 
     Minimizes the linearized residual sum |f(s'_j) d(s'_j) - n(s'_j)|^2
@@ -76,13 +86,19 @@ def vf_solve(samples, supports, target_degree):
     degree) or n (negative degree) constrained to zero.  Normalizing the
     denominator weights alone keeps the minimizer away from the degenerate
     d -> 0 corner that a jointly normalized solve can fall into when the
-    data magnitudes are large.  One QR factorization of [A_n | f C] splits
-    the sides: its trailing triangle R22 holds the residual left after the
-    best numerator, so d minimizes ||R22 d|| under the constraints and n
-    solves R11 n = R12 d in the least-squares sense (R11 is wide when there
-    are fewer samples than numerator unknowns).  The returned model stores
-    [n; d] jointly rescaled to unit norm, which leaves the represented
-    function unchanged.
+    data magnitudes are large.
+
+    The solve reads the samples only through the triangle ``r`` of the QR
+    factorization of [C | f C], C the Cauchy block 1 / (s'_j - s_k); it
+    factors that block itself when ``r`` is not given.  A numerator
+    constraint n = Q u turns the block into [C Q | f C], whose triangle is
+    that of the small block [R1 Q | R2] (R1, R2 the two column halves of
+    ``r``), so no sample-sized matrix is factored again.  The trailing
+    triangle R22 then holds the residual left after the best numerator, so d
+    minimizes ||R22 d|| under the constraints and n solves R11 n = R12 d in
+    the least-squares sense (R11 is wide when there are fewer samples than
+    numerator unknowns).  Returns the unnormalized pair ``(num, den)``;
+    ``GeneralBarycentricModel.from_weights`` rescales it to a model.
     """
     supports = np.asarray(supports, dtype=complex).ravel()
     mp1 = supports.size
@@ -91,43 +107,88 @@ def vf_solve(samples, supports, target_degree):
         raise ConstraintError(
             f"degree {delta} needs more than {mp1} supports"
         )
-    pts, vals = samples.points, samples.values
-    diff = pts[:, None] - supports[None, :]
-    if np.any(diff == 0):
-        raise ValueError("supports must be disjoint from the sample points")
-    cauchy = 1.0 / diff
+    if r is None:
+        _, r = _factor(samples, supports)
     # the constrained side gets the null-space basis (the identity at degree
     # 0), the other side stays unconstrained
     Q = nullspace_basis(vandermonde(supports, abs(delta)))
     eye = np.eye(mp1, dtype=complex)
     basis_n, basis_d = (Q, eye) if delta < 0 else (eye, Q)
+    if delta < 0:
+        r = np.linalg.qr(np.hstack([r[:, :mp1] @ Q, r[:, mp1:]]), mode="r")
     k = basis_n.shape[1]
-    r = np.linalg.qr(np.hstack([cauchy @ basis_n, vals[:, None] * cauchy]), mode="r")
     den = solve_constrained_weights(r[k:, k:], basis_d)
     num = basis_n @ np.linalg.lstsq(r[:k, :k], r[:k, k:] @ den, rcond=None)[0]
-    return GeneralBarycentricModel.from_weights(supports, num, den)
+    return num, den
 
 
-def vf_adaptive(samples, config):
+def vf_adaptive(samples, config, *, grids=None):
     """Grow the geometric support grid until the fit meets tolerance.
 
     Complexity starts at the smallest grid admitting the degree constraint
     (m = |target_degree|) and increases one support per round.  Returns
     ``(model, report)`` with ``converged=False`` when the term cap is hit.
+
+    ``grids`` lets the fits of one sweep over the same samples share their
+    factorizations: grid m and the triangle R of its block [C | f C]
+    depend on the samples and m alone.  A degree-0 fit empties the dict and
+    records ``grids[m] = (supports, R)`` for every grid it factors; a fit at
+    any other degree takes R from the dict when it holds m, and factors the
+    other grids without recording them.  So every sweep does the same work,
+    however often it is repeated.
     """
     delta = int(config.target_degree)
     cap = DEFAULT_MAX_TERMS if config.max_terms is None else config.max_terms
     if cap < abs(delta) + 1:
         raise ConfigurationError(f"max_terms={cap} cannot accommodate degree {delta}")
-    model = None
-    rel = None
+    pts, vals = samples.points, samples.values
+    # a degree-0 fit starts the record afresh; the other fits only read it
+    record, shared = (grids, {}) if delta == 0 else (None, grids or {})
+    if record is not None:
+        record.clear()
     converged = False
     for m in range(abs(delta), cap):
-        model = vf_solve(samples, geometric_supports(samples, m), delta)
-        rel = relative_errors(samples.values, eval_general(model, samples.points))
+        if m in shared:
+            supports, r = shared[m]
+            cauchy = _cauchy(pts, supports, np.empty((pts.size, m + 1), dtype=complex))
+        else:
+            supports = geometric_supports(samples, m)
+            cauchy, r = _factor(samples, supports)
+            if record is not None:
+                record[m] = (supports, r)
+        num, den = vf_solve(samples, supports, delta, r=r)
+        # normalised as from_weights does, so the values are the model's
+        scale = np.linalg.norm(np.concatenate([num, den]))
+        rel = relative_errors(vals, cauchy_ratio(cauchy, (num / scale, den / scale), pts))
+        # free this grid's block before the next grid's is built
+        del cauchy
         if float(np.max(rel)) <= config.tol:
             converged = True
             break
+    model = GeneralBarycentricModel.from_weights(supports, num, den)
+    rel = relative_errors(vals, eval_general(model, pts))
     report = FitReport.from_errors(model, rel, converged, delta,
                                    degree_diagnostics(model, delta))
     return model, report
+
+
+def _factor(samples, supports):
+    """Cauchy block C of the samples and the triangle R of [C | f C].
+
+    Both halves are written in place into one samples x 2(m+1) buffer;
+    returns its Cauchy half (a view) and R.
+    """
+    pts, vals = samples.points, samples.values
+    mp1 = supports.size
+    block = np.empty((pts.size, 2 * mp1), dtype=complex)
+    cauchy = _cauchy(pts, supports, block[:, :mp1])
+    np.multiply(vals[:, None], cauchy, out=block[:, mp1:])
+    return cauchy, np.linalg.qr(block, mode="r")
+
+
+def _cauchy(pts, supports, out):
+    """1 / (pts_j - supports_k), written into ``out``."""
+    np.subtract.outer(pts, supports, out=out)
+    if np.any(out == 0):
+        raise ValueError("supports must be disjoint from the sample points")
+    return np.divide(1.0, out, out=out)

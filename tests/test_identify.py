@@ -321,3 +321,116 @@ class TestSharedAaaPath:
             assert_same_fits([got], [want])
             # a resumed fit skips at most its first |d| steps
             assert direct_solves - abs(degree) <= solves <= direct_solves
+
+
+def unshared_vf_backend(tol, max_terms=None):
+    """VF backend whose fits share nothing, as a direct ``vf_adaptive`` call."""
+    def fit(samples, degree):
+        return bd.vf_adaptive(samples, bd.VfConfig(tol=tol, target_degree=degree,
+                                                   max_terms=max_terms))
+    return fit
+
+
+def assert_same_vf_fits(got, want):
+    assert [d for d, _, _ in got] == [d for d, _, _ in want]
+    for (_, model, report), (_, ref, ref_report) in zip(got, want):
+        assert np.array_equal(model.supports, ref.supports)
+        assert np.array_equal(model.num_weights, ref.num_weights)
+        assert np.array_equal(model.den_weights, ref.den_weights)
+        assert report == ref_report
+
+
+def few_samples(count):
+    rng = np.random.default_rng(count)
+    return bd.SampleSet(bd.sample_grid(1e-2, 1.0, count),
+                        rng.standard_normal(count) + 1j * rng.standard_normal(count))
+
+
+# (samples, tol): the three chains of the noisy VF benchmark over a few noise
+# draws, and sets of 3, 4 and 6 samples, where the fits outgrow the data
+SHARED_VF_SWEEPS = {
+    **{f"{tag}-seed{seed}": (lambda n=n, fw=fw, seed=seed:
+                             chain_samples(n, forward=fw, noise=1e-6, seed=seed), 1e-4)
+       for tag, n, fw in (("fwd2", 2, True), ("inv2", 2, False), ("fwd3", 3, True))
+       for seed in (0, 1, 2)},
+    **{f"{count}-samples": (lambda count=count: few_samples(count), 1e-12)
+       for count in (3, 4, 6)},
+}
+
+
+def counting_factorizations(monkeypatch):
+    """Count the sample-sized QR factorizations that ``barydeg.vf`` runs."""
+    vf_module = importlib.import_module("barydeg.vf")
+    factor = vf_module._factor
+    calls = []
+
+    def counting(samples, supports):
+        calls.append(supports.size)
+        return factor(samples, supports)
+
+    monkeypatch.setattr(vf_module, "_factor", counting)
+    return calls
+
+
+class TestSharedVfGrids:
+    """``vf_backend`` lets the fits of a sweep reuse the QR triangles of the
+    grids that the degree-0 fit factored; every fit must stay what a direct
+    call gives."""
+
+    @pytest.mark.parametrize("name", SHARED_VF_SWEEPS)
+    def test_same_fits_as_unshared_backend(self, name):
+        make_samples, tol = SHARED_VF_SWEEPS[name]
+        samples = make_samples()
+        shared = recording(bd.vf_backend(tol))
+        unshared = recording(unshared_vf_backend(tol))
+        result = bd.identify(samples, shared)
+        ref = bd.identify(samples, unshared)
+        assert len(shared.fits) == len(result.candidates) >= 3
+        assert_same_vf_fits(shared.fits, unshared.fits)
+        assert result.best_degree == ref.best_degree
+
+    def test_factorizations_of_a_sweep_and_of_its_rerun(self, monkeypatch):
+        calls = counting_factorizations(monkeypatch)
+        # the fits at +1 and -1 both outgrow the degree-0 fit's grids
+        samples = chain_samples(3, noise=1e-6, seed=0)
+
+        def sweep(backend):
+            calls.clear()
+            fits = recording(backend)
+            bd.identify(samples, fits)
+            return len(calls), [(d, report.terms) for d, _, report in fits.fits]
+
+        unshared, _ = sweep(unshared_vf_backend(1e-4))
+        shared = bd.vf_backend(1e-4)
+        first, terms = sweep(shared)
+        # the degree-0 fit factors its grids m < t0 and records them; a fit
+        # at d runs the grids |d| <= m < t_d and factors those past the record
+        (zero, t0), others = terms[0], terms[1:]
+        assert zero == 0
+        assert first == t0 + sum(max(0, t - max(abs(d), t0)) for d, t in others)
+        assert first < unshared
+        # what the first sweep left must not save the second any work
+        assert sweep(shared) == (first, terms)
+
+    def test_backend_follows_the_samples_it_is_given(self):
+        # one backend fed two sample sets in turn, within and across sweeps;
+        # the fits at d > 0 on ``a`` end on grids that ``b`` also factored
+        a = chain_samples(2, forward=False, noise=1e-6, seed=0)
+        b = chain_samples(3, noise=1e-6, seed=0)
+        shared = recording(bd.vf_backend(1e-4))
+        fresh = recording(unshared_vf_backend(1e-4))
+        for degree in (0, 1, 4, -1, -2, -3):
+            for samples in (a, b):
+                shared(samples, degree)
+                fresh(samples, degree)
+        assert_same_vf_fits(shared.fits, fresh.fits)
+        for samples in (a, b, a):
+            shared_sweep = recording(shared)
+            fresh_sweep = recording(bd.vf_backend(1e-4))
+            bd.identify(samples, shared_sweep)
+            bd.identify(samples, fresh_sweep)
+            assert_same_vf_fits(shared_sweep.fits, fresh_sweep.fits)
+        # a fit on new samples before any degree-0 fit on them, ending on a
+        # grid that the last sweep recorded
+        c = chain_samples(2, forward=False, noise=1e-6, seed=1)
+        assert_same_vf_fits([(4, *shared(c, 4))], [(4, *fresh(c, 4))])

@@ -1,8 +1,11 @@
+import importlib
+
 import numpy as np
 import pytest
 
 import barydeg as bd
-from barydeg.errors import ConfigurationError, ConstraintError, GridError
+from barydeg.errors import (ConfigurationError, ConstraintError, GridError,
+                            PoleEvaluationError)
 
 from conftest import chain_samples, inverse_decay_samples
 
@@ -40,14 +43,15 @@ class TestGeometricSupports:
 class TestVfSolve:
     def test_constant_data(self):
         ss = bd.SampleSet([1j, 2j], [1.0, 1.0])
-        model = bd.vf_solve(ss, [0.9j, 2.4j], 0)
+        model = bd.GeneralBarycentricModel.from_weights([0.9j, 2.4j], *bd.vf_solve(ss, [0.9j, 2.4j], 0))
         vals = bd.eval_general(model, ss.points)
         assert np.max(np.abs(vals - 1.0)) <= 1e-12
 
     def test_inverse_decay_exact_under_constraint(self):
         pts = bd.sample_grid(1.0, 10.0, 20)
         ss = bd.SampleSet(pts, 1.0 / pts)
-        model = bd.vf_solve(ss, bd.geometric_supports(ss, 1), -1)
+        supports = bd.geometric_supports(ss, 1)
+        model = bd.GeneralBarycentricModel.from_weights(supports, *bd.vf_solve(ss, supports, -1))
         rel = np.abs(bd.eval_general(model, pts) - ss.values) / np.abs(ss.values)
         assert np.max(rel) <= 1e-10
 
@@ -56,7 +60,7 @@ class TestVfSolve:
         # np.linalg.lstsq on the constrained numerator block is the reference
         ss = chain_samples(2, noise=1e-6, seed=1)
         supports = bd.geometric_supports(ss, 8)
-        model = bd.vf_solve(ss, supports, degree)
+        model = bd.GeneralBarycentricModel.from_weights(supports, *bd.vf_solve(ss, supports, degree))
         cauchy = 1.0 / (ss.points[:, None] - supports[None, :])
         basis_n = np.eye(supports.size)
         if degree < 0:
@@ -84,7 +88,9 @@ class TestVfSolve:
     def test_agrees_with_interpolatory_fit_on_exact_data(self, fwd2_samples):
         # both backends recover the same underlying function when the data
         # is exactly representable
-        vf_model = bd.vf_solve(fwd2_samples, bd.geometric_supports(fwd2_samples, 4), -4)
+        supports = bd.geometric_supports(fwd2_samples, 4)
+        vf_model = bd.GeneralBarycentricModel.from_weights(
+            supports, *bd.vf_solve(fwd2_samples, supports, -4))
         aaa_model, _ = bd.aaa(fwd2_samples, bd.AaaConfig(tol=1e-8, target_degree=-4))
         s = bd.sample_grid(2e-2, 0.9, 31)
         va = bd.eval_general(vf_model, s)
@@ -145,6 +151,91 @@ class TestVfAdaptive:
         model, rep = bd.vf_adaptive(ss, bd.VfConfig(tol=1e-12, max_terms=6))
         assert not rep.converged
         assert rep.terms == 6
+
+
+def shared_fit(samples, degree, tol=1e-4):
+    """``vf_adaptive`` at ``degree`` on the grids a degree-0 fit recorded."""
+    grids = {}
+    bd.vf_adaptive(samples, bd.VfConfig(tol=tol), grids=grids)
+    return bd.vf_adaptive(samples, bd.VfConfig(tol=tol, target_degree=degree), grids=grids)
+
+
+class TestVfRounds:
+    """A round solves from the triangle of its grid's [C | f C] and takes its
+    values from the Cauchy block; the model is built once, after the loop."""
+
+    @pytest.mark.parametrize("degree", [0, 1, 3])
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_nonnegative_degree_matches_direct_factorization(self, degree, shared):
+        ss = chain_samples(2, forward=False, noise=1e-6, seed=1)
+        cfg = bd.VfConfig(tol=1e-4, target_degree=degree)
+        model, _ = shared_fit(ss, degree) if shared else bd.vf_adaptive(ss, cfg)
+        # the last round rebuilt the way a round factored before R was shared
+        supports = model.supports
+        cauchy = 1.0 / (ss.points[:, None] - supports[None, :])
+        r = np.linalg.qr(np.hstack([cauchy, ss.values[:, None] * cauchy]), mode="r")
+        k = supports.size
+        den = bd.solve_constrained_weights(
+            r[k:, k:], bd.nullspace_basis(bd.vandermonde(supports, degree)))
+        num = np.linalg.lstsq(r[:k, :k], r[:k, k:] @ den, rcond=None)[0]
+        ref = bd.GeneralBarycentricModel.from_weights(supports, num, den)
+        assert np.array_equal(model.num_weights, ref.num_weights)
+        assert np.array_equal(model.den_weights, ref.den_weights)
+
+    @pytest.mark.parametrize("m", [4, 6, 12, 20])
+    @pytest.mark.parametrize("degree", [-1, -2, -4])
+    def test_numerator_constraint_residual(self, degree, m):
+        # re-triangularizing [R1 Q | R2] solves the problem that a QR of the
+        # sample-sized [C Q | f C] solves: the residual left after the best
+        # numerator, ||R22 d||, is the same for either denominator
+        ss = chain_samples(2, noise=1e-6, seed=1)
+        supports = bd.geometric_supports(ss, m)
+        cauchy = 1.0 / (ss.points[:, None] - supports[None, :])
+        Q = bd.nullspace_basis(bd.vandermonde(supports, -degree))
+        k = Q.shape[1]
+        r = np.linalg.qr(np.hstack([cauchy @ Q, ss.values[:, None] * cauchy]), mode="r")
+        ref = bd.solve_constrained_weights(r[k:, k:], np.eye(m + 1))
+        _, den = bd.vf_solve(ss, supports, degree)
+        assert np.linalg.norm(den) == pytest.approx(1.0, rel=1e-14)
+        assert np.linalg.norm(r[k:, k:] @ den) == pytest.approx(
+            np.linalg.norm(r[k:, k:] @ ref), rel=1e-12)
+
+    @pytest.mark.parametrize("degree", [0, -4, 2])
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_report_error_is_the_last_rounds(self, monkeypatch, degree, shared):
+        vf_module = importlib.import_module("barydeg.vf")
+        relative_errors = vf_module.relative_errors
+        errors = []
+
+        def keeping(values, approx):
+            errors.append(relative_errors(values, approx))
+            return errors[-1]
+
+        monkeypatch.setattr(vf_module, "relative_errors", keeping)
+        ss = chain_samples(2, forward=degree <= 0, noise=1e-6, seed=3)
+        grids = {}
+        if shared:
+            bd.vf_adaptive(ss, bd.VfConfig(tol=1e-4), grids=grids)
+        errors.clear()
+        _, rep = bd.vf_adaptive(ss, bd.VfConfig(tol=1e-4, target_degree=degree), grids=grids)
+        # every round and then the report take their errors once each
+        assert len(errors) == rep.terms - abs(degree) + 1
+        last_round, report = errors[-2], errors[-1]
+        assert float(np.max(last_round)) == rep.linf_rel_error
+        assert np.array_equal(last_round, report)
+
+    def test_vanishing_denominator_at_a_sample_raises(self, monkeypatch):
+        # at the sample 0 the Cauchy row of the supports -1 and 1 is (1, -1),
+        # so equal denominator weights sum to zero there
+        vf_module = importlib.import_module("barydeg.vf")
+        monkeypatch.setattr(vf_module, "geometric_supports",
+                            lambda samples, m: np.array([-1.0, 1.0], dtype=complex))
+        monkeypatch.setattr(vf_module, "vf_solve",
+                            lambda samples, supports, degree, r=None: (np.ones(2), np.ones(2)))
+        ss = bd.SampleSet([0.5j, 0.0, 2j], [1.0, 2.0, 3.0])
+        with pytest.raises(PoleEvaluationError) as info:
+            bd.vf_adaptive(ss, bd.VfConfig(tol=1e-4, target_degree=-1))
+        assert info.value.point == 0.0
 
 
 class TestNoiseAsymmetry:
