@@ -11,6 +11,12 @@ Subcommands:
 * ``eval`` -- evaluate a saved model over a frequency sweep and write a
   CSV with the value and the evaluation branch used.
 
+``fit`` and ``identify`` share one argument set (the sample file,
+``--backend``, ``--tol``, ``--order``, ``--max-terms``, ``--report/-o`` and
+``--model-out``) and one report writer.  A report's ``argv`` echoes every
+argument; its ``config`` is ``argv`` without ``command`` and the two output
+paths.  ``generate`` and ``eval`` share ``--wmin/--wmax/--count/--spacing``.
+
 Exit codes: 0 on success, 2 on usage or input errors, 3 when a fit did not
 converge or the identification failed.
 """
@@ -42,7 +48,7 @@ EXIT_NOT_CONVERGED = 3
 
 def report_schema():
     """The JSON schema shipped with the package, as a dict."""
-    text = resources.files("barydeg").joinpath("schema/report-v1.json").read_text()
+    text = resources.files("barydeg").joinpath("schema/report-v1.json").read_text(encoding="utf-8")
     return json.loads(text)
 
 
@@ -163,36 +169,6 @@ def _write_json(path, doc):
         fh.write("\n")
 
 
-def _base_report(command, args_echo, config):
-    return {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "package_version": __version__,
-        "command": command,
-        "argv": args_echo,
-        "config": config,
-        "timing_ms": None,
-    }
-
-
-def _fit_summary(report, signature, pm, piecewise_error):
-    return {
-        "terms": report.terms,
-        "effective_degree": report.effective_degree,
-        "linf_rel_error": report.linf_rel_error,
-        "l2_rel_error": report.l2_rel_error,
-        "converged": report.converged,
-        "constraint_residual": report.constraint_residual,
-        "leading_sum_magnitudes": list(report.leading_sum_magnitudes),
-        "classified_rdeg": None if signature is None else signature.rdeg,
-        "classified_mu": None if signature is None else signature.mu,
-        "classified_nu": None if signature is None else signature.nu,
-        "cutoff": None if pm is None else pm.cutoff,
-        "train_T": None if pm is None else pm.train_T,
-        "train_eps": None if pm is None else pm.train_eps,
-        "piecewise_error": piecewise_error,
-    }
-
-
 def cmd_generate(args):
     samples = mass_chain_samples(args.chain, forward=not args.inverted, omega_min=args.wmin,
                                  omega_max=args.wmax, count=args.count, spacing=args.spacing,
@@ -217,6 +193,24 @@ def _backend(args):
     return make(tol=args.tol, max_terms=args.max_terms)
 
 
+def _write_run(args, t0, pm, **sections):
+    """Write a ``fit``/``identify`` report and, when asked for, the model file of ``pm``."""
+    argv = {k: v for k, v in vars(args).items() if k != "func"}
+    _write_json(args.report, {
+        "schema_version": REPORT_SCHEMA_VERSION,
+        "package_version": __version__,
+        "command": args.command,
+        "argv": argv,
+        "config": {k: v for k, v in argv.items() if k not in ("command", "report", "model_out")},
+        "timing_ms": (time.perf_counter() - t0) * 1e3,
+        **sections,
+    })
+    if args.model_out and pm is None:
+        print(f"no model file written to {args.model_out}: no piecewise model", file=sys.stderr)
+    elif args.model_out:
+        _write_json(args.model_out, model_to_json(pm))
+
+
 def cmd_fit(args):
     samples = _load_input(args.input)
     t0 = time.perf_counter()
@@ -227,19 +221,19 @@ def cmd_fit(args):
         pm = make_piecewise(model, samples, args.order)
     except BarydegError as exc:
         piecewise_error = str(exc)
-    elapsed = (time.perf_counter() - t0) * 1e3
-
-    doc = _base_report("fit", _echo(args), {
-        "input": args.input, "backend": args.backend, "tol": args.tol,
-        "degree": args.degree, "order": args.order, "max_terms": args.max_terms,
-    })
-    doc["result"] = _fit_summary(rep, signature, pm, piecewise_error)
-    doc["timing_ms"] = elapsed
-    _write_json(args.report, doc)
-    if args.model_out and pm is not None:
-        _write_json(args.model_out, model_to_json(pm))
-    if piecewise_error is not None:
         print(f"no piecewise model: {piecewise_error}", file=sys.stderr)
+    _write_run(args, t0, pm, result={
+        "terms": rep.terms,
+        "effective_degree": rep.effective_degree,
+        "linf_rel_error": rep.linf_rel_error,
+        "l2_rel_error": rep.l2_rel_error,
+        "converged": rep.converged,
+        "constraint_residual": rep.constraint_residual,
+        "leading_sum_magnitudes": list(rep.leading_sum_magnitudes),
+        **{f"classified_{k}": getattr(signature, k, None) for k in ("rdeg", "mu", "nu")},
+        **{k: getattr(pm, k, None) for k in ("cutoff", "train_T", "train_eps")},
+        "piecewise_error": piecewise_error,
+    })
     print(f"fit: {rep.terms} terms, linf={rep.linf_rel_error:.3e}, "
           f"converged={rep.converged}; report -> {args.report}")
     return EXIT_OK if rep.converged else EXIT_NOT_CONVERGED
@@ -249,29 +243,17 @@ def cmd_identify(args):
     samples = _load_input(args.input)
     t0 = time.perf_counter()
     result = identify(samples, _backend(args), max_abs_degree=args.max_abs_degree, order=args.order)
-    elapsed = (time.perf_counter() - t0) * 1e3
-
-    doc = _base_report("identify", _echo(args), {
-        "input": args.input, "backend": args.backend, "tol": args.tol,
-        "max_abs_degree": args.max_abs_degree, "order": args.order,
-        "max_terms": args.max_terms,
-    })
-    doc["result"] = {
+    _write_run(args, t0, result.piecewise, result={
         "identified": result.converged,
         "best_degree": result.best_degree,
         "best_terms": result.best.terms,
         "best_linf_rel_error": result.best.linf_rel_error,
-        "cutoff": None if result.piecewise is None else result.piecewise.cutoff,
-    }
-    doc["candidates"] = [
+        "cutoff": getattr(result.piecewise, "cutoff", None),
+    }, candidates=[
         {"degree": c.degree, "terms": c.terms, "linf_rel_error": c.linf_rel_error,
          "converged": c.converged}
         for c in result.candidates
-    ]
-    doc["timing_ms"] = elapsed
-    _write_json(args.report, doc)
-    if args.model_out and result.piecewise is not None:
-        _write_json(args.model_out, model_to_json(result.piecewise))
+    ])
     if not result.converged:
         print(f"identification failed: no candidate converged; report -> {args.report}")
         return EXIT_NOT_CONVERGED
@@ -281,7 +263,7 @@ def cmd_identify(args):
 
 
 def cmd_eval(args):
-    with open(args.model) as fh:
+    with open(args.model, encoding="utf-8") as fh:
         pm = model_from_json(json.load(fh))
     grid = sample_grid(args.wmin, args.wmax, args.count, args.spacing)
     near = pm.near(grid)
@@ -295,10 +277,6 @@ def cmd_eval(args):
     return EXIT_OK
 
 
-def _echo(args):
-    return {k: v for k, v in vars(args).items() if k != "func"}
-
-
 def build_parser():
     p = argparse.ArgumentParser(
         prog="barydeg",
@@ -307,7 +285,21 @@ def build_parser():
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("generate", help="sample a mass-chain benchmark to CSV")
+    sweep = argparse.ArgumentParser(add_help=False)
+    sweep.add_argument("--wmin", type=float, required=True)
+    sweep.add_argument("--wmax", type=float, required=True)
+    sweep.add_argument("--count", type=int, default=200)
+    sweep.add_argument("--spacing", choices=["log", "linear"], default="log")
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("input")
+    run.add_argument("--backend", choices=["aaa", "vf"], default="aaa")
+    run.add_argument("--tol", type=float, default=1e-6)
+    run.add_argument("--order", type=int, default=DEFAULT_ORDER, help="asymptotic truncation order")
+    run.add_argument("--max-terms", type=int, default=None)
+    run.add_argument("--report", "-o", required=True)
+    run.add_argument("--model-out", default=None)
+
+    g = sub.add_parser("generate", parents=[sweep], help="sample a mass-chain benchmark to CSV")
     g.add_argument("--chain", type=int, required=True, help="number of masses (>= 2)")
     kind = g.add_mutually_exclusive_group()
     kind.add_argument("--forward", dest="inverted", action="store_false",
@@ -315,43 +307,21 @@ def build_parser():
     kind.add_argument("--inverted", dest="inverted", action="store_true",
                       help="position-to-force map")
     g.set_defaults(inverted=False)
-    g.add_argument("--wmin", type=float, required=True)
-    g.add_argument("--wmax", type=float, required=True)
-    g.add_argument("--count", type=int, default=200)
-    g.add_argument("--spacing", choices=["log", "linear"], default="log")
     g.add_argument("--noise", type=float, default=0.0)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--output", "-o", required=True)
     g.set_defaults(func=cmd_generate)
 
-    f = sub.add_parser("fit", help="fit a sample file with a prescribed degree")
-    f.add_argument("input")
-    f.add_argument("--backend", choices=["aaa", "vf"], default="aaa")
-    f.add_argument("--tol", type=float, default=1e-6)
+    f = sub.add_parser("fit", parents=[run], help="fit a sample file with a prescribed degree")
     f.add_argument("--degree", type=int, default=0)
-    f.add_argument("--order", type=int, default=DEFAULT_ORDER, help="asymptotic truncation order")
-    f.add_argument("--max-terms", type=int, default=None)
-    f.add_argument("--report", "-o", required=True)
-    f.add_argument("--model-out", default=None)
     f.set_defaults(func=cmd_fit)
 
-    i = sub.add_parser("identify", help="identify the relative degree from data")
-    i.add_argument("input")
-    i.add_argument("--backend", choices=["aaa", "vf"], default="aaa")
-    i.add_argument("--tol", type=float, default=1e-6)
+    i = sub.add_parser("identify", parents=[run], help="identify the relative degree from data")
     i.add_argument("--max-abs-degree", type=int, default=DEFAULT_MAX_ABS_DEGREE)
-    i.add_argument("--order", type=int, default=DEFAULT_ORDER)
-    i.add_argument("--max-terms", type=int, default=None)
-    i.add_argument("--report", "-o", required=True)
-    i.add_argument("--model-out", default=None)
     i.set_defaults(func=cmd_identify)
 
-    e = sub.add_parser("eval", help="evaluate a saved model over a sweep")
+    e = sub.add_parser("eval", parents=[sweep], help="evaluate a saved model over a sweep")
     e.add_argument("--model", required=True)
-    e.add_argument("--wmin", type=float, required=True)
-    e.add_argument("--wmax", type=float, required=True)
-    e.add_argument("--count", type=int, default=200)
-    e.add_argument("--spacing", choices=["log", "linear"], default="log")
     e.add_argument("--output", "-o", required=True)
     e.set_defaults(func=cmd_eval)
     return p
@@ -366,7 +336,7 @@ def main(argv=None):
         return exc.code if exc.code is not None else EXIT_OK
     try:
         return args.func(args)
-    except (BarydegError, ValueError, OSError, ZeroDivisionError, json.JSONDecodeError) as exc:
+    except (BarydegError, ValueError, OSError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

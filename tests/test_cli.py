@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -9,6 +13,7 @@ from barydeg.cli import (
     EXIT_NOT_CONVERGED,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     main,
     model_from_json,
     model_to_json,
@@ -308,3 +313,64 @@ class TestReports:
     def test_usage_error_exit_code(self):
         assert run("fit") == EXIT_USAGE
         assert run("frobnicate") == EXIT_USAGE
+
+
+class TestRunReport:
+    RUNS = {
+        "fit": ["--degree", "-4", "--backend", "vf", "--tol", "1e-4", "--max-terms", "20"],
+        "identify": ["--max-abs-degree", "5", "--order", "8"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(RUNS))
+    def test_config_is_argv_without_command_and_paths(self, tmp_path, command):
+        data = generate_fwd2(tmp_path)
+        report_path = tmp_path / "r.json"
+        assert run(command, str(data), *self.RUNS[command], "-o", str(report_path),
+                   "--model-out", str(tmp_path / "m.json")) == EXIT_OK
+        doc = json.loads(report_path.read_text())
+        argv = dict(doc["argv"])
+        assert argv.pop("command") == command
+        assert argv.pop("report") == str(report_path)
+        assert argv.pop("model_out") == str(tmp_path / "m.json")
+        assert doc["config"] == argv
+
+    def test_shared_flags_share_defaults(self):
+        parser = build_parser()
+        fit = vars(parser.parse_args(["fit", "x.csv", "-o", "r.json"]))
+        ident = vars(parser.parse_args(["identify", "x.csv", "-o", "r.json"]))
+        shared = ["backend", "tol", "order", "max_terms", "model_out"]
+        assert [fit[k] for k in shared] == [ident[k] for k in shared]
+        sweep = ["--wmin", "1", "--wmax", "2", "-o", "out.csv"]
+        gen = vars(parser.parse_args(["generate", "--chain", "2", *sweep]))
+        ev = vars(parser.parse_args(["eval", "--model", "m.json", *sweep]))
+        assert (gen["count"], gen["spacing"]) == (ev["count"], ev["spacing"])
+
+    def test_skipped_model_file_is_reported(self, tmp_path, capsys):
+        path = tmp_path / "noisy.csv"
+        bd.save_samples(chain_samples(2, noise=1e-3, seed=5), path)
+        model_path = tmp_path / "model.json"
+        code = run("identify", str(path), "--tol", "1e-12", "--max-terms", "4",
+                   "--max-abs-degree", "2", "-o", str(tmp_path / "id.json"),
+                   "--model-out", str(model_path))
+        assert code == EXIT_NOT_CONVERGED
+        assert f"no model file written to {model_path}" in capsys.readouterr().err
+        assert not model_path.exists()
+
+    def test_files_read_as_utf8(self, tmp_path):
+        # a locale-default read raises EncodingWarning under these flags
+        data = generate_fwd2(tmp_path)
+        env = {**os.environ, "PYTHONPATH": str(Path(bd.__file__).parents[1])}
+
+        def strict(*args):
+            cmd = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                   *args]
+            return subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True)
+
+        fit = strict("-m", "barydeg", "fit", str(data), "--degree", "-4",
+                     "-o", "r.json", "--model-out", "m.json")
+        assert fit.returncode == EXIT_OK, fit.stderr
+        ev = strict("-m", "barydeg", "eval", "--model", "m.json", "--wmin", "1e-2",
+                    "--wmax", "1e3", "--count", "10", "-o", "s.csv")
+        assert ev.returncode == EXIT_OK, ev.stderr
+        schema = strict("-c", "from barydeg.cli import report_schema; report_schema()")
+        assert schema.returncode == 0, schema.stderr
