@@ -7,11 +7,11 @@ samples, restricted to the null space that encodes the degree constraint.
 The iteration stops as soon as the freshly picked point is already matched
 to tolerance by the current model, which is then returned unchanged.
 
-The fit keeps its Loewner block and its Cauchy block 1 / (s_j - s_k) over
-the remaining samples for its whole run.  Each pick drops the new support's
-row from both and appends one column to each; ``loewner_matrix`` builds the
-new Loewner column, and the Cauchy block gives the step's values on the
-remaining samples without building a model.
+The fit keeps one block over the remaining samples for its whole run: the
+Loewner block.  Each pick drops the new support's row from it and appends
+one column, which ``loewner_matrix`` builds.  The step's values on the
+remaining samples come from their Cauchy block 1 / (s_j - s_k), built
+afresh column by column for that step alone, without building a model.
 
 The fits of one degree sweep share their fully constrained prefix: with a
 ``spine`` (see :func:`aaa`) a fit at target d resumes after the first |d|
@@ -97,17 +97,16 @@ def aaa(samples, config, *, spine=None):
     start = abs(delta) if sign * (abs(delta) - 1) in (spine or {}) else 0
     sup_idx = [spine[sign * m][0] for m in range(start)]
     weights = spine[sign * (start - 1)][1] if start else None
-    # samples not yet picked as supports, in sample order; the rows of both
-    # kept blocks (Loewner and Cauchy 1 / (s_j - s_k)) run over this pool
+    # samples not yet picked as supports, in sample order; the rows of the
+    # kept Loewner block run over this pool
     pool = np.delete(np.arange(mprime), sup_idx)
     sj, fj = pts[sup_idx], vals[sup_idx]
     x, fx = pts[pool], vals[pool]
     L = loewner_matrix(x, fx, sj, fj)
-    C = 1.0 / (x[:, None] - sj)
     mean = complex(np.mean(vals))
     approx = np.full(mprime, mean, dtype=complex)
     if start:
-        approx[pool] = _pool_values(C, weights, fj, x)
+        approx[pool] = _pool_values(x, sj, fj, weights)
         approx[sup_idx] = vals[sup_idx]
     converged = False
 
@@ -128,11 +127,10 @@ def aaa(samples, config, *, spine=None):
         Q = nullspace_basis(V, left_scaling=fj if delta < 0 else None)
         x, fx = pts[pool], vals[pool]
         L = _grow(L, row, loewner_matrix(x, fx, sj[-1:], fj[-1:])[:, 0])
-        C = _grow(C, row, 1.0 / (x - pts[j]))
         weights = solve_constrained_weights(L, Q)
         if spine is not None and m <= abs(delta):
             spine.setdefault(sign * m, (j, weights))
-        approx[pool] = _pool_values(C, weights, fj, x)
+        approx[pool] = _pool_values(x, sj, fj, weights)
         approx[j] = vals[j]
 
     if weights is None:
@@ -148,8 +146,17 @@ def aaa(samples, config, *, spine=None):
     return model, report
 
 
-def _pool_values(C, weights, fj, x):
-    """The step's model values at the pool points ``x`` of the Cauchy block."""
+def _pool_values(x, sj, fj, weights):
+    """The step's model values at the pool points ``x``.
+
+    The Cauchy block 1 / (x_i - s_k) is built into one array, a column at a
+    time and inverted in place, and dropped on return: the fit keeps only
+    its Loewner block between steps.
+    """
+    C = np.empty((x.size, sj.size), dtype=complex)
+    for k in range(sj.size):
+        np.subtract(x, sj[k], out=C[:, k])
+    np.divide(1.0, C, out=C)
     # normalised as from_weights does, so the values are the model's
     w = weights / np.linalg.norm(weights)
     return cauchy_ratio(C, (w * fj, w), x)

@@ -293,6 +293,10 @@ def loewner_matrix(points, values, supports, support_values):
     Rows run over the sample points ``s'_j`` with values ``f_j``, columns
     over the supports ``s_k`` with values ``f_k``.  Sample and support
     points must be disjoint.
+
+    The result is filled one column at a time, with one sample-length
+    buffer for the numerators, so the build holds no block besides the
+    result; each entry is the same IEEE operation as the broadcast formula.
     """
     pts = np.asarray(points, dtype=complex).ravel()
     vals = np.asarray(values, dtype=complex).ravel()
@@ -300,11 +304,17 @@ def loewner_matrix(points, values, supports, support_values):
     fj = np.asarray(support_values, dtype=complex).ravel()
     if pts.size != vals.size or sj.size != fj.size:
         raise ValueError("points and values, supports and support_values must have equal lengths")
-    diff = pts[:, None] - sj[None, :]
-    if np.any(diff == 0):
-        j, k = np.argwhere(diff == 0)[0]
+    out = np.empty((pts.size, sj.size), dtype=complex)
+    for k in range(sj.size):
+        np.subtract(pts, sj[k], out=out[:, k])
+    if not out.all():
+        j, k = np.argwhere(out == 0)[0]
         raise ValueError(f"sample point {pts[j]} coincides with support {sj[k]}")
-    return (vals[:, None] - fj[None, :]) / diff
+    num = np.empty_like(vals)
+    for k in range(sj.size):
+        np.subtract(vals, fj[k], out=num)
+        np.divide(num, out[:, k], out=out[:, k])
+    return out
 
 
 def vandermonde(supports, cols):

@@ -7,7 +7,7 @@ import barydeg as bd
 from barydeg.errors import ConfigurationError
 from barydeg.util import relative_errors
 
-from conftest import chain_samples, distinct_unit_disc_points, inverse_decay_samples
+from conftest import chain_samples, distinct_unit_disc_points, inverse_decay_samples, traced_peak
 
 
 def test_config_validation():
@@ -162,7 +162,20 @@ def test_last_step_rebuilt_from_scratch_gives_the_weights(name):
 
 @pytest.mark.parametrize("name", REBUILT_FITS)
 def test_reported_error_matches_the_returned_model(name):
-    # a stale row or column in the kept Cauchy block would show here
+    # a stale pool row or a wrong Cauchy column would show here
     samples, _, model, rep = rebuilt_fit(name)
     err = np.max(relative_errors(samples.values, model(samples.points)))
     assert rep.linf_rel_error == pytest.approx(err, rel=1e-12)
+
+
+@pytest.mark.parametrize("count, max_terms, degree", [(2000, 30, -4), (2000, 30, 0), (4000, 24, 2)])
+def test_peak_memory_is_a_few_pool_blocks(count, max_terms, degree):
+    # the fit keeps only its Loewner block over the pool; at peak the weight
+    # solve's L Q and its QR copy join it
+    samples = chain_samples(2, noise=1e-6, seed=0, count=count)
+    config = bd.AaaConfig(tol=1e-8, target_degree=degree, max_terms=max_terms)
+    fits = []
+    peak = traced_peak(lambda: fits.append(bd.aaa(samples, config)))
+    terms = fits[0][1].terms
+    pool_block_bytes = (count - terms) * terms * np.dtype(complex).itemsize
+    assert peak < 3.5 * pool_block_bytes

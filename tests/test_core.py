@@ -239,6 +239,29 @@ class TestLoewner:
         with pytest.raises(ValueError, match="coincides"):
             bd.loewner_matrix(ss.points, ss.values, [2.0], [1.0])
 
+    def test_first_coincidence_in_row_major_order_is_named(self):
+        # (1, 1) and (2, 0) coincide; row-major order meets (1, 1) first
+        with pytest.raises(ValueError, match=r"point \(2\+0j\) coincides with support \(2\+0j\)"):
+            bd.loewner_matrix([0.5, 2.0, 3.0], [1.0, 1.0, 1.0], [3.0, 2.0], [1.0, 1.0])
+
+    @pytest.mark.parametrize("shape", [(30, 7), (1, 7), (30, 1), (1, 1)])
+    def test_equals_the_broadcast_formula_bit_for_bit(self, shape):
+        rng = np.random.default_rng(11)
+        pts, vals = random_complex(rng, shape[0]), random_complex(rng, shape[0])
+        sj, fj = random_complex(rng, shape[1]), random_complex(rng, shape[1])
+        expected = (vals[:, None] - fj) / (pts[:, None] - sj)
+        L = bd.loewner_matrix(pts, vals, sj, fj)
+        assert L.shape == expected.shape
+        assert L.tobytes() == expected.tobytes()
+
+    def test_peak_memory_is_the_result(self):
+        # built column by column: no broadcast temporaries beside the result
+        rng = np.random.default_rng(12)
+        pts, vals = random_complex(rng, 4000), random_complex(rng, 4000)
+        sj, fj = random_complex(rng, 40), random_complex(rng, 40)
+        result_bytes = 4000 * 40 * np.dtype(complex).itemsize
+        assert traced_peak(bd.loewner_matrix, pts, vals, sj, fj) < 1.5 * result_bytes
+
 
 class TestVandermonde:
     def test_degree_zero_basis(self):
