@@ -67,11 +67,12 @@ def aaa(samples, config, *, spine=None):
     reported, not raised, so callers can still compare the result against
     other fits.
 
-    ``spine`` lets fits of the same samples under the same tolerance and
-    term cap share their fully constrained steps.  At step m a fit at target
-    d imposes min(|d|, m) constraints on m + 1 weights, so the steps
-    m <= |d| depend on d only through its sign.  The dict records them flat
-    as ``spine[sign * m] = (support index, weights)``, key 0 serving both
+    ``spine`` lets fits of the same samples under the same tolerance share
+    their fully constrained steps, whatever their term caps: a cap only
+    decides where a fit stops.  At step m a fit at target d imposes
+    min(|d|, m) constraints on m + 1 weights, so the steps m <= |d| depend
+    on d only through its sign.  The dict records them flat as
+    ``spine[sign * m] = (support index, weights)``, key 0 serving both
     signs.  A fit records its steps m <= |d| the dict lacks.  A fit at d != 0
     resumes after step |d| - 1 when the dict holds it, never deeper; every
     other fit, fresh or at degree 0, resumes after zero steps.

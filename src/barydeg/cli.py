@@ -251,7 +251,7 @@ def cmd_identify(args):
         "cutoff": getattr(result.piecewise, "cutoff", None),
     }, candidates=[
         {"degree": c.degree, "terms": c.terms, "linf_rel_error": c.linf_rel_error,
-         "converged": c.converged}
+         "converged": c.converged, "max_terms": c.max_terms}
         for c in result.candidates
     ])
     if not result.converged:

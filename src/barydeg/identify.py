@@ -8,7 +8,14 @@ approximation error.  The search sweeps degrees 0, 1, 2, ... until a fit
 stops improving or its effective degree stops growing (AAA caps it at
 terms - 1, after which every further target repeats the same fit), repeats
 toward negative degrees, and keeps the better of the two directions'
-winners.  The AAA fits of a sweep share their fully constrained prefix:
+winners.  Each fit runs under a term cap bounded by its incumbent: once the
+incumbent has converged with T terms, the fit at degree k is stopped after
+max(T, |k| + 1) terms (|k| + 1 is the fewest terms that can hold degree k).
+The cap is exact: a fit's first rounds do not depend on its cap, so a fit
+that converges within it is the same fit, and one that does not would have
+lost to the incumbent anyway (it needs more terms, or never converges), so
+the sweep picks the same winner.  The degree-0 fit is never capped.  The
+AAA fits of a sweep share their fully constrained prefix:
 the backend from :func:`aaa_backend` lets the fit at +-k resume after the
 steps the fit at +-(k - 1) already took.  The VF fits of a sweep share
 their factorizations: the backend from :func:`vf_backend` records the QR
@@ -21,6 +28,7 @@ from dataclasses import dataclass
 
 from .aaa import AaaConfig, aaa
 from .asymptotic import DEFAULT_ORDER, make_piecewise
+from .vf import DEFAULT_MAX_TERMS as VF_MAX_TERMS
 from .vf import DEFAULT_TOL, VfConfig, vf_adaptive
 
 DEFAULT_MAX_ABS_DEGREE = 20
@@ -32,7 +40,10 @@ class CandidateRecord:
 
     ``degree`` is the fit's effective degree (the constraint actually
     imposed on the returned model, which a short fit may cap below the
-    requested target).
+    requested target).  ``max_terms`` is the term cap the sweep passed to
+    the backend, ``None`` when it passed none; a capped fit that reports
+    ``converged=False`` lost to its incumbent, whatever it would have done
+    uncapped.
     """
 
     degree: int
@@ -40,6 +51,7 @@ class CandidateRecord:
     linf_rel_error: float
     converged: bool
     model: object
+    max_terms: int = None
 
     def __post_init__(self):
         if self.terms < 1:
@@ -95,18 +107,25 @@ def _per_samples():
     return record_for
 
 
+def _smaller(*caps):
+    """The smallest of the term caps given, ``None`` standing for no cap."""
+    return min((cap for cap in caps if cap is not None), default=None)
+
+
 def aaa_backend(tol, max_terms=None):
     """Fit backend running degree-constrained AAA at the given tolerance.
 
     The backend keeps the fully constrained AAA path (see :func:`aaa`) of the
     last ``SampleSet`` it was given, so the fits of one sweep share their
-    common first steps; a new samples object starts a new path.
+    common first steps; a new samples object starts a new path.  A fit runs
+    under the smaller of ``max_terms`` and the cap it is called with.
     """
     spine = _per_samples()
+    own = max_terms
 
-    def fit(samples, degree):
-        return aaa(samples, AaaConfig(tol=tol, target_degree=degree, max_terms=max_terms),
-                   spine=spine(samples))
+    def fit(samples, degree, max_terms=None):
+        config = AaaConfig(tol=tol, target_degree=degree, max_terms=_smaller(own, max_terms))
+        return aaa(samples, config, spine=spine(samples))
     return fit
 
 
@@ -115,24 +134,32 @@ def vf_backend(tol=DEFAULT_TOL, max_terms=None):
 
     The backend keeps the support grids that the last degree-0 fit factored
     (see :func:`vf_adaptive`) for the last ``SampleSet`` it was given, so
-    the other fits of a sweep reuse their QR triangles.
+    the other fits of a sweep reuse their QR triangles.  A fit runs under
+    the smaller of ``max_terms`` (default ``DEFAULT_MAX_TERMS`` of
+    :mod:`barydeg.vf`) and the cap it is called with.  A cap too small to
+    hold |degree| + 1 terms fits at degree ``sign(degree) * (cap - 1)``
+    instead, as AAA caps its effective degree at terms - 1.
     """
     grids = _per_samples()
+    own = VF_MAX_TERMS if max_terms is None else max_terms
 
-    def fit(samples, degree):
-        return vf_adaptive(samples, VfConfig(tol=tol, target_degree=degree, max_terms=max_terms),
+    def fit(samples, degree, max_terms=None):
+        cap = _smaller(own, max_terms)
+        degree = (-1 if degree < 0 else 1) * min(abs(degree), cap - 1)
+        return vf_adaptive(samples, VfConfig(tol=tol, target_degree=degree, max_terms=cap),
                            grids=grids(samples))
     return fit
 
 
-def _record(backend, samples, degree):
-    model, report = backend(samples, degree)
+def _record(backend, samples, degree, max_terms):
+    model, report = backend(samples, degree, max_terms=max_terms)
     return CandidateRecord(
         degree=report.effective_degree,
         terms=report.terms,
         linf_rel_error=report.linf_rel_error,
         converged=report.converged,
         model=model,
+        max_terms=max_terms,
     )
 
 
@@ -140,23 +167,29 @@ def identify(samples, backend, max_abs_degree=DEFAULT_MAX_ABS_DEGREE,
              order=DEFAULT_ORDER):
     """Estimate the relative degree of the system behind the samples.
 
-    ``backend`` maps ``(samples, degree)`` to ``(model, report)``; use
-    :func:`aaa_backend` or :func:`vf_backend`.  The degree-0 fit is shared
-    by both sweep directions, so at most ``2 * max_abs_degree + 1`` fits
-    run.  The winner's piecewise (barycentric + asymptotic) model is
-    attached, unless no candidate converged.
+    ``backend`` maps ``(samples, degree, max_terms=None)`` to
+    ``(model, report)``, fitting with at most ``max_terms`` terms when it is
+    given; use :func:`aaa_backend` or :func:`vf_backend`.  The degree-0 fit
+    is shared by both sweep directions, so at most
+    ``2 * max_abs_degree + 1`` fits run.  Every other fit at degree k runs
+    under the cap ``max(prev.terms, |k| + 1)`` when its incumbent ``prev``
+    has converged, and uncapped otherwise: a fit that does not converge
+    within that cap would lose to ``prev`` anyway, so the cap changes no
+    winner (see the module docstring).  The winner's piecewise (barycentric
+    + asymptotic) model is attached, unless no candidate converged.
     """
     if max_abs_degree < 1:
         raise ValueError("max_abs_degree must be at least 1")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    baseline = _record(backend, samples, 0)
+    baseline = _record(backend, samples, 0, None)
     candidates = [baseline]
 
     def sweep(direction):
         prev = baseline
         for k in range(1, max_abs_degree + 1):
-            cand = _record(backend, samples, direction * k)
+            cap = max(prev.terms, k + 1) if prev.converged else None
+            cand = _record(backend, samples, direction * k, cap)
             candidates.append(cand)
             if better(prev, cand):
                 return prev

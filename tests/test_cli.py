@@ -186,6 +186,30 @@ class TestIdentify:
         assert doc["candidates"]
 
 
+    def test_candidates_show_their_term_cap(self, tmp_path):
+        data = generate_fwd2(tmp_path)
+        report_path = tmp_path / "id.json"
+        assert run("identify", str(data), "--tol", "1e-6", "-o", str(report_path)) == EXIT_OK
+        doc = json.loads(report_path.read_text())
+        jsonschema.validate(doc, report_schema())
+        result = bd.identify(bd.load_samples(data), bd.aaa_backend(tol=1e-6))
+        caps = [c["max_terms"] for c in doc["candidates"]]
+        assert caps == [c.max_terms for c in result.candidates]
+        assert caps[0] is None and all(cap is not None for cap in caps[1:])
+
+    def test_vf_term_cap_below_the_degree(self, tmp_path):
+        # four terms hold degree 3 at most; the sweep ends there, not in an error
+        data = generate_fwd2(tmp_path)
+        report_path = tmp_path / "id.json"
+        code = run("identify", str(data), "--backend", "vf", "--tol", "1e-4",
+                   "--max-terms", "4", "-o", str(report_path))
+        assert code == EXIT_NOT_CONVERGED
+        doc = json.loads(report_path.read_text())
+        jsonschema.validate(doc, report_schema())
+        assert doc["result"]["identified"] is False
+        assert all(c["terms"] <= 4 and abs(c["degree"]) <= 3 for c in doc["candidates"])
+
+
 class TestEval:
     def fit_model(self, tmp_path):
         data = generate_fwd2(tmp_path)

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 
 import numpy as np
@@ -66,14 +67,17 @@ def fake_backend(table, saturate=None):
     """Backend stub driven by a {degree: (terms, err, converged)} table.
 
     With ``saturate`` the reported effective degree is capped at
-    +-saturate, as AAA caps it at terms - 1.
+    +-saturate, as AAA caps it at terms - 1.  The term cap of each call is
+    kept in ``fit.caps``; the table's rows do not depend on it.
     """
     calls = []
+    caps = []
     model = bd.BarycentricModel([1.0, 2.0], [1.0, 1.0],
                                 np.array([1.0, 1.0]) / np.sqrt(2))
 
-    def fit(samples, degree):
+    def fit(samples, degree, max_terms=None):
         calls.append(degree)
+        caps.append(max_terms)
         terms, err, converged = table[degree]
         report = FitReport(terms=terms, linf_rel_error=err, l2_rel_error=err,
                            converged=converged, constraint_residual=0.0,
@@ -83,6 +87,7 @@ def fake_backend(table, saturate=None):
         return model, report
 
     fit.calls = calls
+    fit.caps = caps
     return fit
 
 
@@ -147,6 +152,22 @@ class TestSweepMechanics:
         assert backend.calls == [0, 1, 2, 3, 4, -1, -2, -3, -4]
         assert abs(result.best_degree) == 3
 
+    def test_term_cap_follows_the_converged_incumbent(self):
+        samples = inverse_decay_samples(1.0, 2.0, 5)
+        backend = fake_backend({
+            0: (9, 1e-3, False),
+            1: (9, 1e-3, False),   # incumbent not converged: no cap
+            2: (3, 1e-8, True),    # incumbent not converged: no cap
+            3: (4, 1e-8, True),    # cap max(3, 3 + 1) = 4; worse: stop
+            -1: (5, 1e-8, True),   # incumbent (baseline) not converged: no cap
+            -2: (6, 1e-8, True),   # cap max(5, 2 + 1) = 5; worse: stop
+        })
+        result = bd.identify(samples, backend, max_abs_degree=5)
+        assert backend.calls == [0, 1, 2, 3, -1, -2]
+        assert backend.caps == [None, None, None, 4, None, 5]
+        assert [c.max_terms for c in result.candidates] == backend.caps
+        assert result.best_degree == 2
+
     def test_bad_max_abs_degree(self):
         samples = inverse_decay_samples(1.0, 2.0, 5)
         with pytest.raises(ValueError):
@@ -197,10 +218,18 @@ class TestIdentifyEndToEnd:
         assert pm.cutoff > pm.train_T
 
 
+def smaller(*caps):
+    """The smallest of the term caps given, ``None`` standing for no cap."""
+    return min((cap for cap in caps if cap is not None), default=None)
+
+
 def unshared_aaa_backend(tol, max_terms=None):
     """AAA backend whose fits share nothing, as a direct ``aaa`` call."""
-    def fit(samples, degree):
-        return bd.aaa(samples, bd.AaaConfig(tol=tol, target_degree=degree, max_terms=max_terms))
+    own = max_terms
+
+    def fit(samples, degree, max_terms=None):
+        return bd.aaa(samples, bd.AaaConfig(tol=tol, target_degree=degree,
+                                            max_terms=smaller(own, max_terms)))
     return fit
 
 
@@ -208,8 +237,8 @@ def recording(backend):
     """``backend`` that also keeps every (degree, model, report) it returns."""
     fits = []
 
-    def fit(samples, degree):
-        model, report = backend(samples, degree)
+    def fit(samples, degree, max_terms=None):
+        model, report = backend(samples, degree, max_terms=max_terms)
         fits.append((degree, model, report))
         return model, report
 
@@ -325,9 +354,11 @@ class TestSharedAaaPath:
 
 def unshared_vf_backend(tol, max_terms=None):
     """VF backend whose fits share nothing, as a direct ``vf_adaptive`` call."""
-    def fit(samples, degree):
+    own = max_terms
+
+    def fit(samples, degree, max_terms=None):
         return bd.vf_adaptive(samples, bd.VfConfig(tol=tol, target_degree=degree,
-                                                   max_terms=max_terms))
+                                                   max_terms=smaller(own, max_terms)))
     return fit
 
 
@@ -391,7 +422,9 @@ class TestSharedVfGrids:
 
     def test_factorizations_of_a_sweep_and_of_its_rerun(self, monkeypatch):
         calls = counting_factorizations(monkeypatch)
-        # the fits at +1 and -1 both outgrow the degree-0 fit's grids
+        # the degree-0 fit converges with 10 terms, which caps the fits at +1
+        # and -1: they stop on its last grid and factor nothing past its
+        # record (the next test covers that path)
         samples = chain_samples(3, noise=1e-6, seed=0)
 
         def sweep(backend):
@@ -411,6 +444,24 @@ class TestSharedVfGrids:
         assert first < unshared
         # what the first sweep left must not save the second any work
         assert sweep(shared) == (first, terms)
+
+    def test_uncapped_fits_factor_the_grids_past_the_record(self, monkeypatch):
+        calls = counting_factorizations(monkeypatch)
+        # called without a cap after a degree-0 fit, the fits at +1 and -1
+        # outgrow its grids and factor the ones past its record themselves
+        samples = chain_samples(3, noise=1e-6, seed=0)
+        shared = recording(bd.vf_backend(1e-4))
+        t0 = shared(samples, 0)[1].terms
+        for degree in (1, -1):
+            calls.clear()
+            terms = shared(samples, degree)[1].terms
+            assert terms > t0
+            # grid m has m + 1 supports; grids m < t0 come from the record
+            assert calls == list(range(t0 + 1, terms + 1))
+        fresh = recording(unshared_vf_backend(1e-4))
+        for degree in (0, 1, -1):
+            fresh(samples, degree)
+        assert_same_vf_fits(shared.fits, fresh.fits)
 
     def test_backend_follows_the_samples_it_is_given(self):
         # one backend fed two sample sets in turn, within and across sweeps;
@@ -434,3 +485,79 @@ class TestSharedVfGrids:
         # grid that the last sweep recorded
         c = chain_samples(2, forward=False, noise=1e-6, seed=1)
         assert_same_vf_fits([(4, *shared(c, 4))], [(4, *fresh(c, 4))])
+
+
+def uncapped(backend):
+    """``backend`` with the sweep's term cap dropped, so that every fit runs
+    to convergence or to the backend's own cap."""
+    def fit(samples, degree, max_terms=None):
+        return backend(samples, degree)
+    return fit
+
+
+def same_fit(got, want):
+    """True when two recorded (degree, model, report) fits are bit-identical."""
+    (degree, model, report), (ref_degree, ref, ref_report) = got, want
+    return (degree == ref_degree and type(model) is type(ref) and report == ref_report
+            and all(np.array_equal(getattr(model, f.name), getattr(ref, f.name))
+                    for f in dataclasses.fields(model)))
+
+
+# every shared-path sweep, through the backend it is run with
+CAPPED_SWEEPS = {
+    **{f"aaa-{name}": (make, lambda tol=tol, cap=cap: bd.aaa_backend(tol, cap))
+       for name, (make, tol, cap) in SHARED_SWEEPS.items()},
+    **{f"vf-{name}": (make, lambda tol=tol: bd.vf_backend(tol))
+       for name, (make, tol) in SHARED_VF_SWEEPS.items()},
+}
+
+
+class TestTermCap:
+    """``identify`` stops each fit once it has more terms than its converged
+    incumbent; that must change no winner, and no fit but the last of each
+    direction, which may only end at its cap without converging."""
+
+    @pytest.mark.parametrize("name", CAPPED_SWEEPS)
+    def test_same_winner_as_uncapped_sweep(self, name):
+        make_samples, make_backend = CAPPED_SWEEPS[name]
+        samples = make_samples()
+        capped = recording(make_backend())
+        free = recording(uncapped(make_backend()))
+        result = bd.identify(samples, capped)
+        ref = bd.identify(samples, free)
+        assert result.best_degree == ref.best_degree
+        assert result.converged == ref.converged
+        assert same_fit(capped.fits[result.candidates.index(result.best)],
+                        free.fits[ref.candidates.index(ref.best)])
+        assert getattr(result.piecewise, "cutoff", None) == getattr(ref.piecewise, "cutoff", None)
+        requested = [d for d, _, _ in capped.fits]
+        assert requested == [d for d, _, _ in free.fits]
+        last = {max(requested), min(requested)}
+        for got, want, cand in zip(capped.fits, free.fits, result.candidates):
+            if not same_fit(got, want):
+                degree, _, report = got
+                assert degree in last
+                assert not report.converged and report.terms <= cand.max_terms
+
+    def test_cap_stops_the_losing_fits(self):
+        # the degree-0 fit converges with 10 terms; uncapped, the fits at +1
+        # and -1 converge only with 14 and 17
+        samples = chain_samples(3, noise=1e-6, seed=0)
+        result = bd.identify(samples, bd.vf_backend(1e-4))
+        assert [(c.degree, c.terms, c.converged, c.max_terms) for c in result.candidates] == [
+            (0, 10, True, None), (1, 10, False, 10), (-1, 10, False, 10)]
+        assert result.best_degree == 0
+
+    def test_vf_cap_below_the_degree(self):
+        # three terms hold degree 2 at most: the fits at +-3 run at +-2, and
+        # the saturation rule ends each direction there
+        samples = chain_samples(3, noise=1e-6, seed=0)
+        fits = recording(bd.vf_backend(1e-4, max_terms=3))
+        result = bd.identify(samples, fits)
+        assert [d for d, _, _ in fits.fits] == [0, 1, 2, 3, -1, -2, -3]
+        assert [c.degree for c in result.candidates] == [0, 1, 2, 2, -1, -2, -2]
+        assert all(c.terms <= 3 for c in result.candidates)
+        direct = unshared_vf_backend(1e-4, max_terms=3)
+        for requested, fitted in ((3, 2), (-3, -2)):
+            got = next(fit for fit in fits.fits if fit[0] == requested)
+            assert_same_vf_fits([got], [(requested, *direct(samples, fitted))])
