@@ -33,9 +33,6 @@ from .core import (
     FitReport,
     GeneralBarycentricModel,
     SampleSet,
-    eval_barycentric,
-    eval_general,
-    evaluate,
     loewner_matrix,
     nullspace_basis,
     solve_constrained_weights,
@@ -89,10 +86,7 @@ __all__ = [
     "classify_degree",
     "cutoff_radius",
     "eval_asymptotic",
-    "eval_barycentric",
-    "eval_general",
     "eval_piecewise",
-    "evaluate",
     "forward_tf",
     "geometric_supports",
     "identify",

@@ -74,8 +74,9 @@ def aaa(samples, config, *, spine=None):
     on d only through its sign.  The dict records them flat as
     ``spine[sign * m] = (support index, weights)``, key 0 serving both
     signs.  A fit records its steps m <= |d| the dict lacks.  A fit at d != 0
-    resumes after step |d| - 1 when the dict holds it, never deeper; every
-    other fit, fresh or at degree 0, resumes after zero steps.
+    under a cap of T terms resumes after step min(|d|, T) - 1 when the dict
+    holds it, never deeper; every other fit, fresh or at degree 0, resumes
+    after zero steps.
     """
     pts, vals = samples.points, samples.values
     mprime = pts.size
@@ -93,9 +94,12 @@ def aaa(samples, config, *, spine=None):
     cap = min(cap, mprime - 1)
 
     sign = -1 if delta < 0 else 1
-    # resume after step |d| - 1 of the recorded path when the record holds
-    # it, else after zero steps (as a fresh or degree-0 fit always does)
-    start = abs(delta) if sign * (abs(delta) - 1) in (spine or {}) else 0
+    if spine is None:
+        spine = {}
+    # resume after step min(|d|, cap) - 1 of the recorded path when the record
+    # holds it, else after zero steps (as a fresh or degree-0 fit always does)
+    depth = min(abs(delta), cap)
+    start = depth if sign * (depth - 1) in spine else 0
     sup_idx = [spine[sign * m][0] for m in range(start)]
     weights = spine[sign * (start - 1)][1] if start else None
     # samples not yet picked as supports, in sample order; the rows of the
@@ -106,12 +110,12 @@ def aaa(samples, config, *, spine=None):
     L = loewner_matrix(x, fx, sj, fj)
     mean = complex(np.mean(vals))
     approx = np.full(mprime, mean, dtype=complex)
-    if start:
-        approx[pool] = _pool_values(x, sj, fj, weights)
-        approx[sup_idx] = vals[sup_idx]
     converged = False
 
     for m in range(start, cap + 1):
+        if weights is not None:
+            approx[pool] = _pool_values(x, sj, fj, weights)
+            approx[sup_idx] = vals[sup_idx]
         rel = relative_errors(vals, approx)
         row = int(np.argmax(rel[pool]))
         j = int(pool[row])
@@ -129,10 +133,8 @@ def aaa(samples, config, *, spine=None):
         x, fx = pts[pool], vals[pool]
         L = _grow(L, row, loewner_matrix(x, fx, sj[-1:], fj[-1:])[:, 0])
         weights = solve_constrained_weights(L, Q)
-        if spine is not None and m <= abs(delta):
+        if m <= abs(delta):
             spine.setdefault(sign * m, (j, weights))
-        approx[pool] = _pool_values(x, sj, fj, weights)
-        approx[j] = vals[j]
 
     if weights is None:
         # the initial constant already matches the worst point: return it as

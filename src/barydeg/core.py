@@ -117,7 +117,8 @@ class BarycentricModel:
         return cls(supports, support_values, weights / norm)
 
     def __call__(self, s):
-        return eval_barycentric(self, s)
+        """Evaluate at scalar or array ``s``; a support (bitwise) gives its value."""
+        return _eval_ratio(self, s, lambda k: self.support_values[k])
 
     @property
     def terms(self):
@@ -219,15 +220,6 @@ class FitReport:
             leading_sum_magnitudes=leading,
             effective_degree=effective_degree,
         )
-
-
-def eval_barycentric(model, s):
-    """Evaluate an interpolatory model at scalar or array ``s``.
-
-    Points that hit a support exactly (bitwise) return the stored support
-    value; everywhere else the ratio of the two barycentric sums is used.
-    """
-    return _eval_ratio(model, s, lambda k: model.support_values[k])
 
 
 def eval_general(model, s):

@@ -24,6 +24,7 @@ other degrees solve from it.  Each backend keeps its record for the last
 ``SampleSet`` it was given.
 """
 
+import functools
 from dataclasses import dataclass
 
 from .aaa import AaaConfig, aaa
@@ -62,7 +63,11 @@ class CandidateRecord:
 
 @dataclass(frozen=True, eq=False)
 class IdentificationResult:
-    """Winner and full sweep history of a degree identification."""
+    """Winner and full sweep history of a degree identification.
+
+    When no candidate converged, no degree is identified: ``best_degree`` is
+    ``None`` and ``best`` holds the best of the failed candidates.
+    """
 
     best_degree: int
     best: CandidateRecord
@@ -88,25 +93,6 @@ def better(a, b):
     return a.linf_rel_error < b.linf_rel_error
 
 
-def _per_samples():
-    """A backend's record: ``record_for(samples)`` always returns one dict.
-
-    The dict is emptied whenever it is asked for with a ``SampleSet`` other
-    than the last one, so a fit never reads what fits of other samples
-    recorded.
-    """
-    record = {}
-    last = None
-
-    def record_for(samples):
-        nonlocal last
-        if samples is not last:
-            record.clear()
-            last = samples
-        return record
-    return record_for
-
-
 def _smaller(*caps):
     """The smallest of the term caps given, ``None`` standing for no cap."""
     return min((cap for cap in caps if cap is not None), default=None)
@@ -120,7 +106,7 @@ def aaa_backend(tol, max_terms=None):
     common first steps; a new samples object starts a new path.  A fit runs
     under the smaller of ``max_terms`` and the cap it is called with.
     """
-    spine = _per_samples()
+    spine = functools.lru_cache(maxsize=1)(lambda samples: {})
     own = max_terms
 
     def fit(samples, degree, max_terms=None):
@@ -140,7 +126,7 @@ def vf_backend(tol=DEFAULT_TOL, max_terms=None):
     hold |degree| + 1 terms fits at degree ``sign(degree) * (cap - 1)``
     instead, as AAA caps its effective degree at terms - 1.
     """
-    grids = _per_samples()
+    grids = functools.lru_cache(maxsize=1)(lambda samples: {})
     own = VF_MAX_TERMS if max_terms is None else max_terms
 
     def fit(samples, degree, max_terms=None):
@@ -171,12 +157,9 @@ def identify(samples, backend, max_abs_degree=DEFAULT_MAX_ABS_DEGREE,
     ``(model, report)``, fitting with at most ``max_terms`` terms when it is
     given; use :func:`aaa_backend` or :func:`vf_backend`.  The degree-0 fit
     is shared by both sweep directions, so at most
-    ``2 * max_abs_degree + 1`` fits run.  Every other fit at degree k runs
-    under the cap ``max(prev.terms, |k| + 1)`` when its incumbent ``prev``
-    has converged, and uncapped otherwise: a fit that does not converge
-    within that cap would lose to ``prev`` anyway, so the cap changes no
-    winner (see the module docstring).  The winner's piecewise (barycentric
-    + asymptotic) model is attached, unless no candidate converged.
+    ``2 * max_abs_degree + 1`` fits run, each under the incumbent's term
+    cap (see the module docstring).  The winner's piecewise (barycentric +
+    asymptotic) model is attached, unless no candidate converged.
     """
     if max_abs_degree < 1:
         raise ValueError("max_abs_degree must be at least 1")
@@ -204,7 +187,7 @@ def identify(samples, backend, max_abs_degree=DEFAULT_MAX_ABS_DEGREE,
     succeeded = any(c.converged for c in candidates)
     piecewise = make_piecewise(winner.model, samples, order) if succeeded else None
     return IdentificationResult(
-        best_degree=winner.degree,
+        best_degree=winner.degree if succeeded else None,
         best=winner,
         candidates=tuple(candidates),
         piecewise=piecewise,

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .aaa import AaaConfig
 from .core import (
     FitReport,
     GeneralBarycentricModel,
@@ -41,21 +42,14 @@ DEFAULT_MAX_TERMS = 60
 
 
 @dataclass(frozen=True)
-class VfConfig:
+class VfConfig(AaaConfig):
     """Knobs for :func:`vf_adaptive`; see :class:`barydeg.aaa.AaaConfig`.
 
-    ``max_terms=None`` selects ``DEFAULT_MAX_TERMS``.
+    ``tol`` defaults to ``DEFAULT_TOL``; ``max_terms=None`` selects
+    ``DEFAULT_MAX_TERMS``.
     """
 
     tol: float = DEFAULT_TOL
-    target_degree: int = 0
-    max_terms: int = None
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if self.max_terms is not None and self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
 
 
 def geometric_supports(samples, m):
@@ -182,13 +176,15 @@ def _factor(samples, supports):
     mp1 = supports.size
     block = np.empty((pts.size, 2 * mp1), dtype=complex)
     cauchy = _cauchy(pts, supports, block[:, :mp1])
-    np.multiply(vals[:, None], cauchy, out=block[:, mp1:])
+    for k in range(mp1):
+        np.multiply(vals, cauchy[:, k], out=block[:, mp1 + k])
     return cauchy, np.linalg.qr(block, mode="r")
 
 
 def _cauchy(pts, supports, out):
-    """1 / (pts_j - supports_k), written into ``out``."""
-    np.subtract.outer(pts, supports, out=out)
+    """1 / (pts_j - supports_k), written into ``out`` one column at a time."""
+    for k in range(supports.size):
+        np.subtract(pts, supports[k], out=out[:, k])
     if np.any(out == 0):
         raise ValueError("supports must be disjoint from the sample points")
     return np.divide(1.0, out, out=out)

@@ -23,7 +23,7 @@ def test_constant_data_returns_initial_model():
     assert rep.converged and rep.terms == 1
     assert rep.linf_rel_error == 0.0
     assert model.supports[0] in ss.points
-    assert bd.eval_barycentric(model, 9j) == pytest.approx(4.0, rel=1e-14)
+    assert model(9j) == pytest.approx(4.0, rel=1e-14)
 
 
 def test_inverse_decay_with_negative_degree():
@@ -34,7 +34,7 @@ def test_inverse_decay_with_negative_degree():
     assert bd.classify_degree(model).rdeg == -1
     # the fitted model reproduces 1/s across the band
     s = bd.sample_grid(0.2, 5.0, 17)
-    assert np.max(np.abs(bd.eval_barycentric(model, s) * s - 1.0)) < 1e-12
+    assert np.max(np.abs(model(s) * s - 1.0)) < 1e-12
 
 
 def test_forward_chain_with_prescribed_degree(fwd2_samples):
@@ -57,7 +57,7 @@ def test_degree_zero_matches_plain_aaa_on_rational_data():
             rng.normal(size=3) + 1j * rng.normal(size=3),
         )
         pts = bd.sample_grid(0.1, 2.0, 60)
-        ss = bd.SampleSet(pts, bd.eval_barycentric(gen, pts))
+        ss = bd.SampleSet(pts, gen(pts))
         model, rep = bd.aaa(ss, bd.AaaConfig(tol=1e-12))
         assert rep.converged and rep.terms <= 4
         assert rep.linf_rel_error <= 1e-12

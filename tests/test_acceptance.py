@@ -143,7 +143,7 @@ def test_criterion_6_series_and_asymptotic_oracles():
         rho = float(np.max(np.abs(model.supports)))
         for factor in (10.0, 12.0):
             s = factor * rho * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            exact = bd.eval_barycentric(model, s)
+            exact = model(s)
             err = abs(eval_asymptotic(asym, s) - exact)
             if err > 10 * (rho / abs(s)) ** 11 * abs(exact):
                 failures.append(f"asymptotic case {case} at {factor} rho: {err:.2e}")
@@ -193,7 +193,7 @@ def test_criterion_7_cutoff_formula_and_seam_agreement():
         failures.append(f"cutoff_radius value {value!r}")
     for tag, pm in _natural_degree_fits():
         s = 1j * pm.cutoff
-        bary = bd.evaluate(pm.bary, s)
+        bary = pm.bary(s)
         asym = eval_asymptotic(pm.asym, s)
         seam = abs(bary - asym) / abs(asym)
         bound = 10 * max(pm.train_eps, *_branch_error_estimates(pm))
@@ -211,7 +211,7 @@ def test_criterion_8_extrapolation_benefit_forward_3mass():
     s = 1j * 1e3
     truth = bd.forward_tf(sys3, s)
     err_piecewise = abs(bd.eval_piecewise(pm, s) - truth) / abs(truth)
-    err_bary = abs(bd.eval_barycentric(model, s) - truth) / abs(truth)
+    err_bary = abs(model(s) - truth) / abs(truth)
     if err_piecewise > err_bary / 10:
         failures.append(
             f"piecewise {err_piecewise:.2e} not 10x below barycentric {err_bary:.2e}")
@@ -233,7 +233,7 @@ def test_criterion_9_randomized_property_suites():
         values = rng.normal(size=m + 1) + 1j * rng.normal(size=m + 1)
         w = rng.normal(size=m + 1) + 1j * rng.normal(size=m + 1)
         model = bd.BarycentricModel.from_weights(supports, values, w)
-        if not np.array_equal(bd.eval_barycentric(model, supports), model.support_values):
+        if not np.array_equal(model(supports), model.support_values):
             failures.append(f"interpolation case {case}")
 
     # strict partial order of the comparison criterion

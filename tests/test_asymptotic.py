@@ -199,7 +199,7 @@ class TestMakePiecewise:
         rng = np.random.default_rng(21)
         model = exact_type_model(rng, 4, 4, 0)  # relative degree -4
         pts = bd.sample_grid(0.2, 1.0, 40)
-        ss = bd.SampleSet(pts, bd.eval_barycentric(model, pts))
+        ss = bd.SampleSet(pts, model(pts))
         pm = make_piecewise(model, ss)
         assert pm.train_eps == 1e-16
         assert pm.cutoff == pytest.approx(10 ** (16 / 15), rel=1e-12)
@@ -209,10 +209,10 @@ class TestMakePiecewise:
         rng = np.random.default_rng(22)
         model = exact_type_model(rng, 6, 6, 0)  # relative degree -6
         pts = bd.sample_grid(0.2, 1.0, 40)
-        vals = bd.eval_barycentric(model, pts) * (1 + 1e-6)
+        vals = model(pts) * (1 + 1e-6)
         ss = bd.SampleSet(pts, vals)
         pm = make_piecewise(model, ss)
-        eps = np.max(np.abs(vals - bd.eval_barycentric(model, pts)) / np.abs(vals))
+        eps = np.max(np.abs(vals - model(pts)) / np.abs(vals))
         assert pm.train_eps == pytest.approx(eps, rel=1e-12)
         assert pm.cutoff == pytest.approx(cutoff_radius(1.0, eps, -6, 10), rel=1e-12)
         assert pm.cutoff == pytest.approx(2.254, rel=1e-3)
@@ -221,10 +221,10 @@ class TestMakePiecewise:
         rng = np.random.default_rng(23)
         model = exact_type_model(rng, 3, 0, 0)
         pts = bd.sample_grid(0.2, 1.0, 40)
-        vals = bd.eval_barycentric(model, pts) * (1 + 1e-6)
+        vals = model(pts) * (1 + 1e-6)
         pm = make_piecewise(model, bd.SampleSet(pts, vals))
         s = 1j * pm.cutoff
-        bary, asym = bd.eval_barycentric(model, s), eval_asymptotic(pm.asym, s)
+        bary, asym = model(s), eval_asymptotic(pm.asym, s)
         assert abs(bary - asym) / abs(bary) <= 10 * pm.train_eps
 
     def test_cutoff_never_inside_band(self):
@@ -241,30 +241,30 @@ class TestEvalPiecewise:
         pm = bd.PiecewiseModel(bary=model, asym=asym, cutoff=50.0,
                                train_T=10.0, train_eps=1e-12)
         s = 50.0 + 0j  # |s| == cutoff exactly
-        assert eval_piecewise(pm, s) == bd.eval_barycentric(model, s)
+        assert eval_piecewise(pm, s) == model(s)
         just_out = 50.0 * (1 + 1e-12)
         assert eval_piecewise(pm, just_out) == eval_asymptotic(asym, just_out)
 
     def test_inverse_decay_far_field(self):
         model = exact_inverse_model()
         pts = bd.sample_grid(0.5, 5.0, 30)
-        pm = make_piecewise(model, bd.SampleSet(pts, bd.eval_barycentric(model, pts)))
+        pm = make_piecewise(model, bd.SampleSet(pts, model(pts)))
         val = eval_piecewise(pm, 1e6j)
         assert abs(val - (-1e-6j)) <= 1e-10 * 1e-6
 
     def test_mixed_array_branches(self):
         model = exact_inverse_model()
         pts = bd.sample_grid(0.5, 5.0, 30)
-        pm = make_piecewise(model, bd.SampleSet(pts, bd.eval_barycentric(model, pts)))
+        pm = make_piecewise(model, bd.SampleSet(pts, model(pts)))
         s = np.array([1.0, pm.cutoff * 2]) * 1j
         out = eval_piecewise(pm, s)
-        assert out[0] == bd.eval_barycentric(model, 1j)
+        assert out[0] == model(1j)
         assert out[1] == eval_asymptotic(pm.asym, pm.cutoff * 2j)
 
     def test_piecewise_and_asymptotic_models_are_callable(self):
         model = exact_inverse_model()
         pts = bd.sample_grid(0.5, 5.0, 30)
-        pm = make_piecewise(model, bd.SampleSet(pts, bd.eval_barycentric(model, pts)))
+        pm = make_piecewise(model, bd.SampleSet(pts, model(pts)))
         assert pm(1e5j) == eval_piecewise(pm, 1e5j)
         assert pm.asym(1e5j) == eval_asymptotic(pm.asym, 1e5j)
 
@@ -275,7 +275,7 @@ class TestEvalPiecewise:
         s = np.array([1.0, 50.0, 50.0 * (1 + 1e-12), 1e3]) * 1j
         near = pm.near(s)
         assert near.tolist() == [True, True, False, False]
-        assert np.array_equal(eval_piecewise(pm, s)[near], bd.eval_barycentric(model, s[near]))
+        assert np.array_equal(eval_piecewise(pm, s)[near], model(s[near]))
         assert np.array_equal(eval_piecewise(pm, s)[~near], eval_asymptotic(pm.asym, s[~near]))
 
 
@@ -367,6 +367,6 @@ class TestExactModelFidelity:
         # noise of the barycentric reference evaluation itself
         for factor in (10.0, 12.0):
             s = factor * rho * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            exact = bd.eval_barycentric(model, s)
+            exact = model(s)
             approx = eval_asymptotic(asym, s)
             assert abs(approx - exact) <= 10 * (rho / abs(s)) ** 11 * abs(exact)

@@ -1,4 +1,3 @@
-from functools import partial
 
 import numpy as np
 import pytest
@@ -90,35 +89,35 @@ class TestGeneralBarycentricModel:
 class TestEval:
     def test_constant_single_term(self):
         m = bd.BarycentricModel([0.0], [5.0], [1.0])
-        assert bd.eval_barycentric(m, 7.0) == pytest.approx(5.0, rel=1e-14)
+        assert m(7.0) == pytest.approx(5.0, rel=1e-14)
 
     def test_hand_simplified_ratio(self):
         # r(s) = s / (2s - 1) for supports {0, 1}, values {0, 1}
         m = bd.BarycentricModel([0.0, 1.0], [0.0, 1.0], [1 / SQ2, 1 / SQ2])
-        assert bd.eval_barycentric(m, 3.0) == pytest.approx(0.6, rel=1e-14)
+        assert m(3.0) == pytest.approx(0.6, rel=1e-14)
 
     def test_support_hit_is_exact(self):
         m = bd.BarycentricModel([0.0, 1.0], [0.0, 1.0], [1 / SQ2, 1 / SQ2])
-        assert bd.eval_barycentric(m, 1.0) == 1.0 + 0j
+        assert m(1.0) == 1.0 + 0j
 
     def test_pole_raises(self):
         # denominator sum vanishes exactly at s = 0
         m = bd.BarycentricModel([1.0, -1.0], [1.0, 2.0], [1 / SQ2, 1 / SQ2])
         with pytest.raises(PoleEvaluationError) as exc:
-            bd.eval_barycentric(m, 0.0)
+            m(0.0)
         assert exc.value.point == 0
 
     def test_vectorized_matches_scalar(self):
         m = bd.BarycentricModel([0.0, 1.0], [0.0, 1.0], [1 / SQ2, 1 / SQ2])
         pts = np.array([3.0, 1.0, 2j])
-        out = bd.eval_barycentric(m, pts)
+        out = m(pts)
         assert out[1] == 1.0 + 0j
-        assert out[0] == bd.eval_barycentric(m, 3.0)
+        assert out[0] == m(3.0)
 
     def test_nonfinite_point_rejected(self):
         m = bd.BarycentricModel([0.0], [5.0], [1.0])
         with pytest.raises(ValueError, match="finite"):
-            bd.eval_barycentric(m, np.inf)
+            m(np.inf)
 
     def test_peak_memory_is_one_cauchy_matrix(self):
         rng = np.random.default_rng(5)
@@ -126,7 +125,7 @@ class TestEval:
             random_complex(rng, 7), random_complex(rng, 7), random_complex(rng, 7))
         s = random_complex(rng, 100_000)
         cauchy_bytes = s.size * m.terms * np.dtype(complex).itemsize
-        assert traced_peak(bd.eval_barycentric, m, s) < 2 * cauchy_bytes
+        assert traced_peak(m, s) < 2 * cauchy_bytes
 
 
 class TestEvalBlocks:
@@ -142,13 +141,13 @@ class TestEvalBlocks:
     def test_matches_sliced_evaluation(self, n):
         m = self.model()
         s = random_complex(np.random.default_rng(n), n)
-        assert np.array_equal(bd.eval_barycentric(m, s), sliced(partial(bd.eval_barycentric, m), s))
+        assert np.array_equal(m(s), sliced(m, s))
 
     def test_support_hit_in_later_block(self):
         m = self.model()
         s = random_complex(np.random.default_rng(1), 2 * BLOCK + 3)
         s[BLOCK + 5] = m.supports[3]
-        assert bd.eval_barycentric(m, s)[BLOCK + 5] == m.support_values[3]
+        assert m(s)[BLOCK + 5] == m.support_values[3]
 
     def test_pole_in_third_block_raises_there(self):
         # denominator sum vanishes exactly at s = 0 only
@@ -156,7 +155,7 @@ class TestEvalBlocks:
         s = random_complex(np.random.default_rng(2), 3 * BLOCK)
         s[2 * BLOCK + 7] = 0.0
         with pytest.raises(PoleEvaluationError) as exc:
-            bd.eval_barycentric(m, s)
+            m(s)
         assert exc.value.point == 0
 
     def test_nonfinite_point_checked_before_first_block(self):
@@ -165,43 +164,43 @@ class TestEvalBlocks:
         s[0] = 0.0  # a pole in the first block
         s[2 * BLOCK + 7] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            bd.eval_barycentric(m, s)
+            m(s)
 
     @pytest.mark.parametrize("shape", [(), (0,), (3, 0), (2, BLOCK + 1)])
     def test_shape_kept(self, shape):
         m = self.model()
         s = random_complex(np.random.default_rng(4), shape)
-        out = bd.eval_barycentric(m, s)
+        out = m(s)
         if shape == ():
             assert isinstance(out, complex)
         else:
             assert out.shape == shape
-            assert np.array_equal(out, bd.eval_barycentric(m, s.ravel()).reshape(shape))
+            assert np.array_equal(out, m(s.ravel()).reshape(shape))
 
 
 class TestEvalGeneral:
     def test_constant_ratio(self):
         m = bd.GeneralBarycentricModel.from_weights([0.0], [2.0], [1.0])
-        assert bd.eval_general(m, 3.0) == pytest.approx(2.0)
+        assert m(3.0) == pytest.approx(2.0)
 
     def test_reexpressed_interpolant(self):
         # same function as r(s) = s/(2s-1) in the general form
         n = np.array([0.0, 1.0]) / np.sqrt(3.0)
         d = np.array([1.0, 1.0]) / np.sqrt(3.0)
         m = bd.GeneralBarycentricModel([0.0, 1.0], n, d)
-        assert bd.eval_general(m, 3.0) == pytest.approx(0.6, rel=1e-14)
+        assert m(3.0) == pytest.approx(0.6, rel=1e-14)
 
     def test_support_hit_returns_ratio(self):
         m = bd.GeneralBarycentricModel.from_weights([0.0, 2.0], [1.0, 3.0], [2.0, 1.0])
-        assert bd.eval_general(m, 0.0) == pytest.approx(0.5)
-        assert bd.eval_general(m, 2.0) == pytest.approx(3.0)
+        assert m(0.0) == pytest.approx(0.5)
+        assert m(2.0) == pytest.approx(3.0)
 
     def test_zero_denominator_weight_at_support(self):
         # a support whose denominator weight vanishes has no defined value
         m = bd.GeneralBarycentricModel.from_weights([0.0, 1.0], [1.0, 1.0], [0.0, 1.0])
         with pytest.raises(UndefinedValueError):
-            bd.eval_general(m, 0.0)
-        assert bd.eval_general(m, 1.0) == pytest.approx(1.0)
+            m(0.0)
+        assert m(1.0) == pytest.approx(1.0)
 
 
 class TestCoefficientPair:
@@ -214,7 +213,7 @@ class TestCoefficientPair:
         general = bd.GeneralBarycentricModel.from_weights(interp.supports, num, den)
         assert all(a is b for a, b in zip(general.coefficients,
                                           (general.num_weights, general.den_weights)))
-        assert bd.evaluate(general, 3.0) == pytest.approx(bd.evaluate(interp, 3.0), rel=1e-14)
+        assert general(3.0) == pytest.approx(interp(3.0), rel=1e-14)
         a, b = bd.classify_degree(interp), bd.classify_degree(general)
         assert (a.mu, a.nu, a.rdeg) == (b.mu, b.nu, b.rdeg)
 
@@ -468,7 +467,7 @@ class TestProperties:
         values = rng.normal(size=m + 1) + 1j * rng.normal(size=m + 1)
         w = rng.normal(size=m + 1) + 1j * rng.normal(size=m + 1)
         model = bd.BarycentricModel.from_weights(supports, values, w)
-        out = bd.eval_barycentric(model, supports)
+        out = model(supports)
         assert np.array_equal(out, model.support_values)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -483,7 +482,7 @@ class TestProperties:
         a = bd.GeneralBarycentricModel.from_weights(supports, n, d)
         b = bd.GeneralBarycentricModel.from_weights(supports, c * n, c * d)
         s = 2.0 + 2.0j  # outside the unit disc, never a support
-        va, vb = bd.eval_general(a, s), bd.eval_general(b, s)
+        va, vb = a(s), b(s)
         assert abs(va - vb) <= 1e-13 * abs(va)
 
     def test_nullspace_contract_randomized(self):
@@ -504,9 +503,9 @@ class TestProperties:
 
 def test_models_are_callable():
     m = bd.BarycentricModel([0.0, 1.0], [0.0, 1.0], np.array([1.0, 1.0]) / SQ2)
-    assert m(3.0) == bd.eval_barycentric(m, 3.0)
+    assert m(3.0) == pytest.approx(0.6, rel=1e-14)
     g = bd.GeneralBarycentricModel.from_weights([0.0], [2.0], [1.0])
-    assert g(3.0) == bd.eval_general(g, 3.0)
+    assert g(3.0) == pytest.approx(2.0)
 
 
 def test_models_are_immutable():

@@ -283,6 +283,18 @@ class TestSharedAaaPath:
         assert_same_fits(shared.fits, unshared.fits)
         assert result.best_degree == ref.best_degree
 
+    def test_cap_below_a_recorded_degree(self):
+        # the record reaches step 4, but a two-term fit at -5 resumes no
+        # deeper than its cap and stays the direct fit
+        samples = chain_samples(2)
+        spine = {}
+        bd.aaa(samples, bd.AaaConfig(tol=1e-6, target_degree=-5), spine=spine)
+        assert -4 in spine
+        config = bd.AaaConfig(tol=1e-6, target_degree=-5, max_terms=2)
+        got = bd.aaa(samples, config, spine=spine)
+        assert got[1].terms == 2
+        assert_same_fits([(-5, *got)], [(-5, *bd.aaa(samples, config))])
+
     def test_fewer_weight_solves_and_the_same_on_a_rerun(self, monkeypatch):
         aaa_module = importlib.import_module("barydeg.aaa")
         solve = aaa_module.solve_constrained_weights
@@ -547,6 +559,15 @@ class TestTermCap:
         assert [(c.degree, c.terms, c.converged, c.max_terms) for c in result.candidates] == [
             (0, 10, True, None), (1, 10, False, 10), (-1, 10, False, 10)]
         assert result.best_degree == 0
+
+    def test_failed_sweep_names_no_degree(self):
+        # three terms are too few for any degree to converge at tol 1e-4
+        samples = chain_samples(3, noise=1e-6, seed=0)
+        result = bd.identify(samples, bd.vf_backend(1e-4, max_terms=3))
+        assert not result.converged and result.piecewise is None
+        assert result.best_degree is None
+        assert not any(c.converged for c in result.candidates)
+        assert result.best.degree == -2 and result.best in result.candidates
 
     def test_vf_cap_below_the_degree(self):
         # three terms hold degree 2 at most: the fits at +-3 run at +-2, and

@@ -44,7 +44,7 @@ class TestVfSolve:
     def test_constant_data(self):
         ss = bd.SampleSet([1j, 2j], [1.0, 1.0])
         model = bd.GeneralBarycentricModel.from_weights([0.9j, 2.4j], *bd.vf_solve(ss, [0.9j, 2.4j], 0))
-        vals = bd.eval_general(model, ss.points)
+        vals = model(ss.points)
         assert np.max(np.abs(vals - 1.0)) <= 1e-12
 
     def test_inverse_decay_exact_under_constraint(self):
@@ -52,7 +52,7 @@ class TestVfSolve:
         ss = bd.SampleSet(pts, 1.0 / pts)
         supports = bd.geometric_supports(ss, 1)
         model = bd.GeneralBarycentricModel.from_weights(supports, *bd.vf_solve(ss, supports, -1))
-        rel = np.abs(bd.eval_general(model, pts) - ss.values) / np.abs(ss.values)
+        rel = np.abs(model(pts) - ss.values) / np.abs(ss.values)
         assert np.max(rel) <= 1e-10
 
     @pytest.mark.parametrize("degree", [-4, 0, 3])
@@ -93,8 +93,8 @@ class TestVfSolve:
             supports, *bd.vf_solve(fwd2_samples, supports, -4))
         aaa_model, _ = bd.aaa(fwd2_samples, bd.AaaConfig(tol=1e-8, target_degree=-4))
         s = bd.sample_grid(2e-2, 0.9, 31)
-        va = bd.eval_general(vf_model, s)
-        vb = bd.eval_barycentric(aaa_model, s)
+        va = vf_model(s)
+        vb = aaa_model(s)
         assert np.max(np.abs(va - vb) / np.abs(vb)) <= 1e-8
 
 
@@ -249,7 +249,7 @@ class TestNoiseAsymmetry:
         assert rep.linf_rel_error <= 1e-4
         # the fit stays close to the noiseless truth as well
         clean = chain_samples(2)
-        rel = np.abs(bd.eval_general(model, clean.points) - clean.values) / np.abs(clean.values)
+        rel = np.abs(model(clean.points) - clean.values) / np.abs(clean.values)
         assert np.max(rel) <= 2e-4
 
     def test_aaa_interpolates_the_noise(self):
@@ -263,7 +263,7 @@ class TestNoiseAsymmetry:
     def test_vf_does_not_interpolate(self):
         ss = chain_samples(2, noise=1e-6, seed=1)
         model, _ = bd.vf_adaptive(ss, bd.VfConfig(tol=1e-4, target_degree=-4))
-        resid = np.abs(bd.eval_general(model, ss.points) - ss.values)
+        resid = np.abs(model(ss.points) - ss.values)
         assert np.all(resid > 0)
 
 
