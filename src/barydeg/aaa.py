@@ -10,8 +10,9 @@ to tolerance by the current model, which is then returned unchanged.
 The fit keeps one block over the remaining samples for its whole run: the
 Loewner block.  Each pick drops the new support's row from it and appends
 one column, which ``loewner_matrix`` builds.  The step's values on the
-remaining samples come from their Cauchy block 1 / (s_j - s_k), built
-afresh column by column for that step alone, without building a model.
+remaining samples come from their Cauchy block 1 / (s_j - s_k), which
+``core.cauchy_block`` builds afresh for that step alone, without building
+a model.
 
 The fits of one degree sweep share their fully constrained prefix: with a
 ``spine`` (see :func:`aaa`) a fit at target d resumes after the first |d|
@@ -26,6 +27,7 @@ import numpy as np
 from .core import (
     BarycentricModel,
     FitReport,
+    cauchy_block,
     cauchy_ratio,
     degree_diagnostics,
     loewner_matrix,
@@ -152,14 +154,12 @@ def aaa(samples, config, *, spine=None):
 def _pool_values(x, sj, fj, weights):
     """The step's model values at the pool points ``x``.
 
-    The Cauchy block 1 / (x_i - s_k) is built into one array, a column at a
-    time and inverted in place, and dropped on return: the fit keeps only
-    its Loewner block between steps.
+    The Cauchy block comes from ``cauchy_block``, as a model call's does,
+    and is dropped on return: the fit keeps only its Loewner block between
+    steps.  Pool points are samples, never supports, so the block has no
+    hits.
     """
-    C = np.empty((x.size, sj.size), dtype=complex)
-    for k in range(sj.size):
-        np.subtract(x, sj[k], out=C[:, k])
-    np.divide(1.0, C, out=C)
+    C, _ = cauchy_block(x, sj)
     # normalised as from_weights does, so the values are the model's
     w = weights / np.linalg.norm(weights)
     return cauchy_ratio(C, (w * fj, w), x)

@@ -163,30 +163,37 @@ def _rescale_sums(sums, shat, start):
 def eval_asymptotic(asym, s):
     """Evaluate the truncated expansion at scalar or array ``s``.
 
-    Points must be finite and nonzero.
+    Points must be finite and nonzero.  Both series run through one Horner
+    pass over a (2, n) accumulator, in place, and the monomial (s/scale)^rdeg
+    is applied by |rdeg| multiplications.
     """
-    if np.any(np.asarray(s) == 0):
+    if not np.asarray(s).all():
         raise ValueError("asymptotic form is undefined at s = 0")
+    coeffs = np.array([asym.num_moments_scaled, asym.den_moments_scaled])
+    rdeg = asym.rdeg
 
     def block(x):
         inv = asym.scale / x
-        num = _horner(asym.num_moments_scaled, inv)
-        den = _horner(asym.den_moments_scaled, inv)
-        if np.any(den == 0):
+        acc = np.empty((2, x.size), dtype=complex)
+        acc[:] = coeffs[:, -1:]
+        for l in range(asym.order - 1, -1, -1):
+            acc *= inv
+            acc += coeffs[:, l:l + 1]
+        num, den = acc
+        if not den.all():
             point = x[np.argmax(den == 0)]
             raise PoleEvaluationError(
                 f"truncated denominator series vanishes at {point}", point=point
             )
-        return num / den * (x / asym.scale) ** asym.rdeg
+        # a new array, so a one-block result does not keep ``acc`` alive
+        out = num / den
+        if rdeg > 0:
+            np.divide(x, asym.scale, out=inv)
+        for _ in range(abs(rdeg)):
+            out *= inv
+        return out
 
     return blockwise(block, s)
-
-
-def _horner(coeffs, x):
-    acc = np.full_like(x, coeffs[-1])
-    for c in coeffs[-2::-1]:
-        acc = acc * x + c
-    return acc
 
 
 def cutoff_radius(T, eps, rdeg, order):
@@ -235,15 +242,18 @@ def eval_piecewise(pm, s):
     """Barycentric evaluation for |s| <= cutoff, asymptotic beyond.
 
     Points are split and evaluated block by block; a non-finite point
-    raises before any block runs.
+    raises before any block runs.  A block wholly on one side of the cutoff
+    goes to its branch whole, without a masked copy.
     """
     def block(x):
         near = pm.near(x)
+        if near.all():
+            return evaluate(pm.bary, x)
+        if not near.any():
+            return eval_asymptotic(pm.asym, x)
         out = np.empty(x.shape, dtype=complex)
-        if np.any(near):
-            out[near] = evaluate(pm.bary, x[near])
-        if not np.all(near):
-            out[~near] = eval_asymptotic(pm.asym, x[~near])
+        out[near] = evaluate(pm.bary, x[near])
+        out[~near] = eval_asymptotic(pm.asym, x[~near])
         return out
 
     return blockwise(block, s)

@@ -21,6 +21,14 @@ Both model kinds expose the same ``coefficients`` pair (numerator,
 denominator): ``(w_k f_k, w_k)`` for the interpolatory form and
 ``(n_k, d_k)`` for the general form.  Evaluation, classification and the
 asymptotic moments read only that pair.
+
+:func:`cauchy_block` is the one builder of Cauchy blocks 1 / (x_j - s_k):
+model calls, AAA's values on its pool and VF's values in each round all go
+through it and on to :func:`cauchy_ratio`, so they share one layout and one
+matrix-vector product.  The block is column-major: each column is one
+contiguous subtraction, and the ratio's products run down the columns.
+VF's QR buffer [C | f C] is the exception; it stays row-major because
+``np.linalg.qr`` takes more scratch on a column-major input.
 """
 
 from dataclasses import dataclass
@@ -242,18 +250,37 @@ def _eval_ratio(model, s, on_support):
     coefficients = model.coefficients
 
     def block(x):
-        # a single block x m array: differences, exact support hits patched
-        # to 1, then inverted in place
-        cauchy = np.subtract.outer(x, model.supports)
-        hit_i, hit_k = np.nonzero(cauchy == 0)
-        cauchy[hit_i, hit_k] = 1.0
-        np.divide(1.0, cauchy, out=cauchy)
+        cauchy, (hit_i, hit_k) = cauchy_block(x, model.supports)
         on_hits = [on_support(k) for k in hit_k]
         out = cauchy_ratio(cauchy, coefficients, x, exempt=hit_i)
         out[hit_i] = on_hits
         return out
 
     return blockwise(block, s)
+
+
+def cauchy_block(points, supports, out=None):
+    """Cauchy block 1 / (x_j - s_k) and the indices of its exact hits.
+
+    Rows run over the ``points``, columns over the ``supports``.  The block
+    is built one column at a time into ``out`` (a new column-major array
+    when omitted), so every entry is the same IEEE subtraction and division
+    as ``1.0 / np.subtract.outer(points, supports)``.  Entries where a point
+    equals a support are set to 1 instead; their (row, column) indices come
+    back in row-major order, empty when there is none.  Returns the block
+    and the index pair.
+    """
+    if out is None:
+        out = np.empty((points.size, supports.size), dtype=complex, order="F")
+    for k in range(supports.size):
+        np.subtract(points, supports[k], out=out[:, k])
+    if out.all():
+        hits = (np.empty(0, dtype=np.intp),) * 2
+    else:
+        hits = np.nonzero(out == 0)
+        out[hits] = 1.0
+    np.divide(1.0, out, out=out)
+    return out, hits
 
 
 def cauchy_ratio(cauchy, coefficients, points, exempt=None):

@@ -13,10 +13,12 @@ Grid m and the QR triangle R of its block [C | f C] (C the Cauchy block
 1 / (s'_j - s_k) of the samples) depend on the samples and m alone, so a
 round solves from R: a numerator constraint re-triangularizes a block of
 R's size, not of the samples'.  A round that factors its grid writes
-[C | f C] into one buffer and takes its values from the Cauchy half; the
-model is built once, after the last round.  The fits of one degree sweep
-share their triangles: with a ``grids`` record (see :func:`vf_adaptive`)
-the fits at d != 0 reuse the grids that the degree-0 fit factored.
+[C | f C] into one row-major buffer and keeps only R; it takes its values
+from its own Cauchy block (``core.cauchy_block``, as a model call does),
+built after the solve once that buffer is freed.  The model is built once,
+after the last round.  The fits of one degree sweep share their triangles:
+with a ``grids`` record (see :func:`vf_adaptive`) the fits at d != 0 reuse
+the grids that the degree-0 fit factored.
 """
 
 from dataclasses import dataclass
@@ -27,6 +29,7 @@ from .aaa import AaaConfig
 from .core import (
     FitReport,
     GeneralBarycentricModel,
+    cauchy_block,
     cauchy_ratio,
     degree_diagnostics,
     eval_general,
@@ -102,7 +105,7 @@ def vf_solve(samples, supports, target_degree, r=None):
             f"degree {delta} needs more than {mp1} supports"
         )
     if r is None:
-        _, r = _factor(samples, supports)
+        r = _factor(samples, supports)
     # the constrained side gets the null-space basis (the identity at degree
     # 0), the other side stays unconstrained
     Q = nullspace_basis(vandermonde(supports, abs(delta)))
@@ -144,17 +147,18 @@ def vf_adaptive(samples, config, *, grids=None):
     for m in range(abs(delta), cap):
         if m in shared:
             supports, r = shared[m]
-            cauchy = _cauchy(pts, supports, np.empty((pts.size, m + 1), dtype=complex))
         else:
             supports = geometric_supports(samples, m)
-            cauchy, r = _factor(samples, supports)
+            r = _factor(samples, supports)
             if record is not None:
                 record[m] = (supports, r)
         num, den = vf_solve(samples, supports, delta, r=r)
-        # normalised as from_weights does, so the values are the model's
+        # normalised as from_weights does, so the values are the model's;
+        # the grid's supports were checked disjoint when it was factored
         scale = np.linalg.norm(np.concatenate([num, den]))
+        cauchy = cauchy_block(pts, supports)[0]
         rel = relative_errors(vals, cauchy_ratio(cauchy, (num / scale, den / scale), pts))
-        # free this grid's block before the next grid's is built
+        # free this grid's block before the next grid's is factored
         del cauchy
         if float(np.max(rel)) <= config.tol:
             converged = True
@@ -167,24 +171,19 @@ def vf_adaptive(samples, config, *, grids=None):
 
 
 def _factor(samples, supports):
-    """Cauchy block C of the samples and the triangle R of [C | f C].
+    """Triangle R of the QR factorization of [C | f C].
 
-    Both halves are written in place into one samples x 2(m+1) buffer;
-    returns its Cauchy half (a view) and R.
+    Both halves are written in place into one samples x 2(m+1) buffer, the
+    Cauchy half by ``cauchy_block``.  The buffer is row-major, unlike the
+    blocks the evaluators use, because ``np.linalg.qr`` takes more scratch
+    on a column-major input; it is dropped on return.
     """
     pts, vals = samples.points, samples.values
     mp1 = supports.size
     block = np.empty((pts.size, 2 * mp1), dtype=complex)
-    cauchy = _cauchy(pts, supports, block[:, :mp1])
-    for k in range(mp1):
-        np.multiply(vals, cauchy[:, k], out=block[:, mp1 + k])
-    return cauchy, np.linalg.qr(block, mode="r")
-
-
-def _cauchy(pts, supports, out):
-    """1 / (pts_j - supports_k), written into ``out`` one column at a time."""
-    for k in range(supports.size):
-        np.subtract(pts, supports[k], out=out[:, k])
-    if np.any(out == 0):
+    # the Cauchy half in place; its hit rows are samples that are supports
+    if cauchy_block(pts, supports, out=block[:, :mp1])[1][0].size:
         raise ValueError("supports must be disjoint from the sample points")
-    return np.divide(1.0, out, out=out)
+    for k in range(mp1):
+        np.multiply(vals, block[:, k], out=block[:, mp1 + k])
+    return np.linalg.qr(block, mode="r")

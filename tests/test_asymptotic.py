@@ -175,6 +175,26 @@ class TestEvalAsymptotic:
         out_bytes = s.size * np.dtype(complex).itemsize
         assert traced_peak(eval_asymptotic, asym, s) < out_bytes + BLOCK_SCRATCH_BYTES
 
+    @pytest.mark.parametrize("rdeg", range(-6, 7))
+    def test_matches_the_closed_formula(self, rdeg):
+        rng = np.random.default_rng(rdeg + 6)
+        scale = 2.5
+        num, den = (np.concatenate([[1.0], rng.normal(size=10) + 1j * rng.normal(size=10)])
+                    for _ in range(2))
+        asym = AsymptoticModel(mu=max(-rdeg, 0), nu=max(rdeg, 0), scale=scale,
+                               num_moments_scaled=num, den_moments_scaled=den)
+        s = scale * np.geomspace(10.0, 1e4, 500) * np.exp(1j * rng.uniform(0, 2 * np.pi, 500))
+        z = (scale / s)[:, None] ** np.arange(num.size)
+        closed = (z @ num) / (z @ den) * (s / scale) ** rdeg
+        assert np.max(np.abs(eval_asymptotic(asym, s) - closed) / np.abs(closed)) <= 1e-14
+
+    def test_one_block_result_holds_no_accumulator(self):
+        out = eval_asymptotic(fwd3_piecewise().asym, sweep(BLOCK))
+        owner = out
+        while owner.base is not None:
+            owner = owner.base
+        assert owner.nbytes == out.nbytes
+
 
 class TestCutoffRadius:
     def test_unit_error_at_band_edge(self):
@@ -330,6 +350,20 @@ class TestEvalPiecewiseBlocks:
         assert np.any(np.abs(s) <= pm.cutoff) and np.any(np.abs(s) > pm.cutoff)
         out_bytes = s.size * np.dtype(complex).itemsize
         assert traced_peak(eval_piecewise, pm, s) < out_bytes + BLOCK_SCRATCH_BYTES
+
+    def test_peak_memory_is_output_plus_two_cauchy_blocks(self):
+        pm = fwd3_piecewise()
+        s = sweep(10**5)
+        out_bytes = s.size * np.dtype(complex).itemsize
+        cauchy_bytes = BLOCK * pm.bary.terms * np.dtype(complex).itemsize
+        assert traced_peak(eval_piecewise, pm, s) < out_bytes + 2 * cauchy_bytes
+
+    def test_one_sided_sweeps_take_one_branch_whole(self):
+        pm = fwd3_piecewise()
+        inside = bd.sample_grid(1e-2, pm.cutoff / 2, 2 * BLOCK + 3)
+        outside = bd.sample_grid(2 * pm.cutoff, 1e6, 2 * BLOCK + 3)
+        assert np.array_equal(eval_piecewise(pm, inside), pm.bary(inside))
+        assert np.array_equal(eval_piecewise(pm, outside), eval_asymptotic(pm.asym, outside))
 
 
 class TestPiecewiseModelInvariants:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import barydeg as bd
-from barydeg.core import support_scale
+from barydeg.core import cauchy_block, support_scale
 from barydeg.errors import (
     ConstraintError,
     PoleEvaluationError,
@@ -216,6 +216,29 @@ class TestCoefficientPair:
         assert general(3.0) == pytest.approx(interp(3.0), rel=1e-14)
         a, b = bd.classify_degree(interp), bd.classify_degree(general)
         assert (a.mu, a.nu, a.rdeg) == (b.mu, b.nu, b.rdeg)
+
+
+class TestCauchyBlock:
+    @pytest.mark.parametrize("shape", [(30, 7), (1, 7), (30, 1), (1, 1), (BLOCK + 5, 3)])
+    def test_column_major_and_equal_to_the_broadcast_reciprocal(self, shape):
+        rng = np.random.default_rng(13)
+        pts, sj = random_complex(rng, shape[0]), random_complex(rng, shape[1])
+        expected = 1.0 / np.subtract.outer(pts, sj)
+        block, (hit_i, hit_k) = cauchy_block(pts, sj)
+        assert block.shape == expected.shape
+        assert block.tobytes() == expected.tobytes()
+        assert block.flags.f_contiguous
+        assert hit_i.size == hit_k.size == 0
+
+    def test_hits_are_set_to_one_in_row_major_order(self):
+        # (1, 1) and (2, 0) coincide; row-major order meets (1, 1) first
+        pts, sj = np.array([0.5, 2.0, 3.0], dtype=complex), np.array([3.0, 2.0], dtype=complex)
+        block, (hit_i, hit_k) = cauchy_block(pts, sj)
+        assert hit_i.tolist() == [1, 2] and hit_k.tolist() == [1, 0]
+        assert block[1, 1] == block[2, 0] == 1.0
+        misses = np.ones(block.shape, dtype=bool)
+        misses[hit_i, hit_k] = False
+        assert block[misses].tobytes() == (1.0 / np.subtract.outer(pts, sj)[misses]).tobytes()
 
 
 class TestLoewner:

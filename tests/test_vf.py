@@ -146,6 +146,15 @@ class TestVfAdaptive:
         _, rep = bd.vf_adaptive(ss, bd.VfConfig(tol=1e-12, target_degree=degree))
         assert rep.converged
 
+    def test_grid_hitting_a_sample_rejected(self):
+        # the middle support of grid 2 is also a sample, bit for bit; a fit
+        # at degree 2 starts on that grid
+        grid = bd.geometric_supports(bd.SampleSet([1j, 10j], [1.0, 1.0]), 2)
+        ss = bd.SampleSet([1j, grid[1], 10j], [1.0, 2.0, 0.5])
+        assert np.array_equal(bd.geometric_supports(ss, 2), grid)
+        with pytest.raises(ValueError, match="disjoint"):
+            bd.vf_adaptive(ss, bd.VfConfig(tol=1e-12, target_degree=2))
+
     def test_non_convergence_reported(self):
         ss = chain_samples(2, noise=1e-3, seed=2)
         model, rep = bd.vf_adaptive(ss, bd.VfConfig(tol=1e-12, max_terms=6))
