@@ -146,8 +146,8 @@ def aaa(samples, config, *, spine=None):
         model = BarycentricModel.from_weights(sj, fj, weights)
 
     effective = int(np.sign(delta)) * min(abs(delta), model.terms - 1)
-    report = FitReport.from_errors(model, relative_errors(vals, approx), converged,
-                                   effective, degree_diagnostics(model, effective))
+    report = FitReport.from_errors(model, rel, converged, effective,
+                                   degree_diagnostics(model, effective))
     return model, report
 
 

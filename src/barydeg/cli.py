@@ -37,6 +37,7 @@ from .benchmarks import load_samples, mass_chain_samples, sample_grid, save_samp
 from .core import BarycentricModel, GeneralBarycentricModel
 from .errors import BarydegError
 from .identify import DEFAULT_MAX_ABS_DEGREE, aaa_backend, identify, vf_backend
+from .util import BLOCK
 
 REPORT_SCHEMA_VERSION = "1"
 MODEL_SCHEMA_VERSION = "1"
@@ -266,13 +267,17 @@ def cmd_eval(args):
     with open(args.model, encoding="utf-8") as fh:
         pm = model_from_json(json.load(fh))
     grid = sample_grid(args.wmin, args.wmax, args.count, args.spacing)
-    near = pm.near(grid)
     values = eval_piecewise(pm, grid)
+    labels = np.where(pm.near(grid), "bary", "asym")
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write("s_abs,r_re,r_im,r_abs,branch\n")
-        for s, v, n in zip(grid, values, near):
-            branch = "bary" if n else "asym"
-            fh.write(f"{abs(s):.17g},{v.real:.17g},{v.imag:.17g},{abs(v):.17g},{branch}\n")
+        # Python floats from tolist() format faster than numpy scalars; a
+        # block of rows at a time keeps the lists' memory O(BLOCK)
+        for start in range(0, grid.size, BLOCK):
+            s, v = grid[start:start + BLOCK], values[start:start + BLOCK]
+            rows = zip(np.abs(s).tolist(), v.real.tolist(), v.imag.tolist(),
+                       np.abs(v).tolist(), labels[start:start + BLOCK].tolist())
+            fh.writelines("%.17g,%.17g,%.17g,%.17g,%s\n" % row for row in rows)
     print(f"wrote {args.count} evaluations to {args.output}")
     return EXIT_OK
 

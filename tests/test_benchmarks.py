@@ -1,3 +1,4 @@
+import warnings
 from functools import partial
 
 import numpy as np
@@ -168,6 +169,43 @@ class TestInverseTf:
         sys_ = bd.MassChainSystem(3)
         s = 2.46 + 2.75j
         assert bd.inverse_tf(sys_, s) == bd.inverse_tf(sys_, np.array([s]))[0]
+
+
+class TestChainRecurrence:
+    """The minor recurrence against the dense state-space form it replaces."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_dense_solve(self, n):
+        rng = np.random.default_rng(100 + n)
+        sys_ = bd.MassChainSystem(n, masses=rng.uniform(0.5, 2, n),
+                                  springs=rng.uniform(0.5, 2, n - 1))
+        M, A, B, C = bd.chain_matrices(sys_)
+        # off the imaginary axis, away from every resonance
+        s = rng.uniform(0.1, 10, 200) * np.exp(1j * rng.uniform(-np.pi, np.pi, 200))
+        s = s[np.abs(s.real) > 1e-2]
+        dense = np.array([(C @ np.linalg.solve(si**2 * M - A, B))[0, 0] for si in s])
+        got = bd.forward_tf(sys_, s)
+        assert np.max(np.abs(got - dense) / np.abs(dense)) <= 1e-11
+
+    def test_unit_two_mass_closed_form_on_sweep(self):
+        s = bd.sample_grid(1e-2, 1e6, 10**4)
+        closed = 1.0 / (s**2 * (s**2 + 2.0))
+        got = bd.forward_tf(bd.MassChainSystem(2), s)
+        assert np.max(np.abs(got - closed) / np.abs(closed)) <= 1e-11
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_far_point_underflows_to_zero_quietly(self, n):
+        # the minors overflow at 1e81 (to inf + nan*i for three masses)
+        sys_ = bd.MassChainSystem(n)
+        s = np.array([0.5j, 1e81, 2j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = bd.forward_tf(sys_, s)
+        assert out[1] == 0.0
+        assert out[0] == bd.forward_tf(sys_, 0.5j)
+        assert out[2] == bd.forward_tf(sys_, 2j)
+        with pytest.raises(ZeroDivisionError):
+            bd.inverse_tf(sys_, s)
 
 
 class TestSampleGrid:

@@ -230,6 +230,21 @@ class TestEval:
             assert branch == expected
         assert {r[-1] for r in rows} == {"bary", "asym"}
 
+    def test_rows_match_per_point_formatting(self, tmp_path):
+        # the column-wise writer gives the same bytes as formatting each
+        # point's numpy scalars on its own
+        model_path = self.fit_model(tmp_path)
+        out_path = tmp_path / "sweep.csv"
+        assert run("eval", "--model", str(model_path), "--wmin", "1e-2",
+                   "--wmax", "1e6", "--count", "10000", "-o", str(out_path)) == EXIT_OK
+        pm = model_from_json(json.loads(model_path.read_text()))
+        grid = bd.sample_grid(1e-2, 1e6, 10000)
+        lines = ["s_abs,r_re,r_im,r_abs,branch\n"]
+        for s, v, near in zip(grid, bd.eval_piecewise(pm, grid), pm.near(grid)):
+            branch = "bary" if near else "asym"
+            lines.append(f"{abs(s):.17g},{v.real:.17g},{v.imag:.17g},{abs(v):.17g},{branch}\n")
+        assert out_path.read_bytes() == "".join(lines).encode("utf-8")
+
     def test_constant_model_sweep(self, tmp_path):
         path = tmp_path / "const.csv"
         pts = bd.sample_grid(1.0, 10.0, 20)
