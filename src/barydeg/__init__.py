@@ -4,6 +4,9 @@ Fit frequency-response samples with rational models in barycentric form,
 impose a prescribed relative degree through linear constraints on the
 barycentric weights, identify an unknown relative degree by model
 selection, and evaluate the result stably far outside the sampled band.
+
+The solver building blocks beneath the fits are not exported here; they
+are imported from ``barydeg.core`` and ``barydeg.vf``.
 """
 
 from .aaa import AaaConfig, aaa
@@ -28,16 +31,7 @@ from .benchmarks import (
     sample_grid,
     save_samples,
 )
-from .core import (
-    BarycentricModel,
-    FitReport,
-    GeneralBarycentricModel,
-    SampleSet,
-    loewner_matrix,
-    nullspace_basis,
-    solve_constrained_weights,
-    vandermonde,
-)
+from .core import BarycentricModel, FitReport, GeneralBarycentricModel, SampleSet
 from .errors import (
     BarydegError,
     ConfigurationError,
@@ -55,7 +49,7 @@ from .identify import (
     identify,
     vf_backend,
 )
-from .vf import VfConfig, geometric_supports, vf_adaptive, vf_solve
+from .vf import VfConfig, vf_adaptive
 
 __version__ = "0.1.0"
 
@@ -88,20 +82,14 @@ __all__ = [
     "eval_asymptotic",
     "eval_piecewise",
     "forward_tf",
-    "geometric_supports",
     "identify",
     "inverse_tf",
     "load_samples",
-    "loewner_matrix",
     "make_piecewise",
     "mass_chain_samples",
     "moments",
-    "nullspace_basis",
     "sample_grid",
     "save_samples",
-    "solve_constrained_weights",
-    "vandermonde",
     "vf_adaptive",
     "vf_backend",
-    "vf_solve",
 ]

@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import SampleSet
 from .errors import PoleEvaluationError
-from .util import blockwise
+from .util import blockwise, write_rows
 
 CSV_HEADER = "s_re,s_im,f_re,f_im"
 
@@ -168,8 +168,8 @@ def save_samples(samples, path):
     """Write a sample set as CSV with full decimal precision."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(CSV_HEADER + "\n")
-        for s, f in zip(samples.points, samples.values):
-            fh.write(f"{s.real:.17g},{s.imag:.17g},{f.real:.17g},{f.imag:.17g}\n")
+        s, f = samples.points, samples.values
+        write_rows(fh, "%.17g,%.17g,%.17g,%.17g\n", (s.real, s.imag, f.real, f.imag))
 
 
 def load_samples(path):

@@ -37,7 +37,7 @@ from .benchmarks import load_samples, mass_chain_samples, sample_grid, save_samp
 from .core import BarycentricModel, GeneralBarycentricModel
 from .errors import BarydegError
 from .identify import DEFAULT_MAX_ABS_DEGREE, aaa_backend, identify, vf_backend
-from .util import BLOCK
+from .util import write_rows
 
 REPORT_SCHEMA_VERSION = "1"
 MODEL_SCHEMA_VERSION = "1"
@@ -271,13 +271,8 @@ def cmd_eval(args):
     labels = np.where(pm.near(grid), "bary", "asym")
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write("s_abs,r_re,r_im,r_abs,branch\n")
-        # Python floats from tolist() format faster than numpy scalars; a
-        # block of rows at a time keeps the lists' memory O(BLOCK)
-        for start in range(0, grid.size, BLOCK):
-            s, v = grid[start:start + BLOCK], values[start:start + BLOCK]
-            rows = zip(np.abs(s).tolist(), v.real.tolist(), v.imag.tolist(),
-                       np.abs(v).tolist(), labels[start:start + BLOCK].tolist())
-            fh.writelines("%.17g,%.17g,%.17g,%.17g,%s\n" % row for row in rows)
+        write_rows(fh, "%.17g,%.17g,%.17g,%.17g,%s\n",
+                   (np.abs(grid), values.real, values.imag, np.abs(values), labels))
     print(f"wrote {args.count} evaluations to {args.output}")
     return EXIT_OK
 

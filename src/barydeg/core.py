@@ -61,7 +61,9 @@ def _as_complex_vector(x, name):
 
 
 def _check_distinct(points, name):
-    if np.unique(points).size != points.size:
+    # equal points sort next to each other; 0.0 == -0.0, as in np.unique
+    p = np.sort(points)
+    if np.count_nonzero(p[1:] == p[:-1]):
         raise ValueError(f"{name} must be pairwise distinct")
 
 

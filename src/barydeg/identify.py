@@ -73,7 +73,11 @@ class IdentificationResult:
     best: CandidateRecord
     candidates: tuple
     piecewise: object
-    converged: bool
+
+    @property
+    def converged(self):
+        """Whether a degree was identified (some candidate converged)."""
+        return self.best_degree is not None
 
 
 def better(a, b):
@@ -191,5 +195,4 @@ def identify(samples, backend, max_abs_degree=DEFAULT_MAX_ABS_DEGREE,
         best=winner,
         candidates=tuple(candidates),
         piecewise=piecewise,
-        converged=succeeded,
     )

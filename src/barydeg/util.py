@@ -1,4 +1,4 @@
-"""Small shared helpers: relative errors and blockwise evaluation."""
+"""Small shared helpers: relative errors, blockwise evaluation, CSV rows."""
 
 import numpy as np
 
@@ -47,3 +47,14 @@ def blockwise(fn, s):
     if np.ndim(s) == 0:
         return complex(out[0])
     return out.reshape(np.shape(s))
+
+
+def write_rows(fh, row_format, columns):
+    """Write ``row_format % row`` for each row of the equal-length ``columns``.
+
+    Rows go out a ``BLOCK`` at a time from ``tolist()`` floats, which format
+    faster than numpy scalars, so the lists' memory stays O(BLOCK).
+    """
+    for start in range(0, len(columns[0]), BLOCK):
+        rows = zip(*(c[start:start + BLOCK].tolist() for c in columns))
+        fh.writelines(row_format % row for row in rows)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import barydeg as bd
+from barydeg.core import nullspace_basis, vandermonde
 from barydeg.util import BLOCK
 
 # Input lengths around the evaluators' block boundaries.
@@ -101,10 +102,10 @@ def exact_type_model(rng, m, mu, nu, max_tries=50):
         supports = distinct_unit_disc_points(rng, m + 1, min_sep=5e-2)
         shat = bd.core.support_scale(supports)
         z = supports / shat
-        V_nu = bd.vandermonde(supports, nu)
-        V_mu = bd.vandermonde(supports, mu)
-        w = bd.nullspace_basis(V_nu) @ _unit_vector(rng, m + 1 - nu)
-        u = bd.nullspace_basis(V_mu) @ _unit_vector(rng, m + 1 - mu)
+        V_nu = vandermonde(supports, nu)
+        V_mu = vandermonde(supports, mu)
+        w = nullspace_basis(V_nu) @ _unit_vector(rng, m + 1 - nu)
+        u = nullspace_basis(V_mu) @ _unit_vector(rng, m + 1 - mu)
         if np.min(np.abs(w)) < 1e-3:
             continue
         if not (_significant(u, z, mu) and _significant(w, z, nu)):

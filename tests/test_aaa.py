@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import barydeg as bd
+from barydeg.core import loewner_matrix, nullspace_basis, solve_constrained_weights, vandermonde
 from barydeg.errors import ConfigurationError
 from barydeg.util import relative_errors
 
@@ -151,12 +152,12 @@ def test_last_step_rebuilt_from_scratch_gives_the_weights(name):
     samples, config, model, rep = rebuilt_fit(name)
     assert rep.terms >= 2
     rest = ~np.isin(samples.points, model.supports)
-    L = bd.loewner_matrix(samples.points[rest], samples.values[rest],
+    L = loewner_matrix(samples.points[rest], samples.values[rest],
                           model.supports, model.support_values)
-    V = bd.vandermonde(model.supports, abs(rep.effective_degree))
-    Q = bd.nullspace_basis(
+    V = vandermonde(model.supports, abs(rep.effective_degree))
+    Q = nullspace_basis(
         V, left_scaling=model.support_values if config.target_degree < 0 else None)
-    w = bd.solve_constrained_weights(L, Q)
+    w = solve_constrained_weights(L, Q)
     assert np.array_equal(w / np.linalg.norm(w), model.weights)
 
 

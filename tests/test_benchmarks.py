@@ -274,6 +274,21 @@ class TestSampleFiles:
         assert np.array_equal(back.points, ss.points)
         assert np.array_equal(back.values, ss.values)
 
+    def test_rows_match_per_point_formatting(self, tmp_path):
+        edge = [-0.0, 5e-324, 1e-310, 1e22, 1.7976931348623157e308, -1 / 3]
+        pts = [complex(a, b) for a, b in zip(edge, np.roll(edge, 1))]
+        vals = [complex(a, b) for a, b in zip(np.roll(edge, 2), np.roll(edge, 3))]
+        ss = bd.SampleSet(pts, vals)
+        path = tmp_path / "edge.csv"
+        bd.save_samples(ss, path)
+        expected = CSV_HEADER + "\n" + "".join(
+            f"{s.real:.17g},{s.imag:.17g},{f.real:.17g},{f.imag:.17g}\n"
+            for s, f in zip(ss.points, ss.values))
+        assert path.read_text(encoding="utf-8") == expected
+        back = bd.load_samples(path)
+        assert np.array_equal(back.points.view(np.uint64), ss.points.view(np.uint64))
+        assert np.array_equal(back.values.view(np.uint64), ss.values.view(np.uint64))
+
     def test_comments_ignored(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text(f"# generated for a test\n{CSV_HEADER}\n# mid comment\n0,1,2,3\n")

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import barydeg as bd
-from barydeg.core import cauchy_block, support_scale
+from barydeg.core import (
+    cauchy_block,
+    loewner_matrix,
+    nullspace_basis,
+    solve_constrained_weights,
+    support_scale,
+    vandermonde,
+)
 from barydeg.errors import (
     ConstraintError,
     PoleEvaluationError,
@@ -84,6 +91,54 @@ class TestGeneralBarycentricModel:
         m = bd.GeneralBarycentricModel.from_weights([0.0], [2.0], [1.0])
         stacked = np.concatenate([m.num_weights, m.den_weights])
         assert np.linalg.norm(stacked) == pytest.approx(1.0, abs=1e-15)
+
+
+def _sample_set(points):
+    return bd.SampleSet(points, np.ones(len(points)))
+
+
+def _barycentric_model(points):
+    n = len(points)
+    return bd.BarycentricModel(points, np.ones(n), np.full(n, n ** -0.5))
+
+
+def _general_model(points):
+    n = len(points)
+    return bd.GeneralBarycentricModel(points, np.full(n, (2 * n) ** -0.5),
+                                      np.full(n, (2 * n) ** -0.5))
+
+
+class TestDistinctness:
+    """Every point set a model or sample set holds must be pairwise distinct."""
+
+    BUILDERS = [_sample_set, _barycentric_model, _general_model]
+    # sorted order is 1j < 2j < 3j < 4j < 5j; the input is shuffled
+    BASE = [3j, 1j, 5j, 2j, 4j]
+
+    @pytest.mark.parametrize("build", BUILDERS)
+    @pytest.mark.parametrize("dup", [1j, 3j, 5j], ids=["first", "middle", "last"])
+    def test_duplicate_at_any_sorted_position_rejected(self, build, dup):
+        with pytest.raises(ValueError, match="distinct"):
+            build(self.BASE + [dup])
+
+    @pytest.mark.parametrize("build", BUILDERS)
+    @pytest.mark.parametrize("pair", [
+        (complex(0.0, 1.0), complex(-0.0, 1.0)),
+        (complex(1.0, 0.0), complex(1.0, -0.0)),
+        (complex(0.0, 0.0), complex(-0.0, -0.0)),
+    ], ids=["real", "imag", "both"])
+    def test_signed_zeros_count_as_equal(self, build, pair):
+        points = np.array([2j, pair[0], 3j, pair[1]])
+        assert np.unique(points).size < points.size
+        with pytest.raises(ValueError, match="distinct"):
+            build(points)
+
+    @pytest.mark.parametrize("build", BUILDERS)
+    def test_neighbouring_floats_accepted(self, build):
+        x = np.nextafter(1.0, 2.0)
+        points = [complex(1.0, 1.0), complex(x, 1.0), complex(1.0, x), -0.0, 1j]
+        build(points)
+        build(points[::-1])
 
 
 class TestEval:
@@ -244,27 +299,27 @@ class TestCauchyBlock:
 class TestLoewner:
     def test_hand_example(self):
         ss = bd.SampleSet([2.0], [3.0])
-        L = bd.loewner_matrix(ss.points, ss.values, [0.0], [1.0])
+        L = loewner_matrix(ss.points, ss.values, [0.0], [1.0])
         assert L.shape == (1, 1)
         assert L[0, 0] == pytest.approx(1.0)
 
     def test_zero_divided_difference(self):
         ss = bd.SampleSet([2.0], [1.0])
-        assert bd.loewner_matrix(ss.points, ss.values, [0.0], [1.0])[0, 0] == 0.0
+        assert loewner_matrix(ss.points, ss.values, [0.0], [1.0])[0, 0] == 0.0
 
     def test_complex_entry(self):
         ss = bd.SampleSet([1j], [2j])
-        assert bd.loewner_matrix(ss.points, ss.values, [0.0], [0.0])[0, 0] == pytest.approx(2.0)
+        assert loewner_matrix(ss.points, ss.values, [0.0], [0.0])[0, 0] == pytest.approx(2.0)
 
     def test_coincident_point_rejected(self):
         ss = bd.SampleSet([1.0, 2.0], [1.0, 1.0])
         with pytest.raises(ValueError, match="coincides"):
-            bd.loewner_matrix(ss.points, ss.values, [2.0], [1.0])
+            loewner_matrix(ss.points, ss.values, [2.0], [1.0])
 
     def test_first_coincidence_in_row_major_order_is_named(self):
         # (1, 1) and (2, 0) coincide; row-major order meets (1, 1) first
         with pytest.raises(ValueError, match=r"point \(2\+0j\) coincides with support \(2\+0j\)"):
-            bd.loewner_matrix([0.5, 2.0, 3.0], [1.0, 1.0, 1.0], [3.0, 2.0], [1.0, 1.0])
+            loewner_matrix([0.5, 2.0, 3.0], [1.0, 1.0, 1.0], [3.0, 2.0], [1.0, 1.0])
 
     @pytest.mark.parametrize("shape", [(30, 7), (1, 7), (30, 1), (1, 1)])
     def test_equals_the_broadcast_formula_bit_for_bit(self, shape):
@@ -272,7 +327,7 @@ class TestLoewner:
         pts, vals = random_complex(rng, shape[0]), random_complex(rng, shape[0])
         sj, fj = random_complex(rng, shape[1]), random_complex(rng, shape[1])
         expected = (vals[:, None] - fj) / (pts[:, None] - sj)
-        L = bd.loewner_matrix(pts, vals, sj, fj)
+        L = loewner_matrix(pts, vals, sj, fj)
         assert L.shape == expected.shape
         assert L.tobytes() == expected.tobytes()
 
@@ -282,48 +337,48 @@ class TestLoewner:
         pts, vals = random_complex(rng, 4000), random_complex(rng, 4000)
         sj, fj = random_complex(rng, 40), random_complex(rng, 40)
         result_bytes = 4000 * 40 * np.dtype(complex).itemsize
-        assert traced_peak(bd.loewner_matrix, pts, vals, sj, fj) < 1.5 * result_bytes
+        assert traced_peak(loewner_matrix, pts, vals, sj, fj) < 1.5 * result_bytes
 
 
 class TestVandermonde:
     def test_degree_zero_basis(self):
-        V = bd.vandermonde([0.0, 1.0], 1)
+        V = vandermonde([0.0, 1.0], 1)
         assert np.array_equal(V, np.ones((2, 1), dtype=complex))
 
     def test_scaled_columns(self):
-        V = bd.vandermonde([0.0, 2.0], 2)
+        V = vandermonde([0.0, 2.0], 2)
         assert np.allclose(V, [[1.0, 0.0], [1.0, 1.0]])
 
     def test_complex_support(self):
         # the scale is max |s_k| = 2
-        V = bd.vandermonde([1j, 2j], 2)
+        V = vandermonde([1j, 2j], 2)
         assert np.allclose(V, [[1.0, 0.5j], [1.0, 1j]])
 
     def test_more_columns_than_supports(self):
         # the power-sum scan reads terms + order columns; scale 4 is derived
-        V = bd.vandermonde([2.0, -4.0], 5)
+        V = vandermonde([2.0, -4.0], 5)
         assert V.shape == (2, 5)
         assert np.array_equal(V, [[1.0, 0.5, 0.25, 0.125, 0.0625],
                                   [1.0, -1.0, 1.0, -1.0, 1.0]])
 
     def test_negative_columns(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            bd.vandermonde([0.0, 1.0], -1)
+            vandermonde([0.0, 1.0], -1)
 
 
 class TestNullspaceBasis:
     def test_symmetric_null_vector(self):
-        Q = bd.nullspace_basis(np.ones((2, 1)))
+        Q = nullspace_basis(np.ones((2, 1)))
         assert Q.shape == (2, 1)
         assert abs(Q[:, 0].sum()) < 1e-14
         assert np.allclose(np.abs(Q[:, 0]), 1 / SQ2)
 
     def test_identity_scaling_same_span(self):
-        Q = bd.nullspace_basis(np.ones((2, 1)), left_scaling=[1.0, 1.0])
+        Q = nullspace_basis(np.ones((2, 1)), left_scaling=[1.0, 1.0])
         assert abs(Q[:, 0].sum()) < 1e-14
 
     def test_weighted_null_vector(self):
-        Q = bd.nullspace_basis(np.array([[1.0], [2.0]]), left_scaling=[1.0, 1.0])
+        Q = nullspace_basis(np.array([[1.0], [2.0]]), left_scaling=[1.0, 1.0])
         q = Q[:, 0]
         assert abs(q[0] + 2 * q[1]) < 1e-14
         assert np.allclose(np.abs(q), [2 / np.sqrt(5), 1 / np.sqrt(5)])
@@ -333,17 +388,17 @@ class TestNullspaceBasis:
         # a stock QR factorization of V itself would satisfy the conjugate
         # condition instead, so this case separates the two.
         V = np.array([[1.0], [1j]])
-        Q = bd.nullspace_basis(V)
+        Q = nullspace_basis(V)
         q = Q[:, 0]
         assert abs(V[:, 0] @ q) < 1e-14              # plain transpose: required
         assert abs(np.conj(V[:, 0]) @ q) > 0.5       # conjugate condition: not satisfied
 
     def test_no_free_direction(self):
         with pytest.raises(ConstraintError):
-            bd.nullspace_basis(np.ones((2, 2)))
+            nullspace_basis(np.ones((2, 2)))
 
     def test_zero_columns_gives_identity(self):
-        Q = bd.nullspace_basis(np.empty((3, 0)))
+        Q = nullspace_basis(np.empty((3, 0)))
         assert np.allclose(Q, np.eye(3))
 
     @pytest.mark.parametrize("n", [1, 2, 7, 121])
@@ -354,7 +409,7 @@ class TestNullspaceBasis:
         s = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         for scaling in (None, f):
-            Q = bd.nullspace_basis(bd.vandermonde(s, 0), left_scaling=scaling)
+            Q = nullspace_basis(vandermonde(s, 0), left_scaling=scaling)
             assert Q.dtype == complex
             assert np.array_equal(Q, np.eye(n))
 
@@ -366,19 +421,19 @@ class TestNullspaceBasis:
         monkeypatch.setattr(np.linalg, "qr", no_qr)
         s = np.array([1j, 2j, 3j, 4j])
         for scaling in (None, np.array([1.0, 2.0, 3.0, 4.0])):
-            Q = bd.nullspace_basis(bd.vandermonde(s, 0), left_scaling=scaling)
+            Q = nullspace_basis(vandermonde(s, 0), left_scaling=scaling)
             assert Q.dtype == complex
             assert np.array_equal(Q, np.eye(4))
 
 
 class TestSolveConstrainedWeights:
     def test_degenerate_objective(self):
-        w = bd.solve_constrained_weights(np.zeros((1, 2)), np.eye(2))
+        w = solve_constrained_weights(np.zeros((1, 2)), np.eye(2))
         assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-14)
         assert np.linalg.norm(np.zeros((1, 2)) @ w) == 0.0
 
     def test_rank_one_matrix(self):
-        w = bd.solve_constrained_weights(np.array([[1.0, 0.0]]), np.eye(2))
+        w = solve_constrained_weights(np.array([[1.0, 0.0]]), np.eye(2))
         assert abs(w[0]) < 1e-14
         assert abs(w[1]) == pytest.approx(1.0, abs=1e-14)
 
@@ -386,13 +441,13 @@ class TestSolveConstrainedWeights:
         rng = np.random.default_rng(3)
         L = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
         Q = np.eye(2)[:, :1]
-        w = bd.solve_constrained_weights(L, Q)
+        w = solve_constrained_weights(L, Q)
         assert abs(abs(w[0]) - 1.0) < 1e-14 and abs(w[1]) < 1e-14
         assert np.linalg.norm(L @ w) == pytest.approx(np.linalg.norm(L[:, 0]), rel=1e-14)
 
     def test_empty_basis_rejected(self):
         with pytest.raises(ConstraintError):
-            bd.solve_constrained_weights(np.eye(2), np.empty((2, 0)))
+            solve_constrained_weights(np.eye(2), np.empty((2, 0)))
 
     @pytest.mark.parametrize("shape", [(300, 6), (7, 6), (4, 6), (3, 6)])
     def test_minimizer_over_the_constrained_range(self, shape):
@@ -402,8 +457,8 @@ class TestSolveConstrainedWeights:
         # back into range(Q).
         rng = np.random.default_rng(shape[0])
         L = random_complex(rng, shape)
-        Q = bd.nullspace_basis(bd.vandermonde(random_complex(rng, shape[1]), 2))
-        w = bd.solve_constrained_weights(L, Q)
+        Q = nullspace_basis(vandermonde(random_complex(rng, shape[1]), 2))
+        w = solve_constrained_weights(L, Q)
         sigma = np.linalg.svd(L @ Q, compute_uv=False)
         smallest = sigma[-1] if shape[0] >= Q.shape[1] else 0.0
         assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-14)
@@ -412,7 +467,7 @@ class TestSolveConstrainedWeights:
 
     def test_tall_problem_allocates_no_rows_squared_factor(self):
         L = random_complex(np.random.default_rng(6), (4000, 8))
-        assert traced_peak(bd.solve_constrained_weights, L, np.eye(8)) < 10 * L.nbytes
+        assert traced_peak(solve_constrained_weights, L, np.eye(8)) < 10 * L.nbytes
 
 
 class TestClassifyDegree:
@@ -515,7 +570,7 @@ class TestProperties:
             cols = int(rng.integers(0, rows))
             V = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
             f = rng.normal(size=rows) + 1j * rng.normal(size=rows)
-            Q = bd.nullspace_basis(V, left_scaling=f)
+            Q = nullspace_basis(V, left_scaling=f)
             A = f[:, None] * V
             fro = max(np.linalg.norm(A), 1.0)
             assert Q.shape == (rows, rows - cols)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import barydeg as bd
+from barydeg.core import nullspace_basis, solve_constrained_weights, vandermonde
 from barydeg.errors import (ConfigurationError, ConstraintError, GridError,
                             PoleEvaluationError)
+from barydeg.vf import geometric_supports, vf_solve
 
 from conftest import chain_samples, inverse_decay_samples
 
@@ -13,45 +15,45 @@ from conftest import chain_samples, inverse_decay_samples
 class TestGeometricSupports:
     def test_single_magnitude(self):
         ss = bd.SampleSet([1j], [1.0])
-        assert np.array_equal(bd.geometric_supports(ss, 0), [0.9j])
+        assert np.array_equal(geometric_supports(ss, 0), [0.9j])
 
     def test_one_decade_two_points(self):
         pts = bd.sample_grid(1.0, 10.0, 20)
         ss = bd.SampleSet(pts, 1.0 / pts)
-        sup = bd.geometric_supports(ss, 1)
+        sup = geometric_supports(ss, 1)
         assert np.allclose(sup, [0.9j, 0.9j * 12.0], rtol=1e-15)
 
     def test_one_decade_three_points(self):
         pts = bd.sample_grid(1.0, 10.0, 20)
         ss = bd.SampleSet(pts, 1.0 / pts)
-        sup = bd.geometric_supports(ss, 2)
+        sup = geometric_supports(ss, 2)
         assert np.allclose(sup, [0.9j, 0.9j * np.sqrt(12.0), 10.8j], rtol=1e-15)
 
     def test_disjoint_from_samples(self):
         ss = chain_samples(2)
         for m in range(8):
-            sup = bd.geometric_supports(ss, m)
+            sup = geometric_supports(ss, m)
             assert np.unique(sup).size == m + 1
             assert not np.isin(sup, ss.points).any()
 
     def test_origin_sample_rejected(self):
         ss = bd.SampleSet([0.0, 1j], [1.0, 2.0])
         with pytest.raises(GridError):
-            bd.geometric_supports(ss, 1)
+            geometric_supports(ss, 1)
 
 
 class TestVfSolve:
     def test_constant_data(self):
         ss = bd.SampleSet([1j, 2j], [1.0, 1.0])
-        model = bd.GeneralBarycentricModel.from_weights([0.9j, 2.4j], *bd.vf_solve(ss, [0.9j, 2.4j], 0))
+        model = bd.GeneralBarycentricModel.from_weights([0.9j, 2.4j], *vf_solve(ss, [0.9j, 2.4j], 0))
         vals = model(ss.points)
         assert np.max(np.abs(vals - 1.0)) <= 1e-12
 
     def test_inverse_decay_exact_under_constraint(self):
         pts = bd.sample_grid(1.0, 10.0, 20)
         ss = bd.SampleSet(pts, 1.0 / pts)
-        supports = bd.geometric_supports(ss, 1)
-        model = bd.GeneralBarycentricModel.from_weights(supports, *bd.vf_solve(ss, supports, -1))
+        supports = geometric_supports(ss, 1)
+        model = bd.GeneralBarycentricModel.from_weights(supports, *vf_solve(ss, supports, -1))
         rel = np.abs(model(pts) - ss.values) / np.abs(ss.values)
         assert np.max(rel) <= 1e-10
 
@@ -59,12 +61,12 @@ class TestVfSolve:
     def test_numerator_attains_lstsq_residual(self, degree):
         # np.linalg.lstsq on the constrained numerator block is the reference
         ss = chain_samples(2, noise=1e-6, seed=1)
-        supports = bd.geometric_supports(ss, 8)
-        model = bd.GeneralBarycentricModel.from_weights(supports, *bd.vf_solve(ss, supports, degree))
+        supports = geometric_supports(ss, 8)
+        model = bd.GeneralBarycentricModel.from_weights(supports, *vf_solve(ss, supports, degree))
         cauchy = 1.0 / (ss.points[:, None] - supports[None, :])
         basis_n = np.eye(supports.size)
         if degree < 0:
-            basis_n = bd.nullspace_basis(bd.vandermonde(supports, -degree))
+            basis_n = nullspace_basis(vandermonde(supports, -degree))
         rhs = (ss.values[:, None] * cauchy) @ model.den_weights
         ref = np.linalg.lstsq(cauchy @ basis_n, rhs, rcond=None)[0]
         resid = np.linalg.norm(cauchy @ model.num_weights - rhs)
@@ -74,23 +76,23 @@ class TestVfSolve:
     def test_infeasible_constraint_count(self):
         pts = bd.sample_grid(1.0, 10.0, 20)
         ss = bd.SampleSet(pts, 1.0 / pts)
-        supports = bd.geometric_supports(ss, 2)
+        supports = geometric_supports(ss, 2)
         with pytest.raises(ConstraintError):
-            bd.vf_solve(ss, supports, 3)
+            vf_solve(ss, supports, 3)
         with pytest.raises(ConstraintError):
-            bd.vf_solve(ss, supports, -3)
+            vf_solve(ss, supports, -3)
 
     def test_support_collision_rejected(self):
         ss = bd.SampleSet([1j, 2j], [1.0, 1.0])
         with pytest.raises(ValueError, match="disjoint"):
-            bd.vf_solve(ss, [1j, 3j], 0)
+            vf_solve(ss, [1j, 3j], 0)
 
     def test_agrees_with_interpolatory_fit_on_exact_data(self, fwd2_samples):
         # both backends recover the same underlying function when the data
         # is exactly representable
-        supports = bd.geometric_supports(fwd2_samples, 4)
+        supports = geometric_supports(fwd2_samples, 4)
         vf_model = bd.GeneralBarycentricModel.from_weights(
-            supports, *bd.vf_solve(fwd2_samples, supports, -4))
+            supports, *vf_solve(fwd2_samples, supports, -4))
         aaa_model, _ = bd.aaa(fwd2_samples, bd.AaaConfig(tol=1e-8, target_degree=-4))
         s = bd.sample_grid(2e-2, 0.9, 31)
         va = vf_model(s)
@@ -149,9 +151,9 @@ class TestVfAdaptive:
     def test_grid_hitting_a_sample_rejected(self):
         # the middle support of grid 2 is also a sample, bit for bit; a fit
         # at degree 2 starts on that grid
-        grid = bd.geometric_supports(bd.SampleSet([1j, 10j], [1.0, 1.0]), 2)
+        grid = geometric_supports(bd.SampleSet([1j, 10j], [1.0, 1.0]), 2)
         ss = bd.SampleSet([1j, grid[1], 10j], [1.0, 2.0, 0.5])
-        assert np.array_equal(bd.geometric_supports(ss, 2), grid)
+        assert np.array_equal(geometric_supports(ss, 2), grid)
         with pytest.raises(ValueError, match="disjoint"):
             bd.vf_adaptive(ss, bd.VfConfig(tol=1e-12, target_degree=2))
 
@@ -184,8 +186,8 @@ class TestVfRounds:
         cauchy = 1.0 / (ss.points[:, None] - supports[None, :])
         r = np.linalg.qr(np.hstack([cauchy, ss.values[:, None] * cauchy]), mode="r")
         k = supports.size
-        den = bd.solve_constrained_weights(
-            r[k:, k:], bd.nullspace_basis(bd.vandermonde(supports, degree)))
+        den = solve_constrained_weights(
+            r[k:, k:], nullspace_basis(vandermonde(supports, degree)))
         num = np.linalg.lstsq(r[:k, :k], r[:k, k:] @ den, rcond=None)[0]
         ref = bd.GeneralBarycentricModel.from_weights(supports, num, den)
         assert np.array_equal(model.num_weights, ref.num_weights)
@@ -198,13 +200,13 @@ class TestVfRounds:
         # sample-sized [C Q | f C] solves: the residual left after the best
         # numerator, ||R22 d||, is the same for either denominator
         ss = chain_samples(2, noise=1e-6, seed=1)
-        supports = bd.geometric_supports(ss, m)
+        supports = geometric_supports(ss, m)
         cauchy = 1.0 / (ss.points[:, None] - supports[None, :])
-        Q = bd.nullspace_basis(bd.vandermonde(supports, -degree))
+        Q = nullspace_basis(vandermonde(supports, -degree))
         k = Q.shape[1]
         r = np.linalg.qr(np.hstack([cauchy @ Q, ss.values[:, None] * cauchy]), mode="r")
-        ref = bd.solve_constrained_weights(r[k:, k:], np.eye(m + 1))
-        _, den = bd.vf_solve(ss, supports, degree)
+        ref = solve_constrained_weights(r[k:, k:], np.eye(m + 1))
+        _, den = vf_solve(ss, supports, degree)
         assert np.linalg.norm(den) == pytest.approx(1.0, rel=1e-14)
         assert np.linalg.norm(r[k:, k:] @ den) == pytest.approx(
             np.linalg.norm(r[k:, k:] @ ref), rel=1e-12)
