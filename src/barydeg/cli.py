@@ -31,8 +31,8 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .asymptotic import (DEFAULT_ORDER, AsymptoticModel, PiecewiseModel, classify_degree,
-                         eval_piecewise, make_piecewise)
+from .asymptotic import (DEFAULT_ORDER, AsymptoticModel, PiecewiseModel, eval_piecewise,
+                         make_piecewise)
 from .benchmarks import load_samples, mass_chain_samples, sample_grid, save_samples
 from .core import BarycentricModel, GeneralBarycentricModel
 from .errors import BarydegError
@@ -216,9 +216,8 @@ def cmd_fit(args):
     samples = _load_input(args.input)
     t0 = time.perf_counter()
     model, rep = _backend(args)(samples, args.degree)
-    signature = pm = piecewise_error = None
+    pm = piecewise_error = None
     try:
-        signature = classify_degree(model)
         pm = make_piecewise(model, samples, args.order)
     except BarydegError as exc:
         piecewise_error = str(exc)
@@ -231,7 +230,7 @@ def cmd_fit(args):
         "converged": rep.converged,
         "constraint_residual": rep.constraint_residual,
         "leading_sum_magnitudes": list(rep.leading_sum_magnitudes),
-        **{f"classified_{k}": getattr(signature, k, None) for k in ("rdeg", "mu", "nu")},
+        **{f"classified_{k}": getattr(pm and pm.asym, k, None) for k in ("rdeg", "mu", "nu")},
         **{k: getattr(pm, k, None) for k in ("cutoff", "train_T", "train_eps")},
         "piecewise_error": piecewise_error,
     })

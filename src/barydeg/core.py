@@ -200,7 +200,8 @@ class FitReport:
     ``linf_rel_error`` and ``l2_rel_error`` are taken over the full sample
     set (max, resp. Euclidean norm, of the pointwise relative errors).
     ``effective_degree`` is the degree actually imposed on the returned
-    model, sign(target) * min(|target|, terms - 1).  ``constraint_residual``
+    model, sign(target) * min(|target|, terms - 1) for either fitter: a
+    term cap too small for the target lowers it.  ``constraint_residual``
     is the largest scaled power sum that the constraints force to zero, and
     ``leading_sum_magnitudes`` the two power sums that must stay away from
     zero for the imposed degree to be exact.

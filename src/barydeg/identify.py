@@ -5,8 +5,8 @@ the fits are compared by a complexity-first criterion: fewer barycentric
 terms win; at equal complexity the larger |degree| wins (it is the more
 constrained, hence simpler, model); only full ties fall through to the
 approximation error.  The search sweeps degrees 0, 1, 2, ... until a fit
-stops improving or its effective degree stops growing (AAA caps it at
-terms - 1, after which every further target repeats the same fit), repeats
+stops improving or its effective degree stops growing (both fitters cap it
+at terms - 1, after which every further target repeats the same fit), repeats
 toward negative degrees, and keeps the better of the two directions'
 winners.  Each fit runs under a term cap bounded by its incumbent: once the
 incumbent has converged with T terms, the fit at degree k is stopped after
@@ -126,18 +126,14 @@ def vf_backend(tol=DEFAULT_TOL, max_terms=None):
     (see :func:`vf_adaptive`) for the last ``SampleSet`` it was given, so
     the other fits of a sweep reuse their QR triangles.  A fit runs under
     the smaller of ``max_terms`` (default ``DEFAULT_MAX_TERMS`` of
-    :mod:`barydeg.vf`) and the cap it is called with.  A cap too small to
-    hold |degree| + 1 terms fits at degree ``sign(degree) * (cap - 1)``
-    instead, as AAA caps its effective degree at terms - 1.
+    :mod:`barydeg.vf`) and the cap it is called with.
     """
     grids = functools.lru_cache(maxsize=1)(lambda samples: {})
     own = VF_MAX_TERMS if max_terms is None else max_terms
 
     def fit(samples, degree, max_terms=None):
-        cap = _smaller(own, max_terms)
-        degree = (-1 if degree < 0 else 1) * min(abs(degree), cap - 1)
-        return vf_adaptive(samples, VfConfig(tol=tol, target_degree=degree, max_terms=cap),
-                           grids=grids(samples))
+        config = VfConfig(tol=tol, target_degree=degree, max_terms=_smaller(own, max_terms))
+        return vf_adaptive(samples, config, grids=grids(samples))
     return fit
 
 
@@ -188,10 +184,9 @@ def identify(samples, backend, max_abs_degree=DEFAULT_MAX_ABS_DEGREE,
     best_pos = sweep(+1)
     best_neg = sweep(-1)
     winner = best_pos if better(best_pos, best_neg) else best_neg
-    succeeded = any(c.converged for c in candidates)
-    piecewise = make_piecewise(winner.model, samples, order) if succeeded else None
+    piecewise = make_piecewise(winner.model, samples, order) if winner.converged else None
     return IdentificationResult(
-        best_degree=winner.degree if succeeded else None,
+        best_degree=winner.degree if winner.converged else None,
         best=winner,
         candidates=tuple(candidates),
         piecewise=piecewise,

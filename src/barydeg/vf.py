@@ -7,18 +7,20 @@ Degree constraints restrict the coefficients to the null space of a
 Vandermonde block, exactly as in the interpolatory case but acting on the
 numerator weights (negative degree) or denominator weights (positive
 degree) directly.  Model complexity grows one support at a time until the
-fit is uniformly below tolerance.
+fit is uniformly below tolerance.  A term cap too small to hold the
+target degree lowers the imposed degree, as in AAA (see :func:`vf_adaptive`).
 
 Grid m and the QR triangle R of its block [C | f C] (C the Cauchy block
 1 / (s'_j - s_k) of the samples) depend on the samples and m alone, so a
-round solves from R: a numerator constraint re-triangularizes a block of
-R's size, not of the samples'.  A round that factors its grid writes
-[C | f C] into one row-major buffer and keeps only R; it takes its values
-from its own Cauchy block (``core.cauchy_block``, as a model call does),
-built after the solve once that buffer is freed.  The model is built once,
-after the last round.  The fits of one degree sweep share their triangles:
-with a ``grids`` record (see :func:`vf_adaptive`) the fits at d != 0 reuse
-the grids that the degree-0 fit factored.
+round's solve (:func:`vf_solve`) reads R and never the samples: a
+numerator constraint re-triangularizes a block of R's size, not of the
+samples'.  A round that factors its grid writes [C | f C] into one
+row-major buffer and keeps only R; it takes its values from its own Cauchy
+block (``core.cauchy_block``, as a model call does), built after the solve
+once that buffer is freed.  The model is built once, after the last round.
+The fits of one degree sweep share their triangles: with a ``grids``
+record (see :func:`vf_adaptive`) the fits at d != 0 reuse the grids that
+the degree-0 fit factored.
 """
 
 from dataclasses import dataclass
@@ -37,7 +39,7 @@ from .core import (
     solve_constrained_weights,
     vandermonde,
 )
-from .errors import ConfigurationError, ConstraintError, GridError
+from .errors import GridError
 from .util import relative_errors
 
 DEFAULT_TOL = 1e-4
@@ -75,7 +77,7 @@ def geometric_supports(samples, m):
     return anchor * ratio ** (np.arange(m + 1) / m)
 
 
-def vf_solve(samples, supports, target_degree, r=None):
+def vf_solve(r, supports, target_degree):
     """One linearized least-squares fit over fixed supports.
 
     Minimizes the linearized residual sum |f(s'_j) d(s'_j) - n(s'_j)|^2
@@ -85,27 +87,21 @@ def vf_solve(samples, supports, target_degree, r=None):
     d -> 0 corner that a jointly normalized solve can fall into when the
     data magnitudes are large.
 
-    The solve reads the samples only through the triangle ``r`` of the QR
-    factorization of [C | f C], C the Cauchy block 1 / (s'_j - s_k); it
-    factors that block itself when ``r`` is not given.  A numerator
+    The samples enter only through ``r``, the triangle of the QR
+    factorization of their block [C | f C] over ``supports``.  A numerator
     constraint n = Q u turns the block into [C Q | f C], whose triangle is
     that of the small block [R1 Q | R2] (R1, R2 the two column halves of
     ``r``), so no sample-sized matrix is factored again.  The trailing
     triangle R22 then holds the residual left after the best numerator, so d
     minimizes ||R22 d|| under the constraints and n solves R11 n = R12 d in
     the least-squares sense (R11 is wide when there are fewer samples than
-    numerator unknowns).  Returns the unnormalized pair ``(num, den)``;
-    ``GeneralBarycentricModel.from_weights`` rescales it to a model.
+    numerator unknowns).  A degree the supports cannot hold raises
+    ``ConstraintError`` from ``nullspace_basis``.  Returns the unnormalized
+    pair ``(num, den)``; ``GeneralBarycentricModel.from_weights`` rescales
+    it to a model.
     """
-    supports = np.asarray(supports, dtype=complex).ravel()
-    mp1 = supports.size
+    mp1 = r.shape[1] // 2
     delta = int(target_degree)
-    if abs(delta) >= mp1:
-        raise ConstraintError(
-            f"degree {delta} needs more than {mp1} supports"
-        )
-    if r is None:
-        r = _factor(samples, supports)
     # the constrained side gets the null-space basis (the identity at degree
     # 0), the other side stays unconstrained
     Q = nullspace_basis(vandermonde(supports, abs(delta)))
@@ -122,37 +118,39 @@ def vf_solve(samples, supports, target_degree, r=None):
 def vf_adaptive(samples, config, *, grids=None):
     """Grow the geometric support grid until the fit meets tolerance.
 
-    Complexity starts at the smallest grid admitting the degree constraint
-    (m = |target_degree|) and increases one support per round.  Returns
-    ``(model, report)`` with ``converged=False`` when the term cap is hit.
+    Under the term cap T (``DEFAULT_MAX_TERMS`` when ``config.max_terms`` is
+    ``None``) the fit imposes degree d = sign(target) * min(|target|, T - 1).
+    Complexity starts at the smallest grid admitting it (m = |d|) and
+    increases one support per round.  Returns ``(model, report)`` with
+    ``converged=False`` when the term cap is hit.
 
     ``grids`` lets the fits of one sweep over the same samples share their
     factorizations: grid m and the triangle R of its block [C | f C]
-    depend on the samples and m alone.  A degree-0 fit empties the dict and
+    depend on the samples and m alone.  A fit at d = 0 empties the dict and
     records ``grids[m] = (supports, R)`` for every grid it factors; a fit at
-    any other degree takes R from the dict when it holds m, and factors the
+    any other d takes R from the dict when it holds m, and factors the
     other grids without recording them.  So every sweep does the same work,
     however often it is repeated.
     """
-    delta = int(config.target_degree)
     cap = DEFAULT_MAX_TERMS if config.max_terms is None else config.max_terms
-    if cap < abs(delta) + 1:
-        raise ConfigurationError(f"max_terms={cap} cannot accommodate degree {delta}")
+    target = int(config.target_degree)
+    delta = int(np.sign(target)) * min(abs(target), cap - 1)
     pts, vals = samples.points, samples.values
-    # a degree-0 fit starts the record afresh; the other fits only read it
-    record, shared = (grids, {}) if delta == 0 else (None, grids or {})
-    if record is not None:
-        record.clear()
+    # a degree-0 fit starts the record afresh; the other fits only read it.
+    # Without a record nothing is kept, so each round's triangle is freed.
+    record = delta == 0 and grids is not None
+    if record:
+        grids.clear()
     converged = False
     for m in range(abs(delta), cap):
-        if m in shared:
-            supports, r = shared[m]
+        if grids and m in grids:
+            supports, r = grids[m]
         else:
             supports = geometric_supports(samples, m)
             r = _factor(samples, supports)
-            if record is not None:
-                record[m] = (supports, r)
-        num, den = vf_solve(samples, supports, delta, r=r)
+            if record:
+                grids[m] = (supports, r)
+        num, den = vf_solve(r, supports, delta)
         # normalised as from_weights does, so the values are the model's;
         # the grid's supports were checked disjoint when it was factored
         scale = np.linalg.norm(np.concatenate([num, den]))

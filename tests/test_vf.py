@@ -5,11 +5,10 @@ import pytest
 
 import barydeg as bd
 from barydeg.core import nullspace_basis, solve_constrained_weights, vandermonde
-from barydeg.errors import (ConfigurationError, ConstraintError, GridError,
-                            PoleEvaluationError)
-from barydeg.vf import geometric_supports, vf_solve
+from barydeg.errors import ConstraintError, GridError, PoleEvaluationError
+from barydeg.vf import _factor, geometric_supports, vf_solve
 
-from conftest import chain_samples, inverse_decay_samples
+from conftest import chain_samples, inverse_decay_samples, traced_peak
 
 
 class TestGeometricSupports:
@@ -45,7 +44,8 @@ class TestGeometricSupports:
 class TestVfSolve:
     def test_constant_data(self):
         ss = bd.SampleSet([1j, 2j], [1.0, 1.0])
-        model = bd.GeneralBarycentricModel.from_weights([0.9j, 2.4j], *vf_solve(ss, [0.9j, 2.4j], 0))
+        r = _factor(ss, np.asarray([0.9j, 2.4j], dtype=complex))
+        model = bd.GeneralBarycentricModel.from_weights([0.9j, 2.4j], *vf_solve(r, [0.9j, 2.4j], 0))
         vals = model(ss.points)
         assert np.max(np.abs(vals - 1.0)) <= 1e-12
 
@@ -53,7 +53,8 @@ class TestVfSolve:
         pts = bd.sample_grid(1.0, 10.0, 20)
         ss = bd.SampleSet(pts, 1.0 / pts)
         supports = geometric_supports(ss, 1)
-        model = bd.GeneralBarycentricModel.from_weights(supports, *vf_solve(ss, supports, -1))
+        model = bd.GeneralBarycentricModel.from_weights(
+            supports, *vf_solve(_factor(ss, supports), supports, -1))
         rel = np.abs(model(pts) - ss.values) / np.abs(ss.values)
         assert np.max(rel) <= 1e-10
 
@@ -62,7 +63,8 @@ class TestVfSolve:
         # np.linalg.lstsq on the constrained numerator block is the reference
         ss = chain_samples(2, noise=1e-6, seed=1)
         supports = geometric_supports(ss, 8)
-        model = bd.GeneralBarycentricModel.from_weights(supports, *vf_solve(ss, supports, degree))
+        model = bd.GeneralBarycentricModel.from_weights(
+            supports, *vf_solve(_factor(ss, supports), supports, degree))
         cauchy = 1.0 / (ss.points[:, None] - supports[None, :])
         basis_n = np.eye(supports.size)
         if degree < 0:
@@ -78,21 +80,21 @@ class TestVfSolve:
         ss = bd.SampleSet(pts, 1.0 / pts)
         supports = geometric_supports(ss, 2)
         with pytest.raises(ConstraintError):
-            vf_solve(ss, supports, 3)
+            vf_solve(_factor(ss, supports), supports, 3)
         with pytest.raises(ConstraintError):
-            vf_solve(ss, supports, -3)
+            vf_solve(_factor(ss, supports), supports, -3)
 
     def test_support_collision_rejected(self):
         ss = bd.SampleSet([1j, 2j], [1.0, 1.0])
         with pytest.raises(ValueError, match="disjoint"):
-            vf_solve(ss, [1j, 3j], 0)
+            vf_solve(_factor(ss, np.asarray([1j, 3j], dtype=complex)), [1j, 3j], 0)
 
     def test_agrees_with_interpolatory_fit_on_exact_data(self, fwd2_samples):
         # both backends recover the same underlying function when the data
         # is exactly representable
         supports = geometric_supports(fwd2_samples, 4)
         vf_model = bd.GeneralBarycentricModel.from_weights(
-            supports, *vf_solve(fwd2_samples, supports, -4))
+            supports, *vf_solve(_factor(fwd2_samples, supports), supports, -4))
         aaa_model, _ = bd.aaa(fwd2_samples, bd.AaaConfig(tol=1e-8, target_degree=-4))
         s = bd.sample_grid(2e-2, 0.9, 31)
         va = vf_model(s)
@@ -128,10 +130,23 @@ class TestVfAdaptive:
         assert neg.converged and pos.converged
         assert pos.terms > neg.terms
 
-    def test_max_terms_too_small_for_degree(self):
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("excess", [0, 1, 2])
+    @pytest.mark.parametrize("cap", [1, 2, 3, 4])
+    def test_max_terms_too_small_for_degree(self, cap, excess, sign):
+        # a cap of T terms holds |degree| <= T - 1: a larger target fits at
+        # sign * (T - 1), as AAA caps its effective degree
         ss = inverse_decay_samples()
-        with pytest.raises(ConfigurationError):
-            bd.vf_adaptive(ss, bd.VfConfig(tol=1e-4, target_degree=-4, max_terms=3))
+        capped = sign * (cap - 1)
+        model, rep = bd.vf_adaptive(
+            ss, bd.VfConfig(tol=1e-4, target_degree=sign * (cap + excess), max_terms=cap))
+        ref, ref_rep = bd.vf_adaptive(
+            ss, bd.VfConfig(tol=1e-4, target_degree=capped, max_terms=cap))
+        assert rep.effective_degree == capped
+        assert rep == ref_rep
+        assert np.array_equal(model.supports, ref.supports)
+        assert np.array_equal(model.num_weights, ref.num_weights)
+        assert np.array_equal(model.den_weights, ref.den_weights)
 
     @pytest.mark.parametrize("count", [2, 3, 4, 6])
     @pytest.mark.parametrize("degree", [0, -1, 2])
@@ -206,7 +221,7 @@ class TestVfRounds:
         k = Q.shape[1]
         r = np.linalg.qr(np.hstack([cauchy @ Q, ss.values[:, None] * cauchy]), mode="r")
         ref = solve_constrained_weights(r[k:, k:], np.eye(m + 1))
-        _, den = vf_solve(ss, supports, degree)
+        _, den = vf_solve(_factor(ss, supports), supports, degree)
         assert np.linalg.norm(den) == pytest.approx(1.0, rel=1e-14)
         assert np.linalg.norm(r[k:, k:] @ den) == pytest.approx(
             np.linalg.norm(r[k:, k:] @ ref), rel=1e-12)
@@ -234,6 +249,15 @@ class TestVfRounds:
         last_round, report = errors[-2], errors[-1]
         assert float(np.max(last_round)) == rep.linf_rel_error
         assert np.array_equal(last_round, report)
+
+    def test_fit_without_a_record_keeps_no_triangle(self):
+        # a 60-term fit, 200 samples: holding every grid's 2(m+1)-square
+        # triangle at once would take more than its whole peak does
+        ss = chain_samples(2, noise=1e-3, seed=2)
+        model, _ = bd.vf_adaptive(ss, bd.VfConfig(tol=1e-12))
+        assert model.terms == 60
+        triangles = sum(16 * (2 * k) ** 2 for k in range(1, 61))
+        assert traced_peak(bd.vf_adaptive, ss, bd.VfConfig(tol=1e-12)) < triangles
 
     def test_vanishing_denominator_at_a_sample_raises(self, monkeypatch):
         # at the sample 0 the Cauchy row of the supports -1 and 1 is (1, -1),
