@@ -8,11 +8,12 @@ The iteration stops as soon as the freshly picked point is already matched
 to tolerance by the current model, which is then returned unchanged.
 
 The fit keeps one block over the remaining samples for its whole run: the
-Loewner block.  Each pick drops the new support's row from it and appends
-one column, which ``loewner_matrix`` builds.  The step's values on the
-remaining samples come from their Cauchy block 1 / (s_j - s_k), which
-``core.cauchy_block`` builds afresh for that step alone, without building
-a model.
+Loewner block L.  Each step holds at most two such blocks at once.  Its
+values on the remaining samples come from their Cauchy block
+1 / (s_j - s_k), which ``core.cauchy_block`` builds afresh for that step
+alone, beside L.  The pick then copies L without the new support's row and
+with one more column, which ``loewner_matrix`` builds, and the old L goes.
+The weight solve holds L and at most one more block of its size.
 
 The fits of one degree sweep share their fully constrained prefix: with a
 ``spine`` (see :func:`aaa`) a fit at target d resumes after the first |d|

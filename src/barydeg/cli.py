@@ -38,6 +38,7 @@ from .core import BarycentricModel, GeneralBarycentricModel
 from .errors import BarydegError
 from .identify import DEFAULT_MAX_ABS_DEGREE, aaa_backend, identify, vf_backend
 from .util import write_rows
+from .vf import DEFAULT_TOL
 
 REPORT_SCHEMA_VERSION = "1"
 MODEL_SCHEMA_VERSION = "1"
@@ -190,6 +191,9 @@ def _load_input(path):
 
 
 def _backend(args):
+    # the default tol is the backend's, set on args so the report shows it
+    if args.tol is None:
+        args.tol = 1e-6 if args.backend == "aaa" else DEFAULT_TOL
     make = aaa_backend if args.backend == "aaa" else vf_backend
     return make(tol=args.tol, max_terms=args.max_terms)
 
@@ -292,7 +296,7 @@ def build_parser():
     run = argparse.ArgumentParser(add_help=False)
     run.add_argument("input")
     run.add_argument("--backend", choices=["aaa", "vf"], default="aaa")
-    run.add_argument("--tol", type=float, default=1e-6)
+    run.add_argument("--tol", type=float, help=f"default: 1e-6 for aaa, {DEFAULT_TOL:g} for vf")
     run.add_argument("--order", type=int, default=DEFAULT_ORDER, help="asymptotic truncation order")
     run.add_argument("--max-terms", type=int, default=None)
     run.add_argument("--report", "-o", required=True)

@@ -299,7 +299,7 @@ def cauchy_ratio(cauchy, coefficients, points, exempt=None):
     num = cauchy @ num_coeffs
     den = cauchy @ den_coeffs
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = num / den
+        out = np.divide(num, den, out=num)
     bad = den == 0
     if exempt is not None:
         bad[exempt] = False
@@ -386,17 +386,22 @@ def solve_constrained_weights(L, Q):
 
     Q must have orthonormal columns (typically a null-space basis encoding
     degree constraints); the minimizer is Q v with v a minimal right
-    singular vector of L Q.
+    singular vector of L Q.  A tall L is reduced to its QR triangle R first,
+    as ||L Q v|| = ||R Q v||, unless Q has at most half as many columns:
+    beyond L the solve then holds either the copy of L that ``np.linalg.qr``
+    factors or L Q and its copy, never more than one block of L's size.
     """
     L = np.asarray(L, dtype=complex)
     Q = np.asarray(Q, dtype=complex)
     if Q.shape[1] == 0:
         raise ConstraintError("constraint basis has no columns")
+    rows, cols = L.shape
+    if rows > cols and 2 * Q.shape[1] > cols:
+        L = np.linalg.qr(L, mode="r")
     LQ = L @ Q
     rows, cols = LQ.shape
     if rows > cols:
-        # ||LQ v|| = ||R v||: the square triangle R has the same right
-        # singular vectors, and its SVD needs no rows x cols left factor
+        # the same identity: the SVD of the square triangle needs no left factor
         LQ = np.linalg.qr(LQ, mode="r")
     # a wide block needs the full factorization for every right singular vector
     _, _, vh = np.linalg.svd(LQ, full_matrices=rows < cols)

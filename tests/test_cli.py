@@ -373,6 +373,21 @@ class TestRunReport:
         assert argv.pop("model_out") == str(tmp_path / "m.json")
         assert doc["config"] == argv
 
+    @pytest.mark.parametrize("backend", ["aaa", "vf"])
+    def test_default_tol_is_the_backends(self, tmp_path, backend):
+        # without --tol, AAA runs at 1e-6 and VF at the library's default;
+        # the report shows the tol that ran
+        data = generate_fwd2(tmp_path)
+        report_path = tmp_path / "r.json"
+        assert run("fit", str(data), "--backend", backend, "--degree", "-4",
+                   "-o", str(report_path)) == EXIT_OK
+        doc = json.loads(report_path.read_text())
+        tol = 1e-6 if backend == "aaa" else 1e-4
+        assert doc["argv"]["tol"] == doc["config"]["tol"] == tol
+        library = bd.aaa_backend(tol) if backend == "aaa" else bd.vf_backend()
+        _, rep = library(bd.load_samples(data), -4)
+        assert doc["result"]["linf_rel_error"] == rep.linf_rel_error
+
     def test_shared_flags_share_defaults(self):
         parser = build_parser()
         fit = vars(parser.parse_args(["fit", "x.csv", "-o", "r.json"]))

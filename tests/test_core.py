@@ -449,15 +449,20 @@ class TestSolveConstrainedWeights:
         with pytest.raises(ConstraintError):
             solve_constrained_weights(np.eye(2), np.empty((2, 0)))
 
-    @pytest.mark.parametrize("shape", [(300, 6), (7, 6), (4, 6), (3, 6)])
-    def test_minimizer_over_the_constrained_range(self, shape):
-        # Q has 4 columns, so L Q is tall, tall, square and wide.  Tall blocks
-        # are reduced to their QR triangle first, the others go to the SVD
-        # directly; each must give the minimal singular vector of L Q, mapped
-        # back into range(Q).
+    @pytest.mark.parametrize("shape, constraints",
+                             [((300, 6), 2), ((7, 6), 2), ((4, 6), 2), ((3, 6), 2), ((300, 6), 0),
+                              ((300, 6), 4)],
+                             ids=[f"shape{i}" for i in range(6)])
+    def test_minimizer_over_the_constrained_range(self, shape, constraints):
+        # Two constraints leave Q 4 of L's 6 columns, none leave Q = I (AAA's
+        # degree-0 basis): a tall L (300 and 7 rows) is reduced to its 6 x 6
+        # QR triangle R first, and a tall R Q to its own triangle.  Four
+        # constraints leave Q 2 columns, so the tall L goes to L Q and its
+        # triangle, as the square and wide L go to L Q directly.  Each must
+        # give the minimal singular vector of L Q, mapped back into range(Q).
         rng = np.random.default_rng(shape[0])
         L = random_complex(rng, shape)
-        Q = nullspace_basis(vandermonde(random_complex(rng, shape[1]), 2))
+        Q = nullspace_basis(vandermonde(random_complex(rng, shape[1]), constraints))
         w = solve_constrained_weights(L, Q)
         sigma = np.linalg.svd(L @ Q, compute_uv=False)
         smallest = sigma[-1] if shape[0] >= Q.shape[1] else 0.0
@@ -466,8 +471,14 @@ class TestSolveConstrainedWeights:
         assert np.linalg.norm(L @ w) == pytest.approx(smallest, rel=1e-10, abs=1e-13)
 
     def test_tall_problem_allocates_no_rows_squared_factor(self):
-        L = random_complex(np.random.default_rng(6), (4000, 8))
-        assert traced_peak(solve_constrained_weights, L, np.eye(8)) < 10 * L.nbytes
+        # beyond its inputs, the solve holds the copy of L that the QR
+        # factors (Q = I, AAA's degree-0 basis, or one constraint), or L Q
+        # and its copy when Q has at most half of L's columns (six)
+        rng = np.random.default_rng(6)
+        L = random_complex(rng, (4000, 8))
+        for constraints in (0, 1, 6):
+            Q = nullspace_basis(vandermonde(random_complex(rng, 8), constraints))
+            assert traced_peak(solve_constrained_weights, L, Q) <= 1.25 * L.nbytes
 
 
 class TestClassifyDegree:
