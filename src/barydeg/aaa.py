@@ -39,6 +39,7 @@ from .core import (
 from .errors import ConfigurationError
 from .util import relative_errors
 
+DEFAULT_TOL = 1e-6  # the CLI's tol for AAA when none is given
 DEFAULT_MAX_TERMS = 120
 
 

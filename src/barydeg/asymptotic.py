@@ -25,12 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    BarycentricModel,
-    GeneralBarycentricModel,
-    _power_sum_scan,
-    evaluate,
-)
+from .core import _as_complex_vector, _Barycentric, _power_sum_scan, evaluate
 from .errors import PoleEvaluationError
 from .util import blockwise, relative_errors
 
@@ -57,18 +52,17 @@ class AsymptoticModel:
     den_moments_scaled: np.ndarray
 
     def __post_init__(self):
-        num = np.asarray(self.num_moments_scaled, dtype=complex).copy()
-        den = np.asarray(self.den_moments_scaled, dtype=complex).copy()
-        num.setflags(write=False)
-        den.setflags(write=False)
-        object.__setattr__(self, "num_moments_scaled", num)
-        object.__setattr__(self, "den_moments_scaled", den)
-        if num.size == 0 or num.size != den.size:
+        if not 0 < np.size(self.num_moments_scaled) == np.size(self.den_moments_scaled):
             raise ValueError("moment arrays must be non-empty and of equal length")
-        if num[0] == 0 or den[0] == 0:
+        for name in ("num_moments_scaled", "den_moments_scaled"):
+            object.__setattr__(self, name, _as_complex_vector(getattr(self, name), name))
+        if self.num_moments_scaled[0] == 0 or self.den_moments_scaled[0] == 0:
             raise ValueError("leading moments must be nonzero")
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
+        for name in ("mu", "nu"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be nonnegative")
+        if not 0 < self.scale < np.inf:
+            raise ValueError("scale must be finite and positive")
 
     @property
     def rdeg(self):
@@ -111,10 +105,11 @@ class PiecewiseModel:
     train_eps: float
 
     def __post_init__(self):
-        if not isinstance(self.bary, (BarycentricModel, GeneralBarycentricModel)):
+        if not isinstance(self.bary, _Barycentric):
             raise TypeError("bary must be a barycentric model")
-        if not (self.cutoff > 0 and self.train_T > 0 and self.train_eps > 0):
-            raise ValueError("cutoff, train_T and train_eps must be positive")
+        for name in ("cutoff", "train_T", "train_eps"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if self.train_eps <= 1.0 and self.cutoff < self.train_T:
             raise ValueError("cutoff must not fall inside the sampled band")
 

@@ -31,14 +31,15 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
+from .aaa import DEFAULT_TOL as AAA_TOL
 from .asymptotic import (DEFAULT_ORDER, AsymptoticModel, PiecewiseModel, eval_piecewise,
                          make_piecewise)
 from .benchmarks import load_samples, mass_chain_samples, sample_grid, save_samples
-from .core import BarycentricModel, GeneralBarycentricModel
+from .core import BarycentricModel, GeneralBarycentricModel, _field_names
 from .errors import BarydegError
 from .identify import DEFAULT_MAX_ABS_DEGREE, aaa_backend, identify, vf_backend
 from .util import write_rows
-from .vf import DEFAULT_TOL
+from .vf import DEFAULT_TOL as VF_TOL
 
 REPORT_SCHEMA_VERSION = "1"
 MODEL_SCHEMA_VERSION = "1"
@@ -82,6 +83,11 @@ def _pairs_to_complex(pairs):
     return np.array([complex(re, im) for re, im in pairs])
 
 
+# A model file's ``kind`` and the class it names; the file stores the
+# class's fields after ``supports`` under their own names.
+MODEL_KINDS = {"interpolatory": BarycentricModel, "general": GeneralBarycentricModel}
+
+
 def model_to_json(pm):
     """Serialize a piecewise model losslessly (raw coefficients, no poles)."""
     bary = pm.bary
@@ -101,14 +107,9 @@ def model_to_json(pm):
         "train_T": pm.train_T,
         "train_eps": pm.train_eps,
     }
-    if isinstance(bary, GeneralBarycentricModel):
-        doc["kind"] = "general"
-        doc["num_weights"] = _complex_pairs(bary.num_weights)
-        doc["den_weights"] = _complex_pairs(bary.den_weights)
-    else:
-        doc["kind"] = "interpolatory"
-        doc["support_values"] = _complex_pairs(bary.support_values)
-        doc["weights"] = _complex_pairs(bary.weights)
+    doc["kind"] = next(kind for kind, cls in MODEL_KINDS.items() if type(bary) is cls)
+    for name in _field_names(type(bary))[1:]:
+        doc[name] = _complex_pairs(getattr(bary, name))
     return doc
 
 
@@ -133,20 +134,10 @@ def model_from_json(doc):
         raise ValueError("model file must hold a JSON object")
     supports = _entry(doc, "supports", _pairs_to_complex)
     kind = _entry(doc, "kind", str)
-    if kind == "general":
-        bary = GeneralBarycentricModel(
-            supports,
-            _entry(doc, "num_weights", _pairs_to_complex),
-            _entry(doc, "den_weights", _pairs_to_complex),
-        )
-    elif kind == "interpolatory":
-        bary = BarycentricModel(
-            supports,
-            _entry(doc, "support_values", _pairs_to_complex),
-            _entry(doc, "weights", _pairs_to_complex),
-        )
-    else:
+    if kind not in MODEL_KINDS:
         raise ValueError(f"model file entry 'kind' is invalid: {kind!r}")
+    cls = MODEL_KINDS[kind]
+    bary = cls(supports, *(_entry(doc, name, _pairs_to_complex) for name in _field_names(cls)[1:]))
     a = _entry(doc, "asymptotic", dict)
     asym = AsymptoticModel(
         mu=_entry(a, "mu", operator.index), nu=_entry(a, "nu", operator.index),
@@ -193,7 +184,7 @@ def _load_input(path):
 def _backend(args):
     # the default tol is the backend's, set on args so the report shows it
     if args.tol is None:
-        args.tol = 1e-6 if args.backend == "aaa" else DEFAULT_TOL
+        args.tol = AAA_TOL if args.backend == "aaa" else VF_TOL
     make = aaa_backend if args.backend == "aaa" else vf_backend
     return make(tol=args.tol, max_terms=args.max_terms)
 
@@ -296,7 +287,7 @@ def build_parser():
     run = argparse.ArgumentParser(add_help=False)
     run.add_argument("input")
     run.add_argument("--backend", choices=["aaa", "vf"], default="aaa")
-    run.add_argument("--tol", type=float, help=f"default: 1e-6 for aaa, {DEFAULT_TOL:g} for vf")
+    run.add_argument("--tol", type=float, help=f"default: {AAA_TOL:g} for aaa, {VF_TOL:g} for vf")
     run.add_argument("--order", type=int, default=DEFAULT_ORDER, help="asymptotic truncation order")
     run.add_argument("--max-terms", type=int, default=None)
     run.add_argument("--report", "-o", required=True)

@@ -20,7 +20,12 @@ for degree constraints, and the power-sum scan that classifies the degree.
 Both model kinds expose the same ``coefficients`` pair (numerator,
 denominator): ``(w_k f_k, w_k)`` for the interpolatory form and
 ``(n_k, d_k)`` for the general form.  Evaluation, classification and the
-asymptotic moments read only that pair.
+asymptotic moments read only that pair.  The kinds share one evaluator,
+which takes a support point's value from the kind's ``_on_support(k)``:
+``f_k``, or ``n_k / d_k`` (undefined when ``d_k`` is 0).  They and
+``SampleSet`` share one set of checks: every field is a finite, non-empty
+complex vector, the fields have equal length, and the first field's points
+are pairwise distinct.
 
 :func:`cauchy_block` is the one builder of Cauchy blocks 1 / (x_j - s_k):
 model calls, AAA's values on its pool and VF's values in each round all go
@@ -31,7 +36,8 @@ VF's QR buffer [C | f C] is the exception; it stays row-major because
 ``np.linalg.qr`` takes more scratch on a column-major input.
 """
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -60,39 +66,80 @@ def _as_complex_vector(x, name):
     return arr
 
 
-def _check_distinct(points, name):
-    # equal points sort next to each other; 0.0 == -0.0, as in np.unique
-    p = np.sort(points)
-    if np.count_nonzero(p[1:] == p[:-1]):
-        raise ValueError(f"{name} must be pairwise distinct")
-
-
 def support_scale(supports):
     """Scaling constant for power sums: max |s_k|, or 1 if all supports are 0."""
     shat = float(np.max(np.abs(supports)))
     return shat if shat > 0.0 else 1.0
 
 
+@functools.cache
+def _field_names(cls):
+    """Names of a dataclass's fields, in order; read once per class."""
+    return tuple(f.name for f in fields(cls))
+
+
+class _PointSet:
+    """Checks shared by sample sets and both model kinds.
+
+    Every field is a complex vector (``_as_complex_vector``), all fields
+    have equal length, and the first field's points are pairwise distinct.
+    """
+
+    _points_name = "supports"  # the first field, as the distinctness error names it
+
+    def __post_init__(self):
+        names = _field_names(type(self))
+        for name in names:
+            object.__setattr__(self, name, _as_complex_vector(getattr(self, name), name))
+        if len({getattr(self, name).size for name in names}) > 1:
+            raise ValueError(f"{', '.join(names[:-1])} and {names[-1]} must have equal length")
+        # equal points sort next to each other; 0.0 == -0.0, as in np.unique
+        p = np.sort(getattr(self, names[0]))
+        if np.count_nonzero(p[1:] == p[:-1]):
+            raise ValueError(f"{self._points_name} must be pairwise distinct")
+
+
 @dataclass(frozen=True, eq=False)
-class SampleSet:
+class SampleSet(_PointSet):
     """Training data: distinct complex frequency points with complex values."""
 
     points: np.ndarray
     values: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", _as_complex_vector(self.points, "points"))
-        object.__setattr__(self, "values", _as_complex_vector(self.values, "values"))
-        if self.points.size != self.values.size:
-            raise ValueError("points and values must have equal length")
-        _check_distinct(self.points, "sample points")
+    _points_name = "sample points"
 
     def __len__(self):
         return self.points.size
 
 
+class _Barycentric(_PointSet):
+    """Evaluation shared by both model kinds.
+
+    A kind supplies its ``coefficients`` pair and ``_on_support(k)``, its
+    value at support ``k``.
+    """
+
+    def __call__(self, s):
+        """Evaluate at scalar or array ``s``; a support (bitwise) gives its value."""
+        coefficients = self.coefficients
+
+        def block(x):
+            cauchy, (hit_i, hit_k) = cauchy_block(x, self.supports)
+            on_hits = [self._on_support(k) for k in hit_k]
+            out = cauchy_ratio(cauchy, coefficients, x, exempt=hit_i)
+            out[hit_i] = on_hits
+            return out
+
+        return blockwise(block, s)
+
+    @property
+    def terms(self):
+        """Number m+1 of barycentric terms."""
+        return self.supports.size
+
+
 @dataclass(frozen=True, eq=False)
-class BarycentricModel:
+class BarycentricModel(_Barycentric):
     """Interpolatory barycentric rational function.
 
     Attains ``r(s_k) = f_k`` at every support point.  The weight vector is
@@ -105,16 +152,8 @@ class BarycentricModel:
     weights: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "supports", _as_complex_vector(self.supports, "supports"))
-        object.__setattr__(
-            self, "support_values", _as_complex_vector(self.support_values, "support_values")
-        )
-        object.__setattr__(self, "weights", _as_complex_vector(self.weights, "weights"))
-        if not (self.supports.size == self.support_values.size == self.weights.size):
-            raise ValueError("supports, support_values and weights must have equal length")
-        _check_distinct(self.supports, "supports")
-        norm = np.linalg.norm(self.weights)
-        if abs(norm - 1.0) > _NORM_TOL:
+        super().__post_init__()
+        if abs(np.linalg.norm(self.weights) - 1.0) > _NORM_TOL:
             raise ValueError("weight vector must have unit Euclidean norm")
 
     @classmethod
@@ -126,27 +165,23 @@ class BarycentricModel:
             raise ValueError("weight vector must be nonzero")
         return cls(supports, support_values, weights / norm)
 
-    def __call__(self, s):
-        """Evaluate at scalar or array ``s``; a support (bitwise) gives its value."""
-        return _eval_ratio(self, s, lambda k: self.support_values[k])
-
-    @property
-    def terms(self):
-        """Number m+1 of barycentric terms."""
-        return self.supports.size
-
     @property
     def coefficients(self):
         """Numerator and denominator barycentric coefficients (w_k f_k, w_k)."""
         return self.weights * self.support_values, self.weights
 
+    def _on_support(self, k):
+        return self.support_values[k]
+
 
 @dataclass(frozen=True, eq=False)
-class GeneralBarycentricModel:
+class GeneralBarycentricModel(_Barycentric):
     """Non-interpolatory barycentric rational function.
 
     Numerator and denominator carry independent weights; the stacked
     coefficient vector [num_weights; den_weights] has unit Euclidean norm.
+    At a support point the value is ``n_k / d_k``; a zero ``d_k`` there
+    means the function value is undefined.
     """
 
     supports: np.ndarray
@@ -154,20 +189,10 @@ class GeneralBarycentricModel:
     den_weights: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "supports", _as_complex_vector(self.supports, "supports"))
-        object.__setattr__(
-            self, "num_weights", _as_complex_vector(self.num_weights, "num_weights")
-        )
-        object.__setattr__(
-            self, "den_weights", _as_complex_vector(self.den_weights, "den_weights")
-        )
-        if not (self.supports.size == self.num_weights.size == self.den_weights.size):
-            raise ValueError("supports, num_weights and den_weights must have equal length")
-        _check_distinct(self.supports, "supports")
+        super().__post_init__()
         if not np.any(self.den_weights != 0):
             raise ValueError("denominator weights must not all be zero")
-        norm = np.linalg.norm(np.concatenate([self.num_weights, self.den_weights]))
-        if abs(norm - 1.0) > _NORM_TOL:
+        if abs(np.linalg.norm(np.concatenate(self.coefficients)) - 1.0) > _NORM_TOL:
             raise ValueError("stacked coefficient vector must have unit Euclidean norm")
 
     @classmethod
@@ -180,17 +205,18 @@ class GeneralBarycentricModel:
             raise ValueError("coefficient vector must be nonzero")
         return cls(supports, num_weights / norm, den_weights / norm)
 
-    def __call__(self, s):
-        return eval_general(self, s)
-
-    @property
-    def terms(self):
-        return self.supports.size
-
     @property
     def coefficients(self):
         """Numerator and denominator barycentric coefficients (n_k, d_k)."""
         return self.num_weights, self.den_weights
+
+    def _on_support(self, k):
+        dk = self.den_weights[k]
+        if dk == 0:
+            raise UndefinedValueError(
+                f"model value undefined at support {self.supports[k]}: zero denominator weight"
+            )
+        return self.num_weights[k] / dk
 
 
 @dataclass(frozen=True)
@@ -234,32 +260,8 @@ class FitReport:
 
 
 def eval_general(model, s):
-    """Evaluate a general model at scalar or array ``s``.
-
-    At a support point the value is ``n_k / d_k`` by construction; a zero
-    ``d_k`` there means the function value is undefined.
-    """
-    def on_support(k):
-        dk = model.den_weights[k]
-        if dk == 0:
-            raise UndefinedValueError(
-                f"model value undefined at support {model.supports[k]}: zero denominator weight"
-            )
-        return model.num_weights[k] / dk
-    return _eval_ratio(model, s, on_support)
-
-
-def _eval_ratio(model, s, on_support):
-    coefficients = model.coefficients
-
-    def block(x):
-        cauchy, (hit_i, hit_k) = cauchy_block(x, model.supports)
-        on_hits = [on_support(k) for k in hit_k]
-        out = cauchy_ratio(cauchy, coefficients, x, exempt=hit_i)
-        out[hit_i] = on_hits
-        return out
-
-    return blockwise(block, s)
+    """Evaluate a general model at scalar or array ``s``: ``model(s)``."""
+    return model(s)
 
 
 def cauchy_block(points, supports, out=None):

@@ -388,6 +388,37 @@ class TestPiecewiseModelInvariants:
                             num_moments_scaled=np.array([0.0]),
                             den_moments_scaled=np.array([1.0]))
 
+    def test_nan_moment_rejected(self):
+        asym = moments(exact_inverse_model(), 2)
+        den = asym.den_moments_scaled.copy()
+        den[1] = np.nan
+        with pytest.raises(ValueError, match="den_moments_scaled must be finite"):
+            AsymptoticModel(mu=asym.mu, nu=asym.nu, scale=asym.scale,
+                            num_moments_scaled=asym.num_moments_scaled, den_moments_scaled=den)
+
+    def test_infinite_scale_rejected(self):
+        asym = moments(exact_inverse_model())
+        with pytest.raises(ValueError, match="scale must be finite"):
+            AsymptoticModel(mu=asym.mu, nu=asym.nu, scale=np.inf,
+                            num_moments_scaled=asym.num_moments_scaled,
+                            den_moments_scaled=asym.den_moments_scaled)
+
+    def test_negative_defect_rejected(self):
+        # nu moves with mu, so rdeg = nu - mu stays the model's
+        asym = moments(exact_inverse_model())
+        with pytest.raises(ValueError, match="mu must be nonnegative"):
+            AsymptoticModel(mu=-1, nu=asym.rdeg - 1, scale=asym.scale,
+                            num_moments_scaled=asym.num_moments_scaled,
+                            den_moments_scaled=asym.den_moments_scaled)
+
+    @pytest.mark.parametrize("name", ["cutoff", "train_T", "train_eps"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_nonfinite_piecewise_scalar_rejected(self, name, value):
+        pm = make_piecewise(exact_inverse_model(), inverse_decay_samples())
+        fields = {k: getattr(pm, k) for k in ("bary", "asym", "cutoff", "train_T", "train_eps")}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            bd.PiecewiseModel(**{**fields, name: value})
+
 
 class TestExactModelFidelity:
     @pytest.mark.parametrize("seed", range(8))

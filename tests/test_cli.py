@@ -260,6 +260,7 @@ class TestEval:
 
     @pytest.mark.parametrize("key, value", [
         ("rdeg", 0), ("order", 3), ("kind", None), ("cutoff", "far"),
+        ("scale", "inf"), ("cutoff", "inf"), ("train_eps", "inf"),
         pytest.param("object", [], id="top-level-list"),
     ])
     def test_tampered_degree_or_order_rejected(self, tmp_path, capsys, key, value):

@@ -141,6 +141,47 @@ class TestDistinctness:
         build(points[::-1])
 
 
+class TestFieldChecks:
+    """Every field of a sample set or model is a non-empty finite vector, all of one length."""
+
+    KINDS = {
+        "sample_set": (bd.SampleSet, {"points": [1j, 2j], "values": [1.0, 2.0]}),
+        "interpolatory": (bd.BarycentricModel, {
+            "supports": [1j, 2j], "support_values": [1.0, 2.0], "weights": [1 / SQ2, 1 / SQ2]}),
+        "general": (bd.GeneralBarycentricModel, {
+            "supports": [1j, 2j], "num_weights": [0.5, 0.5], "den_weights": [0.5, 0.5]}),
+    }
+    LENGTH_MESSAGES = {
+        "sample_set": "points and values must have equal length",
+        "interpolatory": "supports, support_values and weights must have equal length",
+        "general": "supports, num_weights and den_weights must have equal length",
+    }
+    FIELDS = [pytest.param(kind, name, id=f"{kind}-{name}")
+              for kind, (_, fields) in KINDS.items() for name in fields]
+
+    def build(self, kind, name, value):
+        cls, fields = self.KINDS[kind]
+        return cls(**{**fields, name: value})
+
+    @pytest.mark.parametrize("kind, name", FIELDS)
+    def test_length_mismatch_names_every_field(self, kind, name):
+        short = self.KINDS[kind][1][name][:1]
+        with pytest.raises(ValueError, match=f"^{self.LENGTH_MESSAGES[kind]}$"):
+            self.build(kind, name, short)
+
+    @pytest.mark.parametrize("kind, name", FIELDS)
+    def test_empty_rejected(self, kind, name):
+        with pytest.raises(ValueError, match=f"^{name} must not be empty$"):
+            self.build(kind, name, [])
+
+    @pytest.mark.parametrize("kind, name", FIELDS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
+    def test_nonfinite_rejected(self, kind, name, bad):
+        value = [bad, *self.KINDS[kind][1][name][1:]]
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            self.build(kind, name, value)
+
+
 class TestEval:
     def test_constant_single_term(self):
         m = bd.BarycentricModel([0.0], [5.0], [1.0])
