@@ -124,9 +124,9 @@ def vf_backend(tol=DEFAULT_TOL, max_terms=None):
 
     The backend keeps the support grids that the last degree-0 fit factored
     (see :func:`vf_adaptive`) for the last ``SampleSet`` it was given, so
-    the other fits of a sweep reuse their QR triangles.  A fit runs under
-    the smaller of ``max_terms`` (default ``DEFAULT_MAX_TERMS`` of
-    :mod:`barydeg.vf`) and the cap it is called with.
+    the other fits of a sweep solve every degree from their factors.  A fit
+    runs under the smaller of ``max_terms`` (default ``DEFAULT_MAX_TERMS``
+    of :mod:`barydeg.vf`) and the cap it is called with.
     """
     grids = functools.lru_cache(maxsize=1)(lambda samples: {})
     own = VF_MAX_TERMS if max_terms is None else max_terms

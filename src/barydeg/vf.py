@@ -10,20 +10,22 @@ degree) directly.  Model complexity grows one support at a time until the
 fit is uniformly below tolerance.  A term cap too small to hold the
 target degree lowers the imposed degree, as in AAA (see :func:`vf_adaptive`).
 
-Grid m and the QR triangle R of its block [C | f C] (C the Cauchy block
-1 / (s'_j - s_k) of the samples) depend on the samples and m alone, so a
-round's solve (:func:`vf_solve`) reads R and never the samples: a
-numerator constraint re-triangularizes a block of R's size, not of the
-samples'.  A round that factors its grid writes [C | f C] into one
-row-major buffer and keeps only R; it takes its values from its own Cauchy
-block (``core.cauchy_block``, as a model call does), built after the solve
-once that buffer is freed.  The model is built once, after the last round.
-The fits of one degree sweep share their triangles: with a ``grids``
-record (see :func:`vf_adaptive`) the fits at d != 0 reuse the grids that
-the degree-0 fit factored.
+Grid m, the QR triangle R of its block [C | f C] (C the Cauchy block
+1 / (s'_j - s_k) of the samples) and what the degree constraints add to R
+depend on the samples and m alone.  A round that factors its grid builds
+all of it once (a ``_Grid``), so that each round's solve
+(:func:`vf_solve`), at any degree, is one SVD of a block of R's size and
+one triangular solve, and never reads the samples.  The factoring writes
+[C | f C] into one row-major buffer and keeps only R's factors; the round
+takes its values from its own Cauchy block (``core.cauchy_block``, as a
+model call does), built after the solve once that buffer is freed.  The
+model is built once, after the last round.  The fits of one degree sweep
+share their grids: with a ``grids`` record (see :func:`vf_adaptive`) the
+fits at d != 0 reuse the grids that the degree-0 fit factored.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,7 +41,7 @@ from .core import (
     solve_constrained_weights,
     vandermonde,
 )
-from .errors import GridError
+from .errors import ConstraintError, GridError
 from .util import relative_errors
 
 DEFAULT_TOL = 1e-4
@@ -77,8 +79,39 @@ def geometric_supports(samples, m):
     return anchor * ratio ** (np.arange(m + 1) / m)
 
 
-def vf_solve(r, supports, target_degree):
-    """One linearized least-squares fit over fixed supports.
+class _Grid(NamedTuple):
+    """Support grid m and what every round on it solves from.
+
+    R is the triangle of the QR of [C | f C], with blocks R11, R12 (its
+    first m+1 rows) and R22; ``r`` keeps R22.  ``qf`` is the complete
+    unitary factor of the QR of conj(V), V the grid's m-column Vandermonde
+    block.  Householder QR is nested, so Qf[:, k:] spans the null space of
+    k power-sum constraints for every k <= m, and reversing Qf's columns
+    puts each of these bases first.  ``t`` is the triangle [Rw | H] of
+    [R11 Qf[:, ::-1] | R12], nested the same way: Rw[:j, :j] is the
+    triangle of R11 Qf[:, k:] (reversed, j = m+1-k).  With fewer samples
+    than unknowns ``r`` is the whole of R and there are no factors.
+    """
+
+    supports: np.ndarray
+    r: np.ndarray
+    qf: np.ndarray = None
+    t: np.ndarray = None
+
+
+def _grid(samples, supports):
+    """Factor ``supports`` on ``samples`` into a :class:`_Grid`."""
+    r = _factor(samples, supports)
+    mp1 = supports.size
+    if r.shape[0] < r.shape[1]:
+        return _Grid(supports, r)
+    qf = np.linalg.qr(np.conj(vandermonde(supports, mp1 - 1)), mode="complete")[0]
+    t = np.linalg.qr(np.hstack([r[:mp1, :mp1] @ qf[:, ::-1], r[:mp1, mp1:]]), mode="r")
+    return _Grid(supports, r[mp1:, mp1:].copy(), qf, t)
+
+
+def vf_solve(grid, target_degree):
+    """One linearized least-squares fit over a grid's fixed supports.
 
     Minimizes the linearized residual sum |f(s'_j) d(s'_j) - n(s'_j)|^2
     under the normalization ||d|| = 1, with power sums of d (positive
@@ -87,23 +120,57 @@ def vf_solve(r, supports, target_degree):
     d -> 0 corner that a jointly normalized solve can fall into when the
     data magnitudes are large.
 
-    The samples enter only through ``r``, the triangle of the QR
-    factorization of their block [C | f C] over ``supports``.  A numerator
-    constraint n = Q u turns the block into [C Q | f C], whose triangle is
-    that of the small block [R1 Q | R2] (R1, R2 the two column halves of
-    ``r``), so no sample-sized matrix is factored again.  The trailing
-    triangle R22 then holds the residual left after the best numerator, so d
-    minimizes ||R22 d|| under the constraints and n solves R11 n = R12 d in
-    the least-squares sense (R11 is wide when there are fewer samples than
-    numerator unknowns).  A degree the supports cannot hold raises
-    ``ConstraintError`` from ``nullspace_basis``.  Returns the unnormalized
-    pair ``(num, den)``; ``GeneralBarycentricModel.from_weights`` rescales
-    it to a model.
+    The samples enter only through ``grid`` (see :class:`_Grid`): the
+    residual of the pair (n, d) is ||R11 n - R12 d||^2 + ||R22 d||^2.  At
+    degree delta, with k = max(-delta, 0) numerator constraints,
+    n = Qf[:, k:] u; with j = m+1-k and u' = u reversed the residual is
+    ||Rw[:j, :j] u' - H[:j] d||^2 + ||[H[j:]; R22] d||^2.  So a round is
+    one SVD for d and one triangular solve for u':
+
+    * delta > 0: d = Qf[:, delta:] v, v minimizing ||R22 Qf[:, delta:] v||;
+    * delta <= 0: d minimizes ||[H[j:]; R22] d|| (R22 alone at 0);
+
+    and Rw[:j, :j] u' = H[:j] d.  A grid with fewer samples than unknowns
+    takes the general solve of :func:`_solve_few_samples`.  A degree the
+    supports cannot hold raises ``ConstraintError``.  Returns the
+    unnormalized pair ``(num, den)``; ``GeneralBarycentricModel.from_weights``
+    rescales it to a model.
+    """
+    delta = int(target_degree)
+    if grid.qf is None:
+        return _solve_few_samples(grid.r, grid.supports, delta)
+    mp1 = grid.supports.size
+    if abs(delta) >= mp1:
+        raise ConstraintError(
+            f"{abs(delta)} constraints on {mp1} coefficients leave no nonzero solution")
+    k = max(-delta, 0)
+    j = mp1 - k
+    h = grid.t[:, mp1:]
+    if delta > 0:
+        basis = grid.qf[:, delta:]
+        den = basis @ _min_right_vector(grid.r @ basis)
+    else:
+        den = _min_right_vector(np.vstack([h[j:], grid.r]))
+    u = np.linalg.solve(grid.t[:j, :j], h[:j] @ den)
+    return grid.qf[:, k:] @ u[::-1], den
+
+
+def _min_right_vector(a):
+    """Unit vector v minimizing ||a v||: a's last right singular vector."""
+    return np.conj(np.linalg.svd(a, full_matrices=False)[2][-1])
+
+
+def _solve_few_samples(r, supports, delta):
+    """:func:`vf_solve` for a triangle with fewer rows than columns.
+
+    The constrained side gets the null-space basis Q of its degree.  A
+    numerator constraint n = Q u turns the block into [C Q | f C], whose
+    triangle is that of [R1 Q | R2] (R1, R2 the two column halves of
+    ``r``).  The trailing triangle holds the residual left after the best
+    numerator, and n solves the leading one in the least-squares sense,
+    which takes the minimum-norm solution when that triangle is wide.
     """
     mp1 = r.shape[1] // 2
-    delta = int(target_degree)
-    # the constrained side gets the null-space basis (the identity at degree
-    # 0), the other side stays unconstrained
     Q = nullspace_basis(vandermonde(supports, abs(delta)))
     eye = np.eye(mp1, dtype=complex)
     basis_n, basis_d = (Q, eye) if delta < 0 else (eye, Q)
@@ -125,11 +192,12 @@ def vf_adaptive(samples, config, *, grids=None):
     ``converged=False`` when the term cap is hit.
 
     ``grids`` lets the fits of one sweep over the same samples share their
-    factorizations: grid m and the triangle R of its block [C | f C]
+    factorizations: grid m and the factors of the triangle R of its block
+    [C | f C] (a ``_Grid``, from which :func:`vf_solve` fits any degree)
     depend on the samples and m alone.  A fit at d = 0 empties the dict and
-    records ``grids[m] = (supports, R)`` for every grid it factors; a fit at
-    any other d takes R from the dict when it holds m, and factors the
-    other grids without recording them.  So every sweep does the same work,
+    records ``grids[m]`` for every grid it factors; a fit at any other d
+    takes grid m from the dict when it holds m, and factors the other
+    grids without recording them.  So every sweep does the same work,
     however often it is repeated.
     """
     cap = DEFAULT_MAX_TERMS if config.max_terms is None else config.max_terms
@@ -137,20 +205,20 @@ def vf_adaptive(samples, config, *, grids=None):
     delta = int(np.sign(target)) * min(abs(target), cap - 1)
     pts, vals = samples.points, samples.values
     # a degree-0 fit starts the record afresh; the other fits only read it.
-    # Without a record nothing is kept, so each round's triangle is freed.
+    # Without a record nothing is kept, so each round's grid is freed.
     record = delta == 0 and grids is not None
     if record:
         grids.clear()
     converged = False
     for m in range(abs(delta), cap):
         if grids and m in grids:
-            supports, r = grids[m]
+            grid = grids[m]
         else:
-            supports = geometric_supports(samples, m)
-            r = _factor(samples, supports)
+            grid = _grid(samples, geometric_supports(samples, m))
             if record:
-                grids[m] = (supports, r)
-        num, den = vf_solve(r, supports, delta)
+                grids[m] = grid
+        supports = grid.supports
+        num, den = vf_solve(grid, delta)
         # normalised as from_weights does, so the values are the model's;
         # the grid's supports were checked disjoint when it was factored
         scale = np.linalg.norm(np.concatenate([num, den]))

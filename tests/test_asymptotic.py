@@ -14,7 +14,7 @@ from barydeg.asymptotic import (
 )
 from barydeg.errors import PoleEvaluationError, TrivialModelError
 from barydeg.util import BLOCK
-from barydeg.vf import _factor, geometric_supports, vf_solve
+from barydeg.vf import _grid, geometric_supports, vf_solve
 
 from conftest import (
     BLOCK_LENGTHS,
@@ -92,7 +92,7 @@ class TestMoments:
         ss = inverse_decay_samples(1.0, 10.0, 20)
         supports = geometric_supports(ss, 1)
         model = bd.GeneralBarycentricModel.from_weights(
-            supports, *vf_solve(_factor(ss, supports), supports, -1))
+            supports, *vf_solve(_grid(ss, supports), -1))
         asym = moments(model)
         assert asym.rdeg == -1
         assert eval_asymptotic(asym, 1e4) == pytest.approx(1e-4, rel=1e-10)

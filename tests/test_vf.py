@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 import barydeg as bd
-from barydeg.core import nullspace_basis, solve_constrained_weights, vandermonde
+from barydeg.core import (
+    degree_diagnostics,
+    nullspace_basis,
+    solve_constrained_weights,
+    vandermonde,
+)
 from barydeg.errors import ConstraintError, GridError, PoleEvaluationError
-from barydeg.vf import _factor, geometric_supports, vf_solve
+from barydeg.vf import _grid, geometric_supports, vf_solve
 
 from conftest import chain_samples, inverse_decay_samples, traced_peak
 
@@ -44,8 +49,8 @@ class TestGeometricSupports:
 class TestVfSolve:
     def test_constant_data(self):
         ss = bd.SampleSet([1j, 2j], [1.0, 1.0])
-        r = _factor(ss, np.asarray([0.9j, 2.4j], dtype=complex))
-        model = bd.GeneralBarycentricModel.from_weights([0.9j, 2.4j], *vf_solve(r, [0.9j, 2.4j], 0))
+        grid = _grid(ss, np.asarray([0.9j, 2.4j], dtype=complex))
+        model = bd.GeneralBarycentricModel.from_weights([0.9j, 2.4j], *vf_solve(grid, 0))
         vals = model(ss.points)
         assert np.max(np.abs(vals - 1.0)) <= 1e-12
 
@@ -54,7 +59,7 @@ class TestVfSolve:
         ss = bd.SampleSet(pts, 1.0 / pts)
         supports = geometric_supports(ss, 1)
         model = bd.GeneralBarycentricModel.from_weights(
-            supports, *vf_solve(_factor(ss, supports), supports, -1))
+            supports, *vf_solve(_grid(ss, supports), -1))
         rel = np.abs(model(pts) - ss.values) / np.abs(ss.values)
         assert np.max(rel) <= 1e-10
 
@@ -64,7 +69,7 @@ class TestVfSolve:
         ss = chain_samples(2, noise=1e-6, seed=1)
         supports = geometric_supports(ss, 8)
         model = bd.GeneralBarycentricModel.from_weights(
-            supports, *vf_solve(_factor(ss, supports), supports, degree))
+            supports, *vf_solve(_grid(ss, supports), degree))
         cauchy = 1.0 / (ss.points[:, None] - supports[None, :])
         basis_n = np.eye(supports.size)
         if degree < 0:
@@ -80,26 +85,51 @@ class TestVfSolve:
         ss = bd.SampleSet(pts, 1.0 / pts)
         supports = geometric_supports(ss, 2)
         with pytest.raises(ConstraintError):
-            vf_solve(_factor(ss, supports), supports, 3)
+            vf_solve(_grid(ss, supports), 3)
         with pytest.raises(ConstraintError):
-            vf_solve(_factor(ss, supports), supports, -3)
+            vf_solve(_grid(ss, supports), -3)
 
     def test_support_collision_rejected(self):
         ss = bd.SampleSet([1j, 2j], [1.0, 1.0])
         with pytest.raises(ValueError, match="disjoint"):
-            vf_solve(_factor(ss, np.asarray([1j, 3j], dtype=complex)), [1j, 3j], 0)
+            vf_solve(_grid(ss, np.asarray([1j, 3j], dtype=complex)), 0)
 
     def test_agrees_with_interpolatory_fit_on_exact_data(self, fwd2_samples):
         # both backends recover the same underlying function when the data
         # is exactly representable
         supports = geometric_supports(fwd2_samples, 4)
         vf_model = bd.GeneralBarycentricModel.from_weights(
-            supports, *vf_solve(_factor(fwd2_samples, supports), supports, -4))
+            supports, *vf_solve(_grid(fwd2_samples, supports), -4))
         aaa_model, _ = bd.aaa(fwd2_samples, bd.AaaConfig(tol=1e-8, target_degree=-4))
         s = bd.sample_grid(2e-2, 0.9, 31)
         va = vf_model(s)
         vb = aaa_model(s)
         assert np.max(np.abs(va - vb) / np.abs(vb)) <= 1e-8
+
+    @pytest.mark.parametrize("m", [4, 8, 12])
+    @pytest.mark.parametrize("data", ["chain", "few"])
+    def test_every_degree_attains_the_constrained_optimum(self, data, m):
+        # one grid serves every degree, as a record does
+        if data == "chain":
+            ss = chain_samples(2, noise=1e-6, seed=1)
+        else:
+            # 9 samples: fewer than the 2(m + 1) unknowns of each grid here
+            rng = np.random.default_rng(9)
+            ss = bd.SampleSet(bd.sample_grid(1e-2, 1.0, 9),
+                              rng.standard_normal(9) + 1j * rng.standard_normal(9))
+        supports = geometric_supports(ss, m)
+        grid = _grid(ss, supports)
+        for degree in range(-m, m + 1):
+            num, den = vf_solve(grid, degree)
+            alone = vf_solve(_grid(ss, supports), degree)
+            assert np.array_equal(num, alone[0]) and np.array_equal(den, alone[1])
+            residual, optimum, scale = dense_problem(ss, supports, degree)
+            assert abs(residual(num, den) - optimum) <= 1e-10 * (optimum if optimum else scale)
+            model = bd.GeneralBarycentricModel.from_weights(supports, num, den)
+            assert degree_diagnostics(model, degree)[0] <= 1e-10
+        for degree in (-m - 1, m + 1):
+            with pytest.raises(ConstraintError):
+                vf_solve(grid, degree)
 
 
 class TestVfAdaptive:
@@ -179,6 +209,42 @@ class TestVfAdaptive:
         assert rep.terms == 6
 
 
+def dense_problem(samples, supports, degree):
+    """A round's problem on the samples, through dense numpy solves.
+
+    Qn and Qd are the null-space bases of the constrained side and the
+    identity on the other, and R is the triangle of the sample-sized
+    [C Qn | f C Qd].  Returns ``(residual, optimum, scale)``:
+    ``residual(n, d)`` is ||C n - f C d|| / ||d|| at the pair's projection
+    on the bases, taken as ||R [u; -v]|| / ||v|| in the coordinates
+    u = Qn^H n, v = Qd^H d (how far the pair leaves the constraints is
+    checked on its own); ``optimum`` is its least value, from an SVD of
+    R's trailing triangle and ``np.linalg.lstsq`` on its leading one (0
+    when R is wide, that is with fewer samples than unknowns); ``scale`` is
+    ||f C Qd||.  On the samples C n and f C d cancel to some 1e-9 of their
+    size, so a residual summed there would be exact to about 1e-10 of
+    itself; in coordinates the rounding of the pair moves it by far less.
+    """
+    cauchy = 1.0 / (samples.points[:, None] - supports[None, :])
+    Q = nullspace_basis(vandermonde(supports, abs(degree)))
+    eye = np.eye(supports.size)
+    basis_n, basis_d = (Q, eye) if degree < 0 else (eye, Q)
+    fc = samples.values[:, None] * (cauchy @ basis_d)
+    r = np.linalg.qr(np.hstack([cauchy @ basis_n, fc]), mode="r")
+    k = basis_n.shape[1]
+
+    def residual(num, den):
+        v = basis_d.conj().T @ den
+        return np.linalg.norm(r @ np.concatenate([basis_n.conj().T @ num, -v])) / np.linalg.norm(v)
+
+    optimum = 0.0
+    if r.shape[0] >= r.shape[1]:
+        v = solve_constrained_weights(r[k:, k:], np.eye(r.shape[1] - k))
+        u = np.linalg.lstsq(r[:k, :k], r[:k, k:] @ v, rcond=None)[0]
+        optimum = residual(basis_n @ u, basis_d @ v)
+    return residual, optimum, np.linalg.norm(fc, 2)
+
+
 def shared_fit(samples, degree, tol=1e-4):
     """``vf_adaptive`` at ``degree`` on the grids a degree-0 fit recorded."""
     grids = {}
@@ -196,7 +262,7 @@ class TestVfRounds:
         ss = chain_samples(2, forward=False, noise=1e-6, seed=1)
         cfg = bd.VfConfig(tol=1e-4, target_degree=degree)
         model, _ = shared_fit(ss, degree) if shared else bd.vf_adaptive(ss, cfg)
-        # the last round rebuilt the way a round factored before R was shared
+        # the last round rebuilt by a QR of the sample-sized [C | f C]
         supports = model.supports
         cauchy = 1.0 / (ss.points[:, None] - supports[None, :])
         r = np.linalg.qr(np.hstack([cauchy, ss.values[:, None] * cauchy]), mode="r")
@@ -205,15 +271,33 @@ class TestVfRounds:
             r[k:, k:], nullspace_basis(vandermonde(supports, degree)))
         num = np.linalg.lstsq(r[:k, :k], r[:k, k:] @ den, rcond=None)[0]
         ref = bd.GeneralBarycentricModel.from_weights(supports, num, den)
-        assert np.array_equal(model.num_weights, ref.num_weights)
-        assert np.array_equal(model.den_weights, ref.den_weights)
+        # the two solves take different paths to the same singular vector,
+        # so they agree up to a unit factor, not bit for bit
+        phase = np.vdot(ref.den_weights, model.den_weights)
+        phase /= abs(phase)
+        assert np.max(np.abs(model.den_weights - phase * ref.den_weights)) <= 1e-12
+        assert np.max(np.abs(model.num_weights - phase * ref.num_weights)) <= (
+            1e-11 * np.max(np.abs(ref.num_weights)))
+
+    @pytest.mark.parametrize("degree", [-4, -1, 0, 1, 3])
+    def test_last_round_attains_the_dense_residual(self, degree):
+        ss = chain_samples(2, forward=degree < 0, noise=1e-6, seed=1)
+        model, rep = bd.vf_adaptive(ss, bd.VfConfig(tol=1e-4, target_degree=degree))
+        shared, shared_rep = shared_fit(ss, degree)
+        assert shared_rep == rep
+        for name in ("supports", "num_weights", "den_weights"):
+            assert np.array_equal(getattr(shared, name), getattr(model, name))
+        # the last round against the problem it solves, factored on the samples
+        residual, optimum, _ = dense_problem(ss, model.supports, degree)
+        assert abs(residual(model.num_weights, model.den_weights) - optimum) <= 1e-12 * optimum
+        assert rep.constraint_residual <= 1e-12
 
     @pytest.mark.parametrize("m", [4, 6, 12, 20])
     @pytest.mark.parametrize("degree", [-1, -2, -4])
     def test_numerator_constraint_residual(self, degree, m):
-        # re-triangularizing [R1 Q | R2] solves the problem that a QR of the
-        # sample-sized [C Q | f C] solves: the residual left after the best
-        # numerator, ||R22 d||, is the same for either denominator
+        # the solve from R and its grid's factors attains the problem that a
+        # QR of the sample-sized [C Q | f C] solves: the residual left after
+        # the best numerator, ||R22 d||, is the same for either denominator
         ss = chain_samples(2, noise=1e-6, seed=1)
         supports = geometric_supports(ss, m)
         cauchy = 1.0 / (ss.points[:, None] - supports[None, :])
@@ -221,7 +305,7 @@ class TestVfRounds:
         k = Q.shape[1]
         r = np.linalg.qr(np.hstack([cauchy @ Q, ss.values[:, None] * cauchy]), mode="r")
         ref = solve_constrained_weights(r[k:, k:], np.eye(m + 1))
-        _, den = vf_solve(_factor(ss, supports), supports, degree)
+        _, den = vf_solve(_grid(ss, supports), degree)
         assert np.linalg.norm(den) == pytest.approx(1.0, rel=1e-14)
         assert np.linalg.norm(r[k:, k:] @ den) == pytest.approx(
             np.linalg.norm(r[k:, k:] @ ref), rel=1e-12)
@@ -266,7 +350,7 @@ class TestVfRounds:
         monkeypatch.setattr(vf_module, "geometric_supports",
                             lambda samples, m: np.array([-1.0, 1.0], dtype=complex))
         monkeypatch.setattr(vf_module, "vf_solve",
-                            lambda samples, supports, degree, r=None: (np.ones(2), np.ones(2)))
+                            lambda grid, degree: (np.ones(2), np.ones(2)))
         ss = bd.SampleSet([0.5j, 0.0, 2j], [1.0, 2.0, 3.0])
         with pytest.raises(PoleEvaluationError) as info:
             bd.vf_adaptive(ss, bd.VfConfig(tol=1e-4, target_degree=-1))
