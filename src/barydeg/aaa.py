@@ -9,10 +9,10 @@ to tolerance by the current model, which is then returned unchanged.
 
 The fit keeps one block over the remaining samples for its whole run: the
 Loewner block L.  Each step holds at most two such blocks at once.  Its
-values on the remaining samples come from their Cauchy block
-1 / (s_j - s_k), which ``core.cauchy_block`` builds afresh for that step
-alone, beside L.  The pick then copies L without the new support's row and
-with one more column, which ``loewner_matrix`` builds, and the old L goes.
+values on the remaining samples come from their Cauchy block, built afresh
+for that step alone beside L, and from ``BarycentricModel._pair``.  The
+pick then copies L without the new support's row and with one more column,
+which ``loewner_matrix`` builds, and the old L goes.
 The weight solve holds L and at most one more block of its size.
 
 The fits of one degree sweep share their fully constrained prefix: with a
@@ -118,7 +118,9 @@ def aaa(samples, config, *, spine=None):
 
     for m in range(start, cap + 1):
         if weights is not None:
-            approx[pool] = _pool_values(x, sj, fj, weights)
+            # a temporary block, without hits: pool points are never supports
+            approx[pool] = cauchy_ratio(cauchy_block(x, sj)[0],
+                                        BarycentricModel._pair(fj, weights), x)
             approx[sup_idx] = vals[sup_idx]
         rel = relative_errors(vals, approx)
         row = int(np.argmax(rel[pool]))
@@ -151,20 +153,6 @@ def aaa(samples, config, *, spine=None):
     report = FitReport.from_errors(model, rel, converged, effective,
                                    degree_diagnostics(model, effective))
     return model, report
-
-
-def _pool_values(x, sj, fj, weights):
-    """The step's model values at the pool points ``x``.
-
-    The Cauchy block comes from ``cauchy_block``, as a model call's does,
-    and is dropped on return: the fit keeps only its Loewner block between
-    steps.  Pool points are samples, never supports, so the block has no
-    hits.
-    """
-    C, _ = cauchy_block(x, sj)
-    # normalised as from_weights does, so the values are the model's
-    w = weights / np.linalg.norm(weights)
-    return cauchy_ratio(C, (w * fj, w), x)
 
 
 def _grow(block, row, column):

@@ -22,6 +22,7 @@ converge or the identification failed.
 """
 
 import argparse
+import dataclasses
 import json
 import operator
 import sys
@@ -218,13 +219,7 @@ def cmd_fit(args):
         piecewise_error = str(exc)
         print(f"no piecewise model: {piecewise_error}", file=sys.stderr)
     _write_run(args, t0, pm, result={
-        "terms": rep.terms,
-        "effective_degree": rep.effective_degree,
-        "linf_rel_error": rep.linf_rel_error,
-        "l2_rel_error": rep.l2_rel_error,
-        "converged": rep.converged,
-        "constraint_residual": rep.constraint_residual,
-        "leading_sum_magnitudes": list(rep.leading_sum_magnitudes),
+        **dataclasses.asdict(rep),
         **{f"classified_{k}": getattr(pm and pm.asym, k, None) for k in ("rdeg", "mu", "nu")},
         **{k: getattr(pm, k, None) for k in ("cutoff", "train_T", "train_eps")},
         "piecewise_error": piecewise_error,
@@ -284,11 +279,19 @@ def build_parser():
     sweep.add_argument("--wmax", type=float, required=True)
     sweep.add_argument("--count", type=int, default=200)
     sweep.add_argument("--spacing", choices=["log", "linear"], default="log")
+
+    def order(text):
+        """A nonnegative int, so that a bad ``--order`` fails before any fit."""
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+        return value
+
     run = argparse.ArgumentParser(add_help=False)
     run.add_argument("input")
     run.add_argument("--backend", choices=["aaa", "vf"], default="aaa")
     run.add_argument("--tol", type=float, help=f"default: {AAA_TOL:g} for aaa, {VF_TOL:g} for vf")
-    run.add_argument("--order", type=int, default=DEFAULT_ORDER, help="asymptotic truncation order")
+    run.add_argument("--order", type=order, default=DEFAULT_ORDER, help="asymptotic truncation order")
     run.add_argument("--max-terms", type=int, default=None)
     run.add_argument("--report", "-o", required=True)
     run.add_argument("--model-out", default=None)

@@ -30,10 +30,12 @@ are pairwise distinct.
 :func:`cauchy_block` is the one builder of Cauchy blocks 1 / (x_j - s_k):
 model calls, AAA's values on its pool and VF's values in each round all go
 through it and on to :func:`cauchy_ratio`, so they share one layout and one
-matrix-vector product.  The block is column-major: each column is one
-contiguous subtraction, and the ratio's products run down the columns.
-VF's QR buffer [C | f C] is the exception; it stays row-major because
-``np.linalg.qr`` takes more scratch on a column-major input.
+matrix-vector product.  The fits take each step's pair from the kind's
+``_pair``, which also makes the pair that ``from_weights`` stores.  The
+block is column-major: each column is one contiguous subtraction, and the
+ratio's products run down the columns.  VF's QR buffer [C | f C] is the
+exception; it stays row-major because ``np.linalg.qr`` takes more scratch
+on a column-major input.
 """
 
 import functools
@@ -160,10 +162,17 @@ class BarycentricModel(_Barycentric):
     def from_weights(cls, supports, support_values, weights):
         """Build a model from an unnormalized (nonzero) weight vector."""
         weights = np.asarray(weights, dtype=complex)
+        # the model multiplies in the support values once it has checked them
+        return cls(supports, support_values, cls._pair(1.0, weights)[1])
+
+    @staticmethod
+    def _pair(support_values, weights):
+        """``from_weights``' coefficients (w f, w), w = weights / ||weights||."""
         norm = np.linalg.norm(weights)
         if norm == 0.0:
             raise ValueError("weight vector must be nonzero")
-        return cls(supports, support_values, weights / norm)
+        w = weights / norm
+        return w * support_values, w
 
     @property
     def coefficients(self):
@@ -198,12 +207,16 @@ class GeneralBarycentricModel(_Barycentric):
     @classmethod
     def from_weights(cls, supports, num_weights, den_weights):
         """Build a model from unnormalized coefficients (jointly rescaled)."""
-        num_weights = np.asarray(num_weights, dtype=complex)
-        den_weights = np.asarray(den_weights, dtype=complex)
-        norm = np.linalg.norm(np.concatenate([num_weights.ravel(), den_weights.ravel()]))
+        return cls(supports, *cls._pair(np.asarray(num_weights, dtype=complex).ravel(),
+                                        np.asarray(den_weights, dtype=complex).ravel()))
+
+    @staticmethod
+    def _pair(num_weights, den_weights):
+        """``from_weights``' coefficients: the vectors (n, d) scaled to ||[n; d]|| = 1."""
+        norm = np.linalg.norm(np.concatenate([num_weights, den_weights]))
         if norm == 0.0:
             raise ValueError("coefficient vector must be nonzero")
-        return cls(supports, num_weights / norm, den_weights / norm)
+        return num_weights / norm, den_weights / norm
 
     @property
     def coefficients(self):
@@ -257,11 +270,6 @@ class FitReport:
             leading_sum_magnitudes=leading,
             effective_degree=effective_degree,
         )
-
-
-def eval_general(model, s):
-    """Evaluate a general model at scalar or array ``s``: ``model(s)``."""
-    return model(s)
 
 
 def cauchy_block(points, supports, out=None):

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 from .aaa import AaaConfig, aaa
 from .asymptotic import DEFAULT_ORDER, make_piecewise
-from .vf import DEFAULT_MAX_TERMS as VF_MAX_TERMS
 from .vf import DEFAULT_TOL, VfConfig, vf_adaptive
 
 DEFAULT_MAX_ABS_DEGREE = 20
@@ -69,7 +68,6 @@ class IdentificationResult:
     ``None`` and ``best`` holds the best of the failed candidates.
     """
 
-    best_degree: int
     best: CandidateRecord
     candidates: tuple
     piecewise: object
@@ -77,7 +75,12 @@ class IdentificationResult:
     @property
     def converged(self):
         """Whether a degree was identified (some candidate converged)."""
-        return self.best_degree is not None
+        return self.best.converged
+
+    @property
+    def best_degree(self):
+        """The identified degree, ``best.degree``; ``None`` when none converged."""
+        return self.best.degree if self.converged else None
 
 
 def better(a, b):
@@ -125,11 +128,11 @@ def vf_backend(tol=DEFAULT_TOL, max_terms=None):
     The backend keeps the support grids that the last degree-0 fit factored
     (see :func:`vf_adaptive`) for the last ``SampleSet`` it was given, so
     the other fits of a sweep solve every degree from their factors.  A fit
-    runs under the smaller of ``max_terms`` (default ``DEFAULT_MAX_TERMS``
-    of :mod:`barydeg.vf`) and the cap it is called with.
+    runs under the smaller of ``max_terms`` and the cap it is called with;
+    with neither, :func:`vf_adaptive` applies its own default cap.
     """
     grids = functools.lru_cache(maxsize=1)(lambda samples: {})
-    own = VF_MAX_TERMS if max_terms is None else max_terms
+    own = max_terms
 
     def fit(samples, degree, max_terms=None):
         config = VfConfig(tol=tol, target_degree=degree, max_terms=_smaller(own, max_terms))
@@ -186,7 +189,6 @@ def identify(samples, backend, max_abs_degree=DEFAULT_MAX_ABS_DEGREE,
     winner = best_pos if better(best_pos, best_neg) else best_neg
     piecewise = make_piecewise(winner.model, samples, order) if winner.converged else None
     return IdentificationResult(
-        best_degree=winner.degree if winner.converged else None,
         best=winner,
         candidates=tuple(candidates),
         piecewise=piecewise,

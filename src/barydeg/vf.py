@@ -16,12 +16,12 @@ depend on the samples and m alone.  A round that factors its grid builds
 all of it once (a ``_Grid``), so that each round's solve
 (:func:`vf_solve`), at any degree, is one SVD of a block of R's size and
 one triangular solve, and never reads the samples.  The factoring writes
-[C | f C] into one row-major buffer and keeps only R's factors; the round
-takes its values from its own Cauchy block (``core.cauchy_block``, as a
-model call does), built after the solve once that buffer is freed.  The
-model is built once, after the last round.  The fits of one degree sweep
-share their grids: with a ``grids`` record (see :func:`vf_adaptive`) the
-fits at d != 0 reuse the grids that the degree-0 fit factored.
+[C | f C] into one row-major buffer and keeps only R's factors; a round's
+values come from its own Cauchy block, built after the solve once that
+buffer is freed, and from ``GeneralBarycentricModel._pair``.  The model is
+built once, after the last round.  The fits of one degree sweep share their
+grids: with a ``grids`` record (see :func:`vf_adaptive`) the fits at d != 0
+reuse the grids that the degree-0 fit factored.
 """
 
 from dataclasses import dataclass
@@ -36,11 +36,11 @@ from .core import (
     cauchy_block,
     cauchy_ratio,
     degree_diagnostics,
-    eval_general,
     nullspace_basis,
     solve_constrained_weights,
     vandermonde,
 )
+from .core import evaluate as eval_general
 from .errors import ConstraintError, GridError
 from .util import relative_errors
 
@@ -219,13 +219,9 @@ def vf_adaptive(samples, config, *, grids=None):
                 grids[m] = grid
         supports = grid.supports
         num, den = vf_solve(grid, delta)
-        # normalised as from_weights does, so the values are the model's;
-        # the grid's supports were checked disjoint when it was factored
-        scale = np.linalg.norm(np.concatenate([num, den]))
-        cauchy = cauchy_block(pts, supports)[0]
-        rel = relative_errors(vals, cauchy_ratio(cauchy, (num / scale, den / scale), pts))
-        # free this grid's block before the next grid's is factored
-        del cauchy
+        # a temporary block; _factor checked the supports disjoint from the samples
+        rel = relative_errors(vals, cauchy_ratio(cauchy_block(pts, supports)[0],
+                                                 GeneralBarycentricModel._pair(num, den), pts))
         if float(np.max(rel)) <= config.tol:
             converged = True
             break

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import barydeg as bd
+from barydeg import cli
 from barydeg.cli import (
     EXIT_NOT_CONVERGED,
     EXIT_OK,
@@ -388,6 +389,23 @@ class TestRunReport:
         library = bd.aaa_backend(tol) if backend == "aaa" else bd.vf_backend()
         _, rep = library(bd.load_samples(data), -4)
         assert doc["result"]["linf_rel_error"] == rep.linf_rel_error
+
+    @pytest.mark.parametrize("command", ["fit", "identify"])
+    @pytest.mark.parametrize("backend", ["aaa", "vf"])
+    def test_negative_order_rejected_before_any_fit(self, tmp_path, monkeypatch, capsys,
+                                                    command, backend):
+        data = generate_fwd2(tmp_path)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit ran")
+
+        for factory in ("aaa_backend", "vf_backend"):
+            monkeypatch.setattr(cli, factory, lambda **kwargs: no_fit)
+        report_path = tmp_path / "r.json"
+        assert run(command, str(data), "--backend", backend, "--order", "-1",
+                   "-o", str(report_path)) == EXIT_USAGE
+        assert "argument --order: must be nonnegative, got -1" in capsys.readouterr().err
+        assert not report_path.exists()
 
     def test_shared_flags_share_defaults(self):
         parser = build_parser()

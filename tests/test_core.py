@@ -1,4 +1,6 @@
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +24,7 @@ from barydeg.util import BLOCK
 
 from conftest import (
     BLOCK_LENGTHS,
+    chain_samples,
     distinct_unit_disc_points,
     exact_type_model,
     sliced,
@@ -91,6 +94,11 @@ class TestGeneralBarycentricModel:
         m = bd.GeneralBarycentricModel.from_weights([0.0], [2.0], [1.0])
         stacked = np.concatenate([m.num_weights, m.den_weights])
         assert np.linalg.norm(stacked) == pytest.approx(1.0, abs=1e-15)
+
+
+def bitwise_equal(a, b):
+    """True when two arrays hold the same bytes in the same dtype and shape."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def _sample_set(points):
@@ -312,6 +320,57 @@ class TestCoefficientPair:
         assert general(3.0) == pytest.approx(interp(3.0), rel=1e-14)
         a, b = bd.classify_degree(interp), bd.classify_degree(general)
         assert (a.mu, a.nu, a.rdeg) == (b.mu, b.nu, b.rdeg)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_pair_is_from_weights_coefficients(self, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 12))
+        supports = distinct_unit_disc_points(rng, m)
+        # unnormalized: each vector scaled by its own power of ten
+        first, second = ((rng.normal(size=m) + 1j * rng.normal(size=m))
+                         * 10.0 ** rng.uniform(-6, 6) for _ in range(2))
+        for cls in (bd.BarycentricModel, bd.GeneralBarycentricModel):
+            pair = cls._pair(first, second)
+            coefficients = cls.from_weights(supports, first, second).coefficients
+            assert all(bitwise_equal(p, c) for p, c in zip(pair, coefficients, strict=True))
+
+    @pytest.mark.parametrize("cls, first, message", [
+        (bd.BarycentricModel, np.ones(3, dtype=complex), "weight vector must be nonzero"),
+        (bd.GeneralBarycentricModel, np.zeros(3, dtype=complex),
+         "coefficient vector must be nonzero"),
+    ])
+    def test_zero_weights_rejected(self, cls, first, message):
+        zero = np.zeros(3, dtype=complex)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cls._pair(first, zero)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cls.from_weights([1j, 2j, 3j], first, zero)
+
+    @pytest.mark.parametrize("cls", [bd.BarycentricModel, bd.GeneralBarycentricModel])
+    def test_from_weights_length_mismatch_is_the_models_error(self, cls):
+        with pytest.raises(ValueError, match="^supports, .* must have equal length$"):
+            cls.from_weights([1j, 2j], [1.0, 2.0], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("fitter", ["aaa", "vf"])
+    @pytest.mark.parametrize("forward", [True, False])
+    @pytest.mark.parametrize("degree", [0, 4, -4])
+    def test_last_step_evaluates_the_models_pair(self, monkeypatch, fitter, forward, degree):
+        module = importlib.import_module(f"barydeg.{fitter}")
+        ratio = module.cauchy_ratio
+        pairs = []
+
+        def keeping(cauchy, coefficients, points, exempt=None):
+            pairs.append(coefficients)
+            return ratio(cauchy, coefficients, points, exempt)
+
+        monkeypatch.setattr(module, "cauchy_ratio", keeping)
+        samples = chain_samples(2, forward=forward)
+        if fitter == "aaa":
+            model, _ = bd.aaa(samples, bd.AaaConfig(tol=1e-6, target_degree=degree))
+        else:
+            model, _ = bd.vf_adaptive(samples, bd.VfConfig(target_degree=degree))
+        assert pairs
+        assert all(bitwise_equal(p, c) for p, c in zip(pairs[-1], model.coefficients, strict=True))
 
 
 class TestCauchyBlock:

@@ -582,3 +582,33 @@ class TestTermCap:
         for requested, fitted in ((3, 2), (-3, -2)):
             got = next(fit for fit in fits.fits if fit[0] == requested)
             assert_same_vf_fits([got], [(requested, *direct(samples, fitted))])
+
+
+class TestVfBackendCap:
+    """``vf_backend`` passes its term cap through, as ``aaa_backend`` does;
+    only ``vf_adaptive`` turns no cap into its default of 60 terms."""
+
+    # noisy data at a tolerance no fit meets, so every fit ends at its cap
+    NOISY = dict(n=2, noise=1e-4, seed=0)
+
+    @pytest.mark.parametrize("own, called, terms", [
+        (None, None, 60), (None, 8, 8), (5, 8, 5), (8, 5, 5), (None, 70, 70)])
+    def test_smaller_cap_wins_and_none_is_the_fitters(self, own, called, terms):
+        samples = chain_samples(**self.NOISY)
+        _, report = bd.vf_backend(1e-12, max_terms=own)(samples, 0, max_terms=called)
+        assert (report.terms, report.converged) == (terms, False)
+
+    @pytest.mark.parametrize("name", SHARED_VF_SWEEPS)
+    def test_sweeps_match_the_explicit_default(self, name):
+        make_samples, tol = SHARED_VF_SWEEPS[name]
+        samples = make_samples()
+        default = bd.identify(samples, bd.vf_backend(tol))
+        explicit = bd.identify(samples, bd.vf_backend(
+            tol, max_terms=importlib.import_module("barydeg.vf").DEFAULT_MAX_TERMS))
+
+        def rows(result):
+            return [(c.degree, c.terms, c.linf_rel_error, c.converged, c.max_terms)
+                    for c in result.candidates]
+
+        assert rows(default) == rows(explicit)
+        assert default.best_degree == explicit.best_degree
