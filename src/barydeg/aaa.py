@@ -7,18 +7,24 @@ samples, restricted to the null space that encodes the degree constraint.
 The iteration stops as soon as the freshly picked point is already matched
 to tolerance by the current model, which is then returned unchanged.
 
-The fit keeps one block over the remaining samples for its whole run: the
-Loewner block L.  Each step holds at most two such blocks at once.  Its
-values on the remaining samples come from their Cauchy block, built afresh
-for that step alone beside L, and from ``BarycentricModel._pair``.  The
-pick then copies L without the new support's row and with one more column,
-which ``loewner_matrix`` builds, and the old L goes.
-The weight solve holds L and at most one more block of its size.
+At the steps m <= |d| the constraints leave the weights a single
+direction, the one column of their basis, so those steps need no
+least-squares problem.  From the first step with more directions on, the
+fit keeps one block over the remaining samples: the Loewner block L, built
+there by one ``loewner_matrix`` call.  Each step holds at most two such
+blocks at once.  Its values on the remaining samples come from their Cauchy
+block, built afresh for that step alone beside L, and from
+``BarycentricModel._pair``.  The pick then copies L without the new
+support's row and with one more column, which ``loewner_matrix`` builds,
+and the old L goes.  The weight solve holds L and at most one more block of
+its size.  A fit that converges within |d| + 1 terms never builds L.
 
 The fits of one degree sweep share their fully constrained prefix: with a
 ``spine`` (see :func:`aaa`) a fit at target d resumes after the first |d|
-steps, which the fit at the next smaller |d| of the same sign already took;
-a fresh fit is a resume after zero steps, so there is one way into the loop.
+steps, which the fit at the next smaller |d| of the same sign already took,
+and takes its first pick from the record instead of checking the model
+those steps left; a fresh fit is a resume after zero steps, so there is one
+way into the loop.
 """
 
 from dataclasses import dataclass
@@ -76,11 +82,20 @@ def aaa(samples, config, *, spine=None):
     decides where a fit stops.  At step m a fit at target d imposes
     min(|d|, m) constraints on m + 1 weights, so the steps m <= |d| depend
     on d only through its sign.  The dict records them flat as
-    ``spine[sign * m] = (support index, weights)``, key 0 serving both
-    signs.  A fit records its steps m <= |d| the dict lacks.  A fit at d != 0
-    under a cap of T terms resumes after step min(|d|, T) - 1 when the dict
-    holds it, never deeper; every other fit, fresh or at degree 0, resumes
-    after zero steps.
+    ``spine[sign * m] = (support index, weights, pick)``, key 0 serving both
+    signs; ``pick`` is the (pool row, sample index) that step m's weights
+    pick at step m + 1, ``None`` until a fit makes that pick without
+    converging there.  A fit records its steps m <= |d| and their picks
+    where the dict lacks them.  A fit at d != 0 under a cap of T terms
+    resumes after step min(|d|, T) - 1 when the dict holds it, never deeper,
+    and below its cap takes that step's pick from the dict when it is
+    there; every other fit, fresh or at degree 0, resumes after zero steps.
+    A check that converges or ends the fit at its cap is always evaluated,
+    since the report needs its errors.
+
+    The weights of a step whose constraint basis has one column are that
+    column; the Loewner block is built at the first step whose basis has
+    more.
     """
     pts, vals = samples.points, samples.values
     mprime = pts.size
@@ -107,28 +122,36 @@ def aaa(samples, config, *, spine=None):
     sup_idx = [spine[sign * m][0] for m in range(start)]
     weights = spine[sign * (start - 1)][1] if start else None
     # samples not yet picked as supports, in sample order; the rows of the
-    # kept Loewner block run over this pool
+    # Loewner block run over this pool
     pool = np.delete(np.arange(mprime), sup_idx)
     sj, fj = pts[sup_idx], vals[sup_idx]
-    x, fx = pts[pool], vals[pool]
-    L = loewner_matrix(x, fx, sj, fj)
+    x = pts[pool]
+    L = None  # built at the first step whose weights have more than one direction
     mean = complex(np.mean(vals))
     approx = np.full(mprime, mean, dtype=complex)
     converged = False
 
     for m in range(start, cap + 1):
-        if weights is not None:
-            # a temporary block, without hits: pool points are never supports
-            approx[pool] = cauchy_ratio(cauchy_block(x, sj)[0],
-                                        BarycentricModel._pair(fj, weights), x)
-            approx[sup_idx] = vals[sup_idx]
-        rel = relative_errors(vals, approx)
-        row = int(np.argmax(rel[pool]))
-        j = int(pool[row])
+        prev = sign * (m - 1)  # step m - 1's key, recorded when 0 < m <= |d| + 1
+        # below the cap, a resumed fit takes step m - 1's pick from the record
+        pick = spine[prev][2] if m == start and 0 < m < cap else None
+        if pick is None:
+            if weights is not None:
+                # a temporary block, without hits: pool points are never supports
+                approx[pool] = cauchy_ratio(cauchy_block(x, sj)[0],
+                                            BarycentricModel._pair(fj, weights), x)
+                approx[sup_idx] = vals[sup_idx]
+            rel = relative_errors(vals, approx)
+            row = int(np.argmax(rel[pool]))
+            j = int(pool[row])
+            if rel[j] <= tol:
+                converged = True
+                break
+            if 0 < m <= abs(delta) + 1 and spine[prev][2] is None:
+                spine[prev] = (*spine[prev][:2], (row, j))
+        else:
+            row, j = pick
         pool = np.delete(pool, row)
-        if rel[j] <= tol:
-            converged = True
-            break
         if m == cap:
             break
         sup_idx.append(j)
@@ -136,11 +159,19 @@ def aaa(samples, config, *, spine=None):
         fj = vals[sup_idx]
         V = vandermonde(sj, min(abs(delta), m))
         Q = nullspace_basis(V, left_scaling=fj if delta < 0 else None)
-        x, fx = pts[pool], vals[pool]
-        L = _grow(L, row, loewner_matrix(x, fx, sj[-1:], fj[-1:])[:, 0])
-        weights = solve_constrained_weights(L, Q)
+        x = pts[pool]
+        if Q.shape[1] == 1:
+            # one direction left: the minimal singular vector of the 1 x 1
+            # triangle is exactly 1, so ``solve_constrained_weights`` would
+            # return Q's column; copied, so the record keeps no square block
+            weights = Q[:, 0].copy()
+        else:
+            fx = vals[pool]
+            L = (loewner_matrix(x, fx, sj, fj) if L is None
+                 else _grow(L, row, loewner_matrix(x, fx, sj[-1:], fj[-1:])[:, 0]))
+            weights = solve_constrained_weights(L, Q)
         if m <= abs(delta):
-            spine.setdefault(sign * m, (j, weights))
+            spine.setdefault(sign * m, (j, weights, None))
 
     if weights is None:
         # the initial constant already matches the worst point: return it as

@@ -1,3 +1,4 @@
+import importlib
 from functools import lru_cache
 
 import numpy as np
@@ -147,8 +148,9 @@ def rebuilt_fit(name):
 
 @pytest.mark.parametrize("name", REBUILT_FITS)
 def test_last_step_rebuilt_from_scratch_gives_the_weights(name):
-    # the fit grows its Loewner block one column per step; the block built
-    # in one go over the non-support samples must give the same weights
+    # the fit grows its Loewner block one column per step, or takes the one
+    # column of a fully constrained step's basis; the block built in one go
+    # over the non-support samples must give the same weights
     samples, config, model, rep = rebuilt_fit(name)
     assert rep.terms >= 2
     rest = ~np.isin(samples.points, model.supports)
@@ -181,3 +183,65 @@ def test_peak_memory_is_a_few_pool_blocks(count, max_terms, degree):
     terms = fits[0][1].terms
     pool_block_bytes = (count - terms) * terms * np.dtype(complex).itemsize
     assert peak < 2.5 * pool_block_bytes
+
+
+# Fits whose first steps are fully constrained: the 2-mass chains at
+# degrees +-1 .. +-4 and three samples at +-1, +-2, where the cap of two
+# terms ends every fit inside its constrained prefix.
+CONSTRAINED_PREFIX_FITS = [
+    *((f"{'fwd' if fwd else 'inv'}2", lambda fwd=fwd: chain_samples(2, forward=fwd), 1e-6, d)
+      for fwd in (True, False) for d in (-4, -3, -2, -1, 1, 2, 3, 4)),
+    *(("three-samples", lambda: bd.SampleSet([1j, 2j, 3j], [1.0, 2.0, 5.0]), 1e-12, d)
+      for d in (-2, -1, 1, 2)),
+]
+
+
+@pytest.mark.parametrize("name, make_samples, tol, degree", CONSTRAINED_PREFIX_FITS,
+                         ids=[f"{name}-deg{d}" for name, _, _, d in CONSTRAINED_PREFIX_FITS])
+def test_one_direction_steps_are_the_weight_solve(name, make_samples, tol, degree):
+    # at a step m <= |d| the constraint basis Q has one column; the weights
+    # the record holds for it are what the weight solve over that step's
+    # Loewner block returns, byte for byte
+    samples = make_samples()
+    spine = {}
+    bd.aaa(samples, bd.AaaConfig(tol=tol, target_degree=degree), spine=spine)
+    sign = -1 if degree < 0 else 1
+    steps = [spine[sign * m] for m in range(abs(degree) + 1) if sign * m in spine]
+    assert len(steps) >= 2
+    for m, (_, weights, _) in enumerate(steps):
+        picked = [j for j, _, _ in steps[:m + 1]]
+        sj, fj = samples.points[picked], samples.values[picked]
+        rest = np.delete(np.arange(len(samples)), picked)
+        L = loewner_matrix(samples.points[rest], samples.values[rest], sj, fj)
+        Q = nullspace_basis(vandermonde(sj, m), left_scaling=fj if degree < 0 else None)
+        assert Q.shape[1] == 1
+        assert solve_constrained_weights(L, Q).tobytes() == weights.tobytes()
+
+
+def test_fit_inside_its_constrained_prefix_builds_no_loewner_block(monkeypatch):
+    # the true-degree fit of the forward 2-mass chain converges with 5 terms
+    # at d = -4: all of its steps have one direction, so it needs neither
+    # the Loewner block nor a weight solve
+    aaa_module = importlib.import_module("barydeg.aaa")
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("called inside the constrained prefix")
+
+    monkeypatch.setattr(aaa_module, "loewner_matrix", unexpected)
+    monkeypatch.setattr(aaa_module, "solve_constrained_weights", unexpected)
+    _, rep = bd.aaa(chain_samples(2), bd.AaaConfig(tol=1e-6, target_degree=-4))
+    assert rep.converged and rep.terms == 5 and rep.effective_degree == -4
+
+
+def test_record_holds_no_array_longer_than_the_cap():
+    # the record keeps steps, weights and picks, never a pool-size array
+    samples = chain_samples(2, noise=1e-6, seed=0, count=300)
+    spine = {}
+    for degree in (0, 1, 2, 3, -1, -2, -3, -4, -5, -6):
+        bd.aaa(samples, bd.AaaConfig(tol=1e-5, target_degree=degree, max_terms=6), spine=spine)
+    assert set(range(-4, 4)) <= set(spine)
+    assert any(pick is not None for _, _, pick in spine.values())
+    for j, weights, pick in spine.values():
+        assert isinstance(j, int)
+        assert pick is None or all(isinstance(k, int) for k in pick)
+        assert weights.base is None and weights.size <= 6

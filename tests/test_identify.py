@@ -255,14 +255,18 @@ def assert_same_fits(got, want):
         assert report == ref_report
 
 
-# (samples, tol, max_terms): the four noiseless chains, a noisy sweep whose
-# fits end at a term cap of 8, and three samples, where every fit is short
+# (samples, tol, max_terms): the four noiseless chains, at 200 samples and
+# at the benchmark's 1 000; a noisy sweep whose fits end at a term cap of 8;
+# a noisy sweep whose checks fail for up to 31 terms, so that fits resume on
+# picks recorded at failed checks; and three samples, where every fit is short
 SHARED_SWEEPS = {
-    "fwd2": (lambda: chain_samples(2), 1e-6, None),
-    "fwd3": (lambda: chain_samples(3), 1e-6, None),
-    "inv2": (lambda: chain_samples(2, forward=False), 1e-6, None),
-    "inv3": (lambda: chain_samples(3, forward=False), 1e-7, None),
+    **{f"{tag}{suffix}": (lambda n=n, fw=fw, count=count:
+                          chain_samples(n, forward=fw, count=count), tol, None)
+       for tag, n, fw, tol in (("fwd2", 2, True, 1e-6), ("fwd3", 3, True, 1e-6),
+                               ("inv2", 2, False, 1e-6), ("inv3", 3, False, 1e-7))
+       for suffix, count in (("", 200), ("-1000", 1000))},
     "noisy-capped": (lambda: chain_samples(2, noise=1e-4, seed=0), 1e-12, 8),
+    "noisy-fwd2-300": (lambda: chain_samples(2, noise=1e-6, seed=0, count=300), 1e-5, None),
     "three-samples": (lambda: bd.SampleSet([1j, 2j, 3j], [1.0, 2.0, 5.0]), 1e-12, None),
 }
 
@@ -296,28 +300,31 @@ class TestSharedAaaPath:
         assert_same_fits([(-5, *got)], [(-5, *bd.aaa(samples, config))])
 
     def test_fewer_weight_solves_and_the_same_on_a_rerun(self, monkeypatch):
+        # a fully constrained step takes its weights from its one-column
+        # basis without a solve, shared or not; the constraint basis is
+        # found once per step that adds a support, so it counts the steps
         aaa_module = importlib.import_module("barydeg.aaa")
-        solve = aaa_module.solve_constrained_weights
+        basis = aaa_module.nullspace_basis
         calls = []
 
-        def counting(L, Q):
-            calls.append(L.shape)
-            return solve(L, Q)
+        def counting(V, left_scaling=None):
+            calls.append(V.shape)
+            return basis(V, left_scaling=left_scaling)
 
-        monkeypatch.setattr(aaa_module, "solve_constrained_weights", counting)
+        monkeypatch.setattr(aaa_module, "nullspace_basis", counting)
         samples = chain_samples(3)
 
-        def solves(backend):
+        def steps(backend):
             calls.clear()
             bd.identify(samples, backend)
             return len(calls)
 
-        unshared = solves(unshared_aaa_backend(1e-6))
+        unshared = steps(unshared_aaa_backend(1e-6))
         shared = bd.aaa_backend(1e-6)
-        first = solves(shared)
+        first = steps(shared)
         # the path left by the first sweep must not save the second any work
         assert first < unshared
-        assert solves(shared) == first
+        assert steps(shared) == first
 
     def test_backend_follows_the_samples_it_is_given(self):
         # one backend fed two sample sets in turn, within and across sweeps
