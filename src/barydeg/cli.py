@@ -38,7 +38,7 @@ from .asymptotic import (DEFAULT_ORDER, AsymptoticModel, PiecewiseModel, eval_pi
 from .benchmarks import load_samples, mass_chain_samples, sample_grid, save_samples
 from .core import BarycentricModel, GeneralBarycentricModel, _field_names
 from .errors import BarydegError
-from .identify import DEFAULT_MAX_ABS_DEGREE, aaa_backend, identify, vf_backend
+from .identify import DEFAULT_MAX_ABS_DEGREE, CandidateRecord, aaa_backend, identify, vf_backend
 from .util import write_rows
 from .vf import DEFAULT_TOL as VF_TOL
 
@@ -240,8 +240,7 @@ def cmd_identify(args):
         "best_linf_rel_error": result.best.linf_rel_error,
         "cutoff": getattr(result.piecewise, "cutoff", None),
     }, candidates=[
-        {"degree": c.degree, "terms": c.terms, "linf_rel_error": c.linf_rel_error,
-         "converged": c.converged, "max_terms": c.max_terms}
+        {k: getattr(c, k) for k in _field_names(CandidateRecord) if k != "model"}
         for c in result.candidates
     ])
     if not result.converged:

@@ -397,26 +397,22 @@ def solve_constrained_weights(L, Q):
     Q must have orthonormal columns (typically a null-space basis encoding
     degree constraints); the minimizer is Q v with v a minimal right
     singular vector of L Q.  A tall L is reduced to its QR triangle R first,
-    as ||L Q v|| = ||R Q v||, unless Q has at most half as many columns:
-    beyond L the solve then holds either the copy of L that ``np.linalg.qr``
-    factors or L Q and its copy, never more than one block of L's size.
+    as ||L Q v|| = ||R Q v||, so that beyond L the solve holds only the copy
+    of L that ``np.linalg.qr`` factors and blocks of R's size.
     """
     L = np.asarray(L, dtype=complex)
     Q = np.asarray(Q, dtype=complex)
     if Q.shape[1] == 0:
         raise ConstraintError("constraint basis has no columns")
-    rows, cols = L.shape
-    if rows > cols and 2 * Q.shape[1] > cols:
+    if L.shape[0] > L.shape[1]:
         L = np.linalg.qr(L, mode="r")
-    LQ = L @ Q
-    rows, cols = LQ.shape
-    if rows > cols:
-        # the same identity: the SVD of the square triangle needs no left factor
-        LQ = np.linalg.qr(LQ, mode="r")
+    return Q @ _min_right_vector(L @ Q)
+
+
+def _min_right_vector(a):
+    """Unit vector v minimizing ||a v||: a's last right singular vector."""
     # a wide block needs the full factorization for every right singular vector
-    _, _, vh = np.linalg.svd(LQ, full_matrices=rows < cols)
-    v = np.conj(vh[-1, :])
-    return Q @ v
+    return np.conj(np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])[2][-1])
 
 
 def _power_sum_scan(model, extra_orders=0):

@@ -14,8 +14,10 @@ Grid m, the QR triangle R of its block [C | f C] (C the Cauchy block
 1 / (s'_j - s_k) of the samples) and what the degree constraints add to R
 depend on the samples and m alone.  A round that factors its grid builds
 all of it once (a ``_Grid``), so that each round's solve
-(:func:`vf_solve`), at any degree, is one SVD of a block of R's size and
-one triangular solve, and never reads the samples.  The factoring writes
+(:func:`vf_solve`), at any degree, is one SVD of a block of R's size, the
+last step of the weight solve that AAA uses
+(:func:`~barydeg.core.solve_constrained_weights`), and one triangular
+solve, and never reads the samples.  The factoring writes
 [C | f C] into one row-major buffer and keeps only R's factors; a round's
 values come from its own Cauchy block, built after the solve once that
 buffer is freed, and from ``GeneralBarycentricModel._pair``.  The model is
@@ -33,6 +35,7 @@ from .aaa import AaaConfig
 from .core import (
     FitReport,
     GeneralBarycentricModel,
+    _min_right_vector,
     cauchy_block,
     cauchy_ratio,
     degree_diagnostics,
@@ -127,8 +130,10 @@ def vf_solve(grid, target_degree):
     ||Rw[:j, :j] u' - H[:j] d||^2 + ||[H[j:]; R22] d||^2.  So a round is
     one SVD for d and one triangular solve for u':
 
-    * delta > 0: d = Qf[:, delta:] v, v minimizing ||R22 Qf[:, delta:] v||;
-    * delta <= 0: d minimizes ||[H[j:]; R22] d|| (R22 alone at 0);
+    * delta > 0: d = Qf[:, delta:] v, v minimizing ||R22 Qf[:, delta:] v||,
+      which is ``solve_constrained_weights(R22, Qf[:, delta:])``;
+    * delta <= 0: d minimizes ||[H[j:]; R22] d|| (R22 alone at 0), the last
+      right singular vector that the weight solve also ends in;
 
     and Rw[:j, :j] u' = H[:j] d.  A grid with fewer samples than unknowns
     takes the general solve of :func:`_solve_few_samples`.  A degree the
@@ -147,17 +152,11 @@ def vf_solve(grid, target_degree):
     j = mp1 - k
     h = grid.t[:, mp1:]
     if delta > 0:
-        basis = grid.qf[:, delta:]
-        den = basis @ _min_right_vector(grid.r @ basis)
+        den = solve_constrained_weights(grid.r, grid.qf[:, delta:])
     else:
         den = _min_right_vector(np.vstack([h[j:], grid.r]))
     u = np.linalg.solve(grid.t[:j, :j], h[:j] @ den)
     return grid.qf[:, k:] @ u[::-1], den
-
-
-def _min_right_vector(a):
-    """Unit vector v minimizing ||a v||: a's last right singular vector."""
-    return np.conj(np.linalg.svd(a, full_matrices=False)[2][-1])
 
 
 def _solve_few_samples(r, supports, delta):

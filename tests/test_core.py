@@ -554,12 +554,11 @@ class TestSolveConstrainedWeights:
                               ((300, 6), 4)],
                              ids=[f"shape{i}" for i in range(6)])
     def test_minimizer_over_the_constrained_range(self, shape, constraints):
-        # Two constraints leave Q 4 of L's 6 columns, none leave Q = I (AAA's
-        # degree-0 basis): a tall L (300 and 7 rows) is reduced to its 6 x 6
-        # QR triangle R first, and a tall R Q to its own triangle.  Four
-        # constraints leave Q 2 columns, so the tall L goes to L Q and its
-        # triangle, as the square and wide L go to L Q directly.  Each must
-        # give the minimal singular vector of L Q, mapped back into range(Q).
+        # Two constraints leave Q 4 of L's 6 columns, four leave it 2 and
+        # none leave Q = I (AAA's degree-0 basis): a tall L (300 and 7 rows)
+        # is reduced to its 6 x 6 QR triangle R first, whatever Q's width,
+        # and the square and wide L go to L Q directly.  Each must give the
+        # minimal singular vector of L Q, mapped back into range(Q).
         rng = np.random.default_rng(shape[0])
         L = random_complex(rng, shape)
         Q = nullspace_basis(vandermonde(random_complex(rng, shape[1]), constraints))
@@ -572,8 +571,8 @@ class TestSolveConstrainedWeights:
 
     def test_tall_problem_allocates_no_rows_squared_factor(self):
         # beyond its inputs, the solve holds the copy of L that the QR
-        # factors (Q = I, AAA's degree-0 basis, or one constraint), or L Q
-        # and its copy when Q has at most half of L's columns (six)
+        # factors and blocks of its 8 x 8 triangle's size, for Q = I (AAA's
+        # degree-0 basis), one constraint or six
         rng = np.random.default_rng(6)
         L = random_complex(rng, (4000, 8))
         for constraints in (0, 1, 6):

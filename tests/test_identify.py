@@ -345,16 +345,17 @@ class TestSharedAaaPath:
 
     def test_record_does_not_depend_on_call_order(self, monkeypatch):
         # paths recorded before any degree-0 fit, fits resuming on steps that
-        # fits of other degrees recorded, and a repeated degree
+        # fits of other degrees recorded, and a repeated degree; the constraint
+        # basis is found once per step that adds a support, so it counts the steps
         aaa_module = importlib.import_module("barydeg.aaa")
-        solve = aaa_module.solve_constrained_weights
+        basis = aaa_module.nullspace_basis
         calls = []
 
-        def counting(L, Q):
-            calls.append(L.shape)
-            return solve(L, Q)
+        def counting(V, left_scaling=None):
+            calls.append(V.shape)
+            return basis(V, left_scaling=left_scaling)
 
-        monkeypatch.setattr(aaa_module, "solve_constrained_weights", counting)
+        monkeypatch.setattr(aaa_module, "nullspace_basis", counting)
         samples = chain_samples(2)
         shared, direct = bd.aaa_backend(1e-6), unshared_aaa_backend(1e-6)
 
@@ -363,12 +364,15 @@ class TestSharedAaaPath:
             model, report = backend(samples, degree)
             return (degree, model, report), len(calls)
 
+        skipped = []
         for degree in (3, 1, -2, 0, 2, -1, -3, 4, -4, 1):
-            got, solves = counted_fit(shared, degree)
-            want, direct_solves = counted_fit(direct, degree)
+            got, steps = counted_fit(shared, degree)
+            want, direct_steps = counted_fit(direct, degree)
             assert_same_fits([got], [want])
-            # a resumed fit skips at most its first |d| steps
-            assert direct_solves - abs(degree) <= solves <= direct_solves
+            skipped.append(direct_steps - steps)
+        # a fit at d skips its first |d| steps when a fit of its sign recorded
+        # step |d| - 1 (key 0 serves both signs), else none: 3, -2 and 0 skip none
+        assert skipped == [0, 1, 0, 0, 2, 1, 3, 4, 4, 1]
 
 
 def unshared_vf_backend(tol, max_terms=None):
