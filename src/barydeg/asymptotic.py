@@ -3,15 +3,28 @@
 A barycentric form with nonzero relative degree suffers catastrophic
 cancellation at large |s|: the leading power sums of its coefficients are
 (numerically) zero, so the two barycentric sums are evaluated orders of
-magnitude above their true size.  The fix is a truncated Laurent-type
-expansion around infinity,
+magnitude above their true size.  The paper's fix is a truncated
+Laurent-type expansion around infinity,
 
     r(s) ~ (sum_l c_l s^-l) / (sum_l d_l s^-l) * s^rdeg,
 
 with moment coefficients c_l, d_l given by power sums of the barycentric
 coefficients starting at the degree defects.  A piecewise model switches
-from the barycentric form to this asymptotic form at a cutoff radius where
-the two forms' heuristic error models balance.
+from the barycentric form to a far branch at a cutoff radius where the two
+forms' heuristic error models balance.
+
+The far branch is the same expansion summed to all orders: the model's own
+rational in w = scale/s.  With z_k = s_k/scale and pi(w) = prod_k (1 - z_k w),
+each barycentric sum is sum_k c_k/(s - s_k) = (w/scale) * N(w)/pi(w), where
+N = pi * sum_l p_l w^l is a polynomial of degree < terms and p_l the scaled
+power sums.  Dropping the residual power sums below a side's defect leaves
+N = w^defect * A(w), and pi cancels in the ratio, so
+
+    r(s) = (s/scale)^rdeg * A(w) / B(w)
+
+with no truncation (:func:`far_field`).  The truncated expansion
+(:func:`moments`) still places the cutoff and is what the seam and oracle
+checks test.
 
 Both heuristics leave out model-dependent constants.  The truncation error
 of the expansion carries the moment ratio |c_{N+1}/c_0 - d_{N+1}/d_0|; the
@@ -21,6 +34,7 @@ exceed 1 by one or two orders of magnitude, so the cutoff formula places the
 radius but does not bound the error at the seam.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,14 +49,17 @@ EPS_FLOOR = 1e-16
 
 @dataclass(frozen=True, eq=False)
 class AsymptoticModel:
-    """Truncated expansion of a rational model at infinity.
+    """A rational model as (s/scale)^rdeg times a ratio of series in scale/s.
 
-    The moment arrays are stored in the scaled variable s / scale (scale is
-    the largest support magnitude) so that they stay representable for
-    supports of any magnitude; the unscaled moments are exposed as
-    properties.  ``num_moments_scaled[i]`` is the power sum of the
-    numerator coefficients at order mu + i; the expansion truncates after
-    as many terms as the (equally long) moment arrays hold.
+    :func:`moments` fills it with the truncated expansion at infinity:
+    ``num_moments_scaled[i]`` is the power sum of the numerator
+    coefficients at order mu + i, in the scaled variable s / scale (scale
+    is the largest support magnitude) so that it stays representable for
+    supports of any magnitude, and the expansion truncates after as many
+    terms as the (equally long) arrays hold; the unscaled moments are
+    exposed as properties.  :func:`far_field` fills it with the model's
+    exact polynomials A, B in w = scale/s instead, the shorter one
+    zero-padded; their unscaled properties are not moments.
     """
 
     mu: int
@@ -93,9 +110,11 @@ class PiecewiseModel:
     """A fitted model plus its asymptotic continuation.
 
     Evaluation uses the barycentric form up to ``cutoff`` (inclusive) and
-    the asymptotic form beyond it.  ``train_T`` is the largest sampled
-    frequency magnitude and ``train_eps`` the largest training relative
-    error that entered the cutoff formula.
+    the far branch ``far``, the model's exact rational in w = scale/s,
+    beyond it.  ``asym`` is the truncated expansion at infinity: it places
+    the cutoff and is what the model file stores.  ``train_T`` is the
+    largest sampled frequency magnitude and ``train_eps`` the largest
+    training relative error that entered the cutoff formula.
     """
 
     bary: object
@@ -120,6 +139,11 @@ class PiecewiseModel:
         """True where ``s`` takes the barycentric branch, |s| <= cutoff."""
         return np.abs(s) <= self.cutoff
 
+    @functools.cached_property
+    def far(self):
+        """The far branch, ``far_field(bary)``: derived on first use, never stored."""
+        return far_field(self.bary)
+
 
 def moments(model, order=DEFAULT_ORDER):
     """Asymptotic expansion of a model, truncated after ``order + 1`` terms.
@@ -135,6 +159,27 @@ def moments(model, order=DEFAULT_ORDER):
         mu=mu, nu=nu, scale=shat,
         num_moments_scaled=num_sums, den_moments_scaled=den_sums,
     )
+
+
+def far_field(model):
+    """The model's exact rational in w = scale/s, as an :class:`AsymptoticModel`.
+
+    With pi_t the coefficients of pi(w) = prod_k (1 - z_k w), z_k = s_k/scale,
+    and p_l the scaled power sums, the numerator polynomial has
+    a_i = sum_{t<=i} pi_t p_{mu+i-t} for i < terms - mu, and the denominator
+    likewise from nu; the power sums below each defect are dropped, as the
+    truncated expansion drops them.  Evaluating it costs terms - 1 - min(mu, nu)
+    Horner steps.
+    """
+    terms = model.terms
+    mu, nu, num_sums, den_sums, shat = _power_sum_scan(model, extra_orders=terms - 1)
+    pi = np.poly(model.supports / shat)
+    num = np.convolve(pi, num_sums)[:terms - mu]
+    den = np.convolve(pi, den_sums)[:terms - nu]
+    length = max(num.size, den.size)
+    return AsymptoticModel(mu=mu, nu=nu, scale=shat,
+                           num_moments_scaled=np.pad(num, (0, length - num.size)),
+                           den_moments_scaled=np.pad(den, (0, length - den.size)))
 
 
 def classify_degree(model):
@@ -156,7 +201,7 @@ def _rescale_sums(sums, shat, start):
 
 
 def eval_asymptotic(asym, s):
-    """Evaluate the truncated expansion at scalar or array ``s``.
+    """Evaluate an :class:`AsymptoticModel` at scalar or array ``s``.
 
     Points must be finite and nonzero.  Both series run through one Horner
     pass over a (2, n) accumulator, in place, and the monomial (s/scale)^rdeg
@@ -178,7 +223,7 @@ def eval_asymptotic(asym, s):
         if not den.all():
             point = x[np.argmax(den == 0)]
             raise PoleEvaluationError(
-                f"truncated denominator series vanishes at {point}", point=point
+                f"denominator series vanishes at {point}", point=point
             )
         # a new array, so a one-block result does not keep ``acc`` alive
         out = num / den
@@ -234,7 +279,7 @@ def make_piecewise(model, samples, order=DEFAULT_ORDER):
 
 
 def eval_piecewise(pm, s):
-    """Barycentric evaluation for |s| <= cutoff, asymptotic beyond.
+    """Barycentric evaluation for |s| <= cutoff, the exact far branch beyond.
 
     Points are split and evaluated block by block; a non-finite point
     raises before any block runs.  A block wholly on one side of the cutoff
@@ -245,10 +290,10 @@ def eval_piecewise(pm, s):
         if near.all():
             return evaluate(pm.bary, x)
         if not near.any():
-            return eval_asymptotic(pm.asym, x)
+            return eval_asymptotic(pm.far, x)
         out = np.empty(x.shape, dtype=complex)
         out[near] = evaluate(pm.bary, x[near])
-        out[~near] = eval_asymptotic(pm.asym, x[~near])
+        out[~near] = eval_asymptotic(pm.far, x[~near])
         return out
 
     return blockwise(block, s)

@@ -6,9 +6,11 @@ import pytest
 import barydeg as bd
 from barydeg.asymptotic import (
     AsymptoticModel,
+    classify_degree,
     cutoff_radius,
     eval_asymptotic,
     eval_piecewise,
+    far_field,
     make_piecewise,
     moments,
 )
@@ -19,6 +21,7 @@ from barydeg.vf import _grid, geometric_supports, vf_solve
 from conftest import (
     BLOCK_LENGTHS,
     BLOCK_SCRATCH_BYTES,
+    CHAIN_WMAX,
     NONFINITE_POINTS,
     chain_samples,
     exact_type_model,
@@ -281,7 +284,7 @@ class TestEvalPiecewise:
         s = np.array([1.0, pm.cutoff * 2]) * 1j
         out = eval_piecewise(pm, s)
         assert out[0] == model(1j)
-        assert out[1] == eval_asymptotic(pm.asym, pm.cutoff * 2j)
+        assert out[1] == eval_asymptotic(pm.far, pm.cutoff * 2j)
 
     def test_piecewise_and_asymptotic_models_are_callable(self):
         model = exact_inverse_model()
@@ -298,7 +301,7 @@ class TestEvalPiecewise:
         near = pm.near(s)
         assert near.tolist() == [True, True, False, False]
         assert np.array_equal(eval_piecewise(pm, s)[near], model(s[near]))
-        assert np.array_equal(eval_piecewise(pm, s)[~near], eval_asymptotic(pm.asym, s[~near]))
+        assert np.array_equal(eval_piecewise(pm, s)[~near], eval_asymptotic(pm.far, s[~near]))
 
 
 class TestEvalPiecewiseBlocks:
@@ -365,7 +368,7 @@ class TestEvalPiecewiseBlocks:
         inside = bd.sample_grid(1e-2, pm.cutoff / 2, 2 * BLOCK + 3)
         outside = bd.sample_grid(2 * pm.cutoff, 1e6, 2 * BLOCK + 3)
         assert np.array_equal(eval_piecewise(pm, inside), pm.bary(inside))
-        assert np.array_equal(eval_piecewise(pm, outside), eval_asymptotic(pm.asym, outside))
+        assert np.array_equal(eval_piecewise(pm, outside), eval_asymptotic(pm.far, outside))
 
 
 class TestPiecewiseModelInvariants:
@@ -437,3 +440,95 @@ class TestExactModelFidelity:
             exact = model(s)
             approx = eval_asymptotic(asym, s)
             assert abs(approx - exact) <= 10 * (rho / abs(s)) ** 11 * abs(exact)
+
+
+# Chain responses that are not even in s, as (response, relative degree of
+# the n-mass chain's response): damped, and odd or intermediate degrees.
+UNEVEN_RESPONSES = {
+    "damped": (lambda chain, s: bd.forward_tf(chain, s + 0.05), lambda n: -2 * n),
+    "velocity": (lambda chain, s: s * bd.forward_tf(chain, s), lambda n: 1 - 2 * n),
+    "acceleration": (lambda chain, s: s**2 * bd.forward_tf(chain, s), lambda n: 2 - 2 * n),
+    "velocity_to_force": (lambda chain, s: bd.inverse_tf(chain, s) / s, lambda n: 2 * n - 1),
+}
+
+
+def far_sweep(pm, count=4000):
+    """Log-spaced points on the far branch: just past the cutoff to 1e6, times i."""
+    s = bd.sample_grid(pm.cutoff * (1 + 1e-12), 1e6, count)
+    assert not pm.near(s).any()
+    return s
+
+
+def max_rel_err(approx, exact):
+    return float(np.max(np.abs(approx - exact) / np.abs(exact)))
+
+
+def deflated_form(model, s):
+    """(s/scale)^rdeg times the barycentric form of u z^mu and w z^nu, z = s_k/scale.
+
+    It equals the model with the power sums below each defect dropped, and
+    nothing cancels in it at |s| > scale, so it is a double-precision
+    reference for the far branch that shares none of its arithmetic.
+    """
+    asym = classify_degree(model)
+    u, w = model.coefficients
+    z = model.supports / asym.scale
+    cauchy = 1.0 / (s[:, None] - model.supports)
+    return ((cauchy @ (u * z**asym.mu)) / (cauchy @ (w * z**asym.nu))
+            * (s / asym.scale) ** asym.rdeg)
+
+
+class TestFarField:
+    """Beyond the cutoff, eval_piecewise evaluates the model's exact rational in scale/s."""
+
+    def test_shares_the_expansions_defects_and_scale(self):
+        pm = fwd3_piecewise()
+        far = pm.far
+        assert (far.mu, far.nu, far.scale) == (pm.asym.mu, pm.asym.nu, pm.asym.scale)
+        assert far.order == pm.bary.terms - 1 - min(far.mu, far.nu)
+        assert far is pm.far
+        assert np.array_equal(far.num_moments_scaled, far_field(pm.bary).num_moments_scaled)
+
+    @pytest.mark.parametrize("n, forward", [(2, True), (3, True), (2, False), (3, False)])
+    def test_chain_fits_hold_the_chain_reference(self, n, forward):
+        samples = chain_samples(n, forward)
+        model, _ = bd.aaa(samples, bd.AaaConfig(tol=1e-6, target_degree=(-2 if forward else 2) * n))
+        pm = make_piecewise(model, samples)
+        s = far_sweep(pm)
+        exact = (bd.forward_tf if forward else bd.inverse_tf)(bd.MassChainSystem(n), s)
+        # measured <= 8.4e-13; the order-10 series reaches 3.1e-7 here
+        assert max_rel_err(eval_piecewise(pm, s), exact) <= 1e-11
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("name", sorted(UNEVEN_RESPONSES))
+    def test_uneven_responses_hold_the_chain_reference(self, name, n):
+        response, degree = UNEVEN_RESPONSES[name]
+        chain = bd.MassChainSystem(n)
+        pts = bd.sample_grid(1e-2, CHAIN_WMAX[n], 200)
+        samples = bd.SampleSet(pts, response(chain, pts))
+        model, report = bd.aaa(samples, bd.AaaConfig(tol=1e-6 if n == 2 else 1e-7,
+                                                     target_degree=degree(n)))
+        pm = make_piecewise(model, samples)
+        assert report.converged and pm.asym.rdeg == degree(n)
+        s = far_sweep(pm)
+        # measured <= 2.0e-12; the series gives 2.4e-10 ... 8.5e-8
+        assert max_rel_err(eval_piecewise(pm, s), response(chain, s)) <= 1e-11
+
+    @pytest.mark.parametrize("n, forward", [(2, True), (2, False), (3, True)])
+    def test_noisy_vf_winners_hold_the_deflated_form(self, n, forward):
+        for seed in range(5):
+            samples = chain_samples(n, forward, noise=1e-6, seed=seed)
+            pm = bd.identify(samples, bd.vf_backend(tol=1e-4)).piecewise
+            s = far_sweep(pm)
+            # measured <= 3.2e-9 (the deflated form's own error against a
+            # 50-digit evaluation reaches 7.4e-10); the series reaches 8.2
+            assert max_rel_err(eval_piecewise(pm, s), deflated_form(pm.bary, s)) <= 1e-8
+
+    def test_many_term_fit_holds_the_deflated_form(self):
+        samples = chain_samples(2, noise=1e-6)
+        model, _ = bd.aaa(samples, bd.AaaConfig(tol=1e-8, target_degree=-4, max_terms=40))
+        assert model.terms == 40
+        pm = make_piecewise(model, samples)
+        s = far_sweep(pm)
+        # measured 1.8e-14; the series reaches 2.3e-3
+        assert max_rel_err(eval_piecewise(pm, s), deflated_form(pm.bary, s)) <= 1e-12
