@@ -18,13 +18,15 @@ rational in w = scale/s.  With z_k = s_k/scale and pi(w) = prod_k (1 - z_k w),
 each barycentric sum is sum_k c_k/(s - s_k) = (w/scale) * N(w)/pi(w), where
 N = pi * sum_l p_l w^l is a polynomial of degree < terms and p_l the scaled
 power sums.  Dropping the residual power sums below a side's defect leaves
-N = w^defect * A(w), and pi cancels in the ratio, so
+N = w^defect * A(w), and pi cancels in the ratio, so with m = min(mu, nu)
 
-    r(s) = (s/scale)^rdeg * A(w) / B(w)
+    r(s) = (s/scale)^rdeg * A(w) / B(w) = P(w) / Q(w),
+    P = w^(mu - m) * A,  Q = w^(nu - m) * B,
 
-with no truncation (:func:`far_field`).  The truncated expansion
+with no truncation (:func:`far_field`).  P and Q have the same length, so
+the monomial costs no Horner step of its own.  The truncated expansion
 (:func:`moments`) still places the cutoff and is what the seam and oracle
-checks test.
+checks test; it is evaluated in the same folded form.
 
 Both heuristics leave out model-dependent constants.  The truncation error
 of the expansion carries the moment ratio |c_{N+1}/c_0 - d_{N+1}/d_0|; the
@@ -49,17 +51,14 @@ EPS_FLOOR = 1e-16
 
 @dataclass(frozen=True, eq=False)
 class AsymptoticModel:
-    """A rational model as (s/scale)^rdeg times a ratio of series in scale/s.
+    """The truncated expansion at infinity, (s/scale)^rdeg times a ratio of series in scale/s.
 
-    :func:`moments` fills it with the truncated expansion at infinity:
-    ``num_moments_scaled[i]`` is the power sum of the numerator
-    coefficients at order mu + i, in the scaled variable s / scale (scale
-    is the largest support magnitude) so that it stays representable for
-    supports of any magnitude, and the expansion truncates after as many
-    terms as the (equally long) arrays hold; the unscaled moments are
-    exposed as properties.  :func:`far_field` fills it with the model's
-    exact polynomials A, B in w = scale/s instead, the shorter one
-    zero-padded; their unscaled properties are not moments.
+    :func:`moments` fills it: ``num_moments_scaled[i]`` is the power sum of
+    the numerator coefficients at order mu + i, in the scaled variable
+    s / scale (scale is the largest support magnitude) so that it stays
+    representable for supports of any magnitude, and the expansion
+    truncates after as many terms as the (equally long) arrays hold; the
+    unscaled moments are exposed as properties.
     """
 
     mu: int
@@ -101,8 +100,26 @@ class AsymptoticModel:
         """Unscaled denominator moments; may overflow for extreme scales."""
         return _rescale_sums(self.den_moments_scaled, self.scale, self.nu)
 
+    @functools.cached_property
+    def coeffs(self):
+        """The series with the monomial folded in, as :attr:`FarField.coeffs`."""
+        return _fold(self.num_moments_scaled, self.den_moments_scaled, self.mu, self.nu)
+
     def __call__(self, s):
         return eval_asymptotic(self, s)
+
+
+@dataclass(frozen=True, eq=False)
+class FarField:
+    """A model's exact rational P(w) / Q(w) in w = scale/s, from :func:`far_field`.
+
+    ``coeffs`` is the (2, L) pair of P and Q in ascending powers of w, the
+    monomial (s/scale)^rdeg folded in: the side with the larger defect
+    starts with |rdeg| zeros.
+    """
+
+    scale: float
+    coeffs: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,11 +127,11 @@ class PiecewiseModel:
     """A fitted model plus its asymptotic continuation.
 
     Evaluation uses the barycentric form up to ``cutoff`` (inclusive) and
-    the far branch ``far``, the model's exact rational in w = scale/s,
-    beyond it.  ``asym`` is the truncated expansion at infinity: it places
-    the cutoff and is what the model file stores.  ``train_T`` is the
-    largest sampled frequency magnitude and ``train_eps`` the largest
-    training relative error that entered the cutoff formula.
+    the far branch ``far``, the model's exact rational in w = scale/s as a
+    :class:`FarField`, beyond it.  ``asym`` is the truncated expansion at
+    infinity: it places the cutoff and is what the model file stores.
+    ``train_T`` is the largest sampled frequency magnitude and ``train_eps``
+    the largest training relative error that entered the cutoff formula.
     """
 
     bary: object
@@ -162,13 +179,14 @@ def moments(model, order=DEFAULT_ORDER):
 
 
 def far_field(model):
-    """The model's exact rational in w = scale/s, as an :class:`AsymptoticModel`.
+    """The model's exact rational in w = scale/s, as a :class:`FarField`.
 
     With pi_t the coefficients of pi(w) = prod_k (1 - z_k w), z_k = s_k/scale,
-    and p_l the scaled power sums, the numerator polynomial has
+    and p_l the scaled power sums, the numerator polynomial A has
     a_i = sum_{t<=i} pi_t p_{mu+i-t} for i < terms - mu, and the denominator
-    likewise from nu; the power sums below each defect are dropped, as the
-    truncated expansion drops them.  Evaluating it costs terms - 1 - min(mu, nu)
+    B likewise from nu; the power sums below each defect are dropped, as the
+    truncated expansion drops them.  Folding the monomial in makes both sides
+    terms - min(mu, nu) long, so evaluating it costs terms - 1 - min(mu, nu)
     Horner steps.
     """
     terms = model.terms
@@ -176,10 +194,20 @@ def far_field(model):
     pi = np.poly(model.supports / shat)
     num = np.convolve(pi, num_sums)[:terms - mu]
     den = np.convolve(pi, den_sums)[:terms - nu]
-    length = max(num.size, den.size)
-    return AsymptoticModel(mu=mu, nu=nu, scale=shat,
-                           num_moments_scaled=np.pad(num, (0, length - num.size)),
-                           den_moments_scaled=np.pad(den, (0, length - den.size)))
+    return FarField(scale=shat, coeffs=_fold(num, den, mu, nu))
+
+
+def _fold(num, den, mu, nu):
+    """(2, L) ascending coefficients of w^(mu-m) * num and w^(nu-m) * den, m = min(mu, nu).
+
+    Their ratio is (s/scale)^(nu - mu) * num(w) / den(w); the shorter row is
+    zero-padded at the end.
+    """
+    m = min(mu, nu)
+    out = np.zeros((2, max(mu + num.size, nu + den.size) - m), dtype=complex)
+    out[0, mu - m:mu - m + num.size] = num
+    out[1, nu - m:nu - m + den.size] = den
+    return out
 
 
 def classify_degree(model):
@@ -201,39 +229,51 @@ def _rescale_sums(sums, shat, start):
 
 
 def eval_asymptotic(asym, s):
-    """Evaluate an :class:`AsymptoticModel` at scalar or array ``s``.
+    """Evaluate an :class:`AsymptoticModel` or a :class:`FarField` at scalar or array ``s``.
 
-    Points must be finite and nonzero.  Both series run through one Horner
-    pass over a (2, n) accumulator, in place, and the monomial (s/scale)^rdeg
-    is applied by |rdeg| multiplications.
+    Points must be finite and nonzero.  Both sides run through one Horner
+    pass in w = scale/s over the folded pair ``asym.coeffs``, in a (2, n)
+    accumulator, and one ratio.  Where the denominator vanishes only because
+    its leading w^k underflowed, |s| lies beyond the double range of the
+    form and ``ValueError`` is raised; where its series vanishes,
+    ``PoleEvaluationError``.
     """
     if not np.asarray(s).all():
         raise ValueError("asymptotic form is undefined at s = 0")
-    coeffs = np.array([asym.num_moments_scaled, asym.den_moments_scaled])
-    rdeg = asym.rdeg
+    coeffs, scale = asym.coeffs, asym.scale
 
     def block(x):
-        inv = asym.scale / x
-        acc = np.empty((2, x.size), dtype=complex)
-        acc[:] = coeffs[:, -1:]
-        for l in range(asym.order - 1, -1, -1):
-            acc *= inv
-            acc += coeffs[:, l:l + 1]
-        num, den = acc
+        w = scale / x
+        num, den = _horner(coeffs, w)
         if not den.all():
-            point = x[np.argmax(den == 0)]
-            raise PoleEvaluationError(
-                f"denominator series vanishes at {point}", point=point
-            )
-        # a new array, so a one-block result does not keep ``acc`` alive
-        out = num / den
-        if rdeg > 0:
-            np.divide(x, asym.scale, out=inv)
-        for _ in range(abs(rdeg)):
-            out *= inv
-        return out
+            i = np.argmax(den == 0)
+            _raise_vanishing(coeffs[1], w[i:i + 1], x[i])
+        # a new array, so a one-block result does not keep the accumulator alive
+        return num / den
 
     return blockwise(block, s)
+
+
+def _horner(coeffs, w):
+    """Each row of ``coeffs`` (ascending powers) at the points ``w``, in place."""
+    acc = np.empty((coeffs.shape[0], w.size), dtype=complex)
+    acc[:] = coeffs[:, -1:]
+    for l in range(coeffs.shape[1] - 2, -1, -1):
+        acc *= w
+        acc += coeffs[:, l:l + 1]
+    return acc
+
+
+def _raise_vanishing(den, w, point):
+    """Raise for a folded denominator ``den`` that evaluated to 0 at ``point``.
+
+    Its leading zeros are the monomial w^k; the rest, evaluated by the same
+    Horner steps, is the series.  A nonzero series means only w^k underflowed.
+    """
+    k = np.flatnonzero(den)[0]
+    if _horner(den[None, k:], w).all():
+        raise ValueError(f"s = {point} is beyond the double range of the far form")
+    raise PoleEvaluationError(f"denominator series vanishes at {point}", point=point)
 
 
 def cutoff_radius(T, eps, rdeg, order):

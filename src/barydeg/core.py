@@ -310,12 +310,13 @@ def cauchy_ratio(cauchy, coefficients, points, exempt=None):
     den = cauchy @ den_coeffs
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.divide(num, den, out=num)
-    bad = den == 0
-    if exempt is not None:
-        bad[exempt] = False
-    if np.any(bad):
-        point = points[np.argmax(bad)]
-        raise PoleEvaluationError(f"denominator vanishes at {point}", point=point)
+    if not den.all():
+        bad = den == 0
+        if exempt is not None:
+            bad[exempt] = False
+        if np.any(bad):
+            point = points[np.argmax(bad)]
+            raise PoleEvaluationError(f"denominator vanishes at {point}", point=point)
     return out
 
 

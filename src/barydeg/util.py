@@ -36,7 +36,8 @@ def blockwise(fn, s):
     has the shape of ``s``, or is a Python complex when ``s`` is a scalar.
     """
     sv = np.asarray(s, dtype=complex).ravel()
-    if not np.all(np.isfinite(sv)):
+    # a complex value is finite exactly when both its parts are
+    if not np.isfinite(sv.view(np.float64)).all():
         raise ValueError("evaluation points must be finite")
     if sv.size <= BLOCK:
         out = fn(sv)

@@ -6,6 +6,7 @@ import pytest
 import barydeg as bd
 from barydeg.asymptotic import (
     AsymptoticModel,
+    FarField,
     classify_degree,
     cutoff_radius,
     eval_asymptotic,
@@ -14,6 +15,7 @@ from barydeg.asymptotic import (
     make_piecewise,
     moments,
 )
+from barydeg.core import _power_sum_scan
 from barydeg.errors import PoleEvaluationError, TrivialModelError
 from barydeg.util import BLOCK
 from barydeg.vf import _grid, geometric_supports, vf_solve
@@ -36,11 +38,14 @@ def exact_inverse_model():
     return bd.BarycentricModel.from_weights([1.0, 2.0], [1.0, 0.5], [1.0, -2.0])
 
 
-def fwd3_piecewise():
-    """Forward 3-mass chain fitted at its true degree, with its continuation."""
-    samples = chain_samples(3)
-    model, _ = bd.aaa(samples, bd.AaaConfig(tol=1e-6, target_degree=-6))
+def chain_piecewise(n, forward=True):
+    """The ``n``-mass chain fitted at its true degree, with its continuation."""
+    samples = chain_samples(n, forward)
+    model, _ = bd.aaa(samples, bd.AaaConfig(tol=1e-6, target_degree=(-2 if forward else 2) * n))
     return make_piecewise(model, samples)
+
+
+fwd3_piecewise = partial(chain_piecewise, 3)
 
 
 def sweep(n):
@@ -152,6 +157,20 @@ class TestEvalAsymptotic:
         with pytest.raises(PoleEvaluationError) as exc:
             eval_asymptotic(asym, s)
         assert exc.value.point == 1.0
+
+    def test_out_of_range_told_from_a_vanishing_series(self):
+        # r = (s/scale)^2 / (1 - 1/s): its folded denominator w^2 * (1 - w) is 0
+        # at s = 1 through the series, and at s = 1e200 through w^2 underflowing
+        asym = AsymptoticModel(mu=0, nu=2, scale=1.0,
+                               num_moments_scaled=np.array([1.0, 0.0]),
+                               den_moments_scaled=np.array([1.0, -1.0]))
+        assert asym.coeffs is asym.coeffs
+        assert np.array_equal(asym.coeffs, [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]])
+        with pytest.raises(PoleEvaluationError):
+            eval_asymptotic(asym, np.array([2.0, 1.0]))
+        with pytest.raises(ValueError, match=r"s = \(1e\+200\+0j\) is beyond the double range"):
+            eval_asymptotic(asym, np.array([2.0, 1e200]))
+        assert eval_asymptotic(asym, 1e150) == pytest.approx(1e300, rel=1e-15)
 
     def test_zero_checked_before_first_block(self):
         asym = AsymptoticModel(mu=0, nu=0, scale=1.0,
@@ -268,7 +287,7 @@ class TestEvalPiecewise:
         s = 50.0 + 0j  # |s| == cutoff exactly
         assert eval_piecewise(pm, s) == model(s)
         just_out = 50.0 * (1 + 1e-12)
-        assert eval_piecewise(pm, just_out) == eval_asymptotic(asym, just_out)
+        assert eval_piecewise(pm, just_out) == eval_asymptotic(pm.far, just_out)
 
     def test_inverse_decay_far_field(self):
         model = exact_inverse_model()
@@ -478,22 +497,80 @@ def deflated_form(model, s):
             * (s / asym.scale) ** asym.rdeg)
 
 
+def unfolded_pair(model):
+    """mu, nu, scale and the far polynomials A, B in w = scale/s, unshifted.
+
+    A has terms - mu coefficients (ascending), B has terms - nu; the model is
+    (s/scale)^rdeg * A(w) / B(w) with the power sums below each defect dropped.
+    """
+    terms = model.terms
+    mu, nu, num_sums, den_sums, scale = _power_sum_scan(model, extra_orders=terms - 1)
+    pi = np.poly(model.supports / scale)
+    return (mu, nu, scale, np.convolve(pi, num_sums)[:terms - mu],
+            np.convolve(pi, den_sums)[:terms - nu])
+
+
+def unfolded_form(model, s):
+    """(s/scale)^rdeg * A(w) / B(w) by two independent polynomial evaluations."""
+    mu, nu, scale, num, den = unfolded_pair(model)
+    w = scale / s
+    polyval = np.polynomial.polynomial.polyval
+    return (s / scale) ** (nu - mu) * polyval(w, num) / polyval(w, den)
+
+
 class TestFarField:
     """Beyond the cutoff, eval_piecewise evaluates the model's exact rational in scale/s."""
 
     def test_shares_the_expansions_defects_and_scale(self):
-        pm = fwd3_piecewise()
-        far = pm.far
-        assert (far.mu, far.nu, far.scale) == (pm.asym.mu, pm.asym.nu, pm.asym.scale)
-        assert far.order == pm.bary.terms - 1 - min(far.mu, far.nu)
-        assert far is pm.far
-        assert np.array_equal(far.num_moments_scaled, far_field(pm.bary).num_moments_scaled)
+        for forward in (True, False):
+            pm = chain_piecewise(3, forward)
+            far = pm.far
+            assert isinstance(far, FarField) and far is pm.far
+            mu, nu, scale, num, den = unfolded_pair(pm.bary)
+            assert (mu, nu, scale) == (pm.asym.mu, pm.asym.nu, pm.asym.scale)
+            assert far.scale == scale
+            # the zero-padded pair A, B, each shifted by its defect above min(mu, nu)
+            m = min(mu, nu)
+            folded = np.array([np.concatenate([np.zeros(mu - m), num]),
+                               np.concatenate([np.zeros(nu - m), den])])
+            assert far.coeffs.shape == (2, pm.bary.terms - m)
+            assert np.array_equal(far.coeffs, folded)
+            assert np.array_equal(far_field(pm.bary).coeffs, folded)
+
+    @pytest.mark.parametrize("n, forward", [(2, True), (3, True), (2, False), (3, False)])
+    def test_chain_fits_agree_with_the_unfolded_form(self, n, forward):
+        pm = chain_piecewise(n, forward)
+        s = far_sweep(pm)
+        # measured <= 2.1e-15
+        assert max_rel_err(eval_piecewise(pm, s), unfolded_form(pm.bary, s)) <= 1e-13
+
+    @pytest.mark.parametrize("forward", [True, False])
+    @pytest.mark.parametrize("degree", [0, -4, 4])
+    def test_many_term_fits_agree_with_the_unfolded_form(self, forward, degree):
+        samples = chain_samples(2, forward, noise=1e-6, count=400)
+        model, _ = bd.aaa(samples, bd.AaaConfig(tol=1e-9, target_degree=degree, max_terms=60))
+        assert model.terms == 60
+        pm = make_piecewise(model, samples)
+        s = far_sweep(pm)
+        # measured <= 9.0e-16
+        assert max_rel_err(eval_piecewise(pm, s), unfolded_form(pm.bary, s)) <= 1e-13
+
+    @pytest.mark.parametrize("point", [1e60j, 1e200j])
+    def test_beyond_the_double_range_raises(self, point):
+        # the folded denominator w^6 * B(w) underflows to 0 while B(w) does not;
+        # the response itself, ~|s|^6, overflows already below 1e52
+        pm = chain_piecewise(3, forward=False)
+        with pytest.raises(ValueError, match="beyond the double range"):
+            eval_piecewise(pm, point)
+        with pytest.raises(ValueError, match="beyond the double range"):
+            eval_piecewise(pm, np.array([1e3j, point]))
+
+    def test_decaying_far_field_underflows_to_zero(self):
+        assert fwd3_piecewise()(1e200j) == 0
 
     @pytest.mark.parametrize("n, forward", [(2, True), (3, True), (2, False), (3, False)])
     def test_chain_fits_hold_the_chain_reference(self, n, forward):
-        samples = chain_samples(n, forward)
-        model, _ = bd.aaa(samples, bd.AaaConfig(tol=1e-6, target_degree=(-2 if forward else 2) * n))
-        pm = make_piecewise(model, samples)
+        pm = chain_piecewise(n, forward)
         s = far_sweep(pm)
         exact = (bd.forward_tf if forward else bd.inverse_tf)(bd.MassChainSystem(n), s)
         # measured <= 8.4e-13; the order-10 series reaches 3.1e-7 here
