@@ -27,6 +27,7 @@ those steps left; a fresh fit is a resume after zero steps, so there is one
 way into the loop.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,10 @@ class AaaConfig:
     max_terms: int = None
 
     def __post_init__(self):
+        # integers only: where int() would truncate 2.5, operator.index raises
+        object.__setattr__(self, "target_degree", operator.index(self.target_degree))
+        if self.max_terms is not None:
+            object.__setattr__(self, "max_terms", operator.index(self.max_terms))
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.max_terms is not None and self.max_terms < 1:
@@ -101,7 +106,7 @@ def aaa(samples, config, *, spine=None):
     mprime = pts.size
     if mprime < 2:
         raise ConfigurationError("AAA needs at least 2 samples")
-    delta = int(config.target_degree)
+    delta = config.target_degree
     if mprime < abs(delta) + 1:
         raise ConfigurationError(
             f"target degree {delta} needs at least {abs(delta) + 1} samples, got {mprime}"

@@ -233,10 +233,10 @@ def eval_asymptotic(asym, s):
 
     Points must be finite and nonzero.  Both sides run through one Horner
     pass in w = scale/s over the folded pair ``asym.coeffs``, in a (2, n)
-    accumulator, and one ratio.  Where the denominator vanishes only because
-    its leading w^k underflowed, |s| lies beyond the double range of the
-    form and ``ValueError`` is raised; where its series vanishes,
-    ``PoleEvaluationError``.
+    accumulator, and one ratio.  Where the ratio overflows, or the
+    denominator vanishes only because its leading w^k underflowed, |s| lies
+    beyond the double range of the form and ``ValueError`` is raised; where
+    the denominator's series vanishes, ``PoleEvaluationError``.
     """
     if not np.asarray(s).all():
         raise ValueError("asymptotic form is undefined at s = 0")
@@ -249,7 +249,13 @@ def eval_asymptotic(asym, s):
             i = np.argmax(den == 0)
             _raise_vanishing(coeffs[1], w[i:i + 1], x[i])
         # a new array, so a one-block result does not keep the accumulator alive
-        return num / den
+        try:
+            with np.errstate(over="raise"):
+                return num / den
+        except FloatingPointError:
+            with np.errstate(over="ignore"):
+                i = np.argmax(np.isinf(num / den))
+            raise _beyond_range(x[i]) from None
 
     return blockwise(block, s)
 
@@ -272,8 +278,13 @@ def _raise_vanishing(den, w, point):
     """
     k = np.flatnonzero(den)[0]
     if _horner(den[None, k:], w).all():
-        raise ValueError(f"s = {point} is beyond the double range of the far form")
+        raise _beyond_range(point)
     raise PoleEvaluationError(f"denominator series vanishes at {point}", point=point)
+
+
+def _beyond_range(point):
+    """The error for a point whose far form lies beyond the double range."""
+    return ValueError(f"s = {point} is beyond the double range of the far form")
 
 
 def cutoff_radius(T, eps, rdeg, order):

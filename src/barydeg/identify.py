@@ -14,17 +14,16 @@ max(T, |k| + 1) terms (|k| + 1 is the fewest terms that can hold degree k).
 The cap is exact: a fit's first rounds do not depend on its cap, so a fit
 that converges within it is the same fit, and one that does not would have
 lost to the incumbent anyway (it needs more terms, or never converges), so
-the sweep picks the same winner.  The degree-0 fit is never capped.  The
-AAA fits of a sweep share their fully constrained prefix:
-the backend from :func:`aaa_backend` lets the fit at +-k resume after the
-steps the fit at +-(k - 1) already took.  The VF fits of a sweep share
-their factorizations: the backend from :func:`vf_backend` records the QR
-triangle of every support grid the degree-0 fit factors, and the fits at
-other degrees solve from it.  Each backend keeps its record for the last
-``SampleSet`` it was given.
+the sweep picks the same winner.  The degree-0 fit is never capped.
+
+The fits of a sweep share one record, a dict that :func:`identify` makes
+for each call and passes to every fit.  With :func:`aaa_backend` the fit at
++-k resumes after the fully constrained steps that the fit at +-(k - 1)
+already took; with :func:`vf_backend` every fit solves from the QR
+triangles of the support grids that earlier fits factored.
 """
 
-import functools
+import operator
 from dataclasses import dataclass
 
 from .aaa import AaaConfig, aaa
@@ -108,40 +107,38 @@ def _smaller(*caps):
 def aaa_backend(tol, max_terms=None):
     """Fit backend running degree-constrained AAA at the given tolerance.
 
-    The backend keeps the fully constrained AAA path (see :func:`aaa`) of the
-    last ``SampleSet`` it was given, so the fits of one sweep share their
-    common first steps; a new samples object starts a new path.  A fit runs
-    under the smaller of ``max_terms`` and the cap it is called with.
+    ``record`` is passed to :func:`aaa` as its ``spine``, so the fits given
+    one dict share their fully constrained first steps; without it a fit
+    shares nothing.  A fit runs under the smaller of ``max_terms`` and the
+    cap it is called with.
     """
-    spine = functools.lru_cache(maxsize=1)(lambda samples: {})
     own = max_terms
 
-    def fit(samples, degree, max_terms=None):
+    def fit(samples, degree, max_terms=None, record=None):
         config = AaaConfig(tol=tol, target_degree=degree, max_terms=_smaller(own, max_terms))
-        return aaa(samples, config, spine=spine(samples))
+        return aaa(samples, config, spine=record)
     return fit
 
 
 def vf_backend(tol=DEFAULT_TOL, max_terms=None):
     """Fit backend running adaptive-complexity vector fitting.
 
-    The backend keeps the support grids that the last degree-0 fit factored
-    (see :func:`vf_adaptive`) for the last ``SampleSet`` it was given, so
-    the other fits of a sweep solve every degree from their factors.  A fit
-    runs under the smaller of ``max_terms`` and the cap it is called with;
-    with neither, :func:`vf_adaptive` applies its own default cap.
+    ``record`` is passed to :func:`vf_adaptive` as its ``grids``, so the
+    fits given one dict solve from the support grids that any of them
+    factored; without it a fit shares nothing.  A fit runs under the smaller
+    of ``max_terms`` and the cap it is called with; with neither,
+    :func:`vf_adaptive` applies its own default cap.
     """
-    grids = functools.lru_cache(maxsize=1)(lambda samples: {})
     own = max_terms
 
-    def fit(samples, degree, max_terms=None):
+    def fit(samples, degree, max_terms=None, record=None):
         config = VfConfig(tol=tol, target_degree=degree, max_terms=_smaller(own, max_terms))
-        return vf_adaptive(samples, config, grids=grids(samples))
+        return vf_adaptive(samples, config, grids=record)
     return fit
 
 
-def _record(backend, samples, degree, max_terms):
-    model, report = backend(samples, degree, max_terms=max_terms)
+def _record(backend, samples, degree, max_terms, record):
+    model, report = backend(samples, degree, max_terms=max_terms, record=record)
     return CandidateRecord(
         degree=report.effective_degree,
         terms=report.terms,
@@ -156,26 +153,30 @@ def identify(samples, backend, max_abs_degree=DEFAULT_MAX_ABS_DEGREE,
              order=DEFAULT_ORDER):
     """Estimate the relative degree of the system behind the samples.
 
-    ``backend`` maps ``(samples, degree, max_terms=None)`` to
+    ``backend`` maps ``(samples, degree, max_terms=None, record=None)`` to
     ``(model, report)``, fitting with at most ``max_terms`` terms when it is
-    given; use :func:`aaa_backend` or :func:`vf_backend`.  The degree-0 fit
-    is shared by both sweep directions, so at most
-    ``2 * max_abs_degree + 1`` fits run, each under the incumbent's term
-    cap (see the module docstring).  The winner's piecewise (barycentric +
-    asymptotic) model is attached, unless no candidate converged.
+    given; use :func:`aaa_backend` or :func:`vf_backend`.  Every fit of one
+    call gets the same ``record``, a dict made for the call, in which the
+    backend may keep what the fits share; a backend that wraps another
+    passes it on.  The degree-0 fit is shared by both sweep directions, so
+    at most ``2 * max_abs_degree + 1`` fits run, each under the incumbent's
+    term cap (see the module docstring).  The winner's piecewise
+    (barycentric + asymptotic) model is attached, unless no candidate
+    converged.
     """
-    if max_abs_degree < 1:
+    if operator.index(max_abs_degree) < 1:
         raise ValueError("max_abs_degree must be at least 1")
-    if order < 0:
+    if operator.index(order) < 0:
         raise ValueError("order must be nonnegative")
-    baseline = _record(backend, samples, 0, None)
+    record = {}
+    baseline = _record(backend, samples, 0, None, record)
     candidates = [baseline]
 
     def sweep(direction):
         prev = baseline
         for k in range(1, max_abs_degree + 1):
             cap = max(prev.terms, k + 1) if prev.converged else None
-            cand = _record(backend, samples, direction * k, cap)
+            cand = _record(backend, samples, direction * k, cap, record)
             candidates.append(cand)
             if better(prev, cand):
                 return prev

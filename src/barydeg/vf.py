@@ -22,8 +22,7 @@ solve, and never reads the samples.  The factoring writes
 values come from its own Cauchy block, built after the solve once that
 buffer is freed, and from ``GeneralBarycentricModel._pair``.  The model is
 built once, after the last round.  The fits of one degree sweep share their
-grids: with a ``grids`` record (see :func:`vf_adaptive`) the fits at d != 0
-reuse the grids that the degree-0 fit factored.
+grids through a ``grids`` record (see :func:`vf_adaptive`).
 """
 
 from dataclasses import dataclass
@@ -193,28 +192,21 @@ def vf_adaptive(samples, config, *, grids=None):
     ``grids`` lets the fits of one sweep over the same samples share their
     factorizations: grid m and the factors of the triangle R of its block
     [C | f C] (a ``_Grid``, from which :func:`vf_solve` fits any degree)
-    depend on the samples and m alone.  A fit at d = 0 empties the dict and
-    records ``grids[m]`` for every grid it factors; a fit at any other d
-    takes grid m from the dict when it holds m, and factors the other
-    grids without recording them.  So every sweep does the same work,
-    however often it is repeated.
+    depend on the samples and m alone.  A fit given a dict takes grid m
+    from it when it holds m, and records ``grids[m]`` for every grid it
+    factors; without one, each round's grid is freed.
     """
     cap = DEFAULT_MAX_TERMS if config.max_terms is None else config.max_terms
-    target = int(config.target_degree)
+    target = config.target_degree
     delta = int(np.sign(target)) * min(abs(target), cap - 1)
     pts, vals = samples.points, samples.values
-    # a degree-0 fit starts the record afresh; the other fits only read it.
-    # Without a record nothing is kept, so each round's grid is freed.
-    record = delta == 0 and grids is not None
-    if record:
-        grids.clear()
     converged = False
     for m in range(abs(delta), cap):
         if grids and m in grids:
             grid = grids[m]
         else:
             grid = _grid(samples, geometric_supports(samples, m))
-            if record:
+            if grids is not None:
                 grids[m] = grid
         supports = grid.supports
         num, den = vf_solve(grid, delta)

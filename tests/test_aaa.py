@@ -19,6 +19,16 @@ def test_config_validation():
         bd.AaaConfig(tol=1e-6, max_terms=0)
 
 
+@pytest.mark.parametrize("config", [bd.AaaConfig, bd.VfConfig])
+@pytest.mark.parametrize("field", ["target_degree", "max_terms"])
+def test_config_takes_integers_only(config, field):
+    with pytest.raises(TypeError):
+        config(tol=1e-6, **{field: 2.5})
+    # integer types are taken as Python ints
+    value = getattr(config(tol=1e-6, **{field: np.int64(2)}), field)
+    assert value == 2 and type(value) is int
+
+
 def test_constant_data_returns_initial_model():
     ss = bd.SampleSet([1j, 2j, 3j], [4.0, 4.0, 4.0])
     model, rep = bd.aaa(ss, bd.AaaConfig(tol=1e-6))

@@ -1,3 +1,4 @@
+import re
 from functools import partial
 
 import numpy as np
@@ -555,15 +556,23 @@ class TestFarField:
         # measured <= 9.0e-16
         assert max_rel_err(eval_piecewise(pm, s), unfolded_form(pm.bary, s)) <= 1e-13
 
-    @pytest.mark.parametrize("point", [1e60j, 1e200j])
+    @pytest.mark.parametrize("point", [1e51j, 1e52j, 1e53j, 1e60j, 1e200j])
     def test_beyond_the_double_range_raises(self, point):
-        # the folded denominator w^6 * B(w) underflows to 0 while B(w) does not;
-        # the response itself, ~|s|^6, overflows already below 1e52
+        # the response, ~|s|^6, overflows from 1e51 on: first P/Q, then from
+        # 1e54 the folded denominator w^6 * B(w), which underflows to 0 while
+        # B(w) does not
         pm = chain_piecewise(3, forward=False)
         with pytest.raises(ValueError, match="beyond the double range"):
             eval_piecewise(pm, point)
         with pytest.raises(ValueError, match="beyond the double range"):
             eval_piecewise(pm, np.array([1e3j, point]))
+        with pytest.raises(ValueError, match=re.escape(f"s = {point} is beyond")):
+            eval_piecewise(pm, np.array([1e50j, point, 1e50j]))
+
+    def test_last_point_in_the_double_range_stays_finite(self):
+        pm = chain_piecewise(3, forward=False)
+        value = eval_piecewise(pm, np.array([1e3j, 1e50j]))
+        assert np.isfinite(value).all() and abs(value[1]) > 1e299
 
     def test_decaying_far_field_underflows_to_zero(self):
         assert fwd3_piecewise()(1e200j) == 0

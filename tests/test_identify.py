@@ -75,7 +75,7 @@ def fake_backend(table, saturate=None):
     model = bd.BarycentricModel([1.0, 2.0], [1.0, 1.0],
                                 np.array([1.0, 1.0]) / np.sqrt(2))
 
-    def fit(samples, degree, max_terms=None):
+    def fit(samples, degree, max_terms=None, record=None):
         calls.append(degree)
         caps.append(max_terms)
         terms, err, converged = table[degree]
@@ -173,6 +173,41 @@ class TestSweepMechanics:
         with pytest.raises(ValueError):
             bd.identify(samples, fake_backend({0: (1, 0.0, True)}), max_abs_degree=0)
 
+    def test_every_fit_gets_the_calls_record(self):
+        # one dict per identify call, the same for all of its fits
+        records = []
+        fake = fake_backend({d: (3, 1e-8, True) for d in range(-2, 3)})
+
+        def backend(samples, degree, max_terms=None, record=None):
+            records.append(record)
+            return fake(samples, degree)
+
+        samples = inverse_decay_samples(1.0, 2.0, 5)
+        bd.identify(samples, backend, max_abs_degree=2)
+        first = len(records)
+        bd.identify(samples, backend, max_abs_degree=2)
+        assert first > 1 and len(records) == 2 * first
+        assert all(r is records[0] for r in records[:first])
+        assert all(r is records[first] for r in records[first:])
+        assert records[0] is not records[first] and records[0] == {}
+
+    def test_backend_without_record_rejected(self):
+        def backend(samples, degree, max_terms=None):
+            raise AssertionError("a backend without ``record`` ran")
+
+        with pytest.raises(TypeError, match="record"):
+            bd.identify(inverse_decay_samples(1.0, 2.0, 5), backend)
+
+    @pytest.mark.parametrize("argument", ["max_abs_degree", "order"])
+    def test_non_integer_rejected_before_any_fit(self, argument):
+        samples = inverse_decay_samples(1.0, 2.0, 5)
+
+        def backend(samples, degree, max_terms=None, record=None):
+            raise AssertionError(f"fit at degree {degree} ran")
+
+        with pytest.raises(TypeError):
+            bd.identify(samples, backend, **{argument: 2.5})
+
     def test_negative_order_rejected_before_any_fit(self):
         samples = inverse_decay_samples(1.0, 2.0, 5)
 
@@ -227,7 +262,7 @@ def unshared_aaa_backend(tol, max_terms=None):
     """AAA backend whose fits share nothing, as a direct ``aaa`` call."""
     own = max_terms
 
-    def fit(samples, degree, max_terms=None):
+    def fit(samples, degree, max_terms=None, record=None):
         return bd.aaa(samples, bd.AaaConfig(tol=tol, target_degree=degree,
                                             max_terms=smaller(own, max_terms)))
     return fit
@@ -237,8 +272,8 @@ def recording(backend):
     """``backend`` that also keeps every (degree, model, report) it returns."""
     fits = []
 
-    def fit(samples, degree, max_terms=None):
-        model, report = backend(samples, degree, max_terms=max_terms)
+    def fit(samples, degree, max_terms=None, record=None):
+        model, report = backend(samples, degree, max_terms=max_terms, record=record)
         fits.append((degree, model, report))
         return model, report
 
@@ -326,23 +361,6 @@ class TestSharedAaaPath:
         assert first < unshared
         assert steps(shared) == first
 
-    def test_backend_follows_the_samples_it_is_given(self):
-        # one backend fed two sample sets in turn, within and across sweeps
-        a, b = chain_samples(2), chain_samples(2, forward=False)
-        shared = recording(bd.aaa_backend(1e-6))
-        fresh = recording(unshared_aaa_backend(1e-6))
-        for degree in (0, 1, 2, -1, -2, -3):
-            for samples in (a, b):
-                shared(samples, degree)
-                fresh(samples, degree)
-        for samples in (a, b, a):
-            shared_sweep = recording(shared)
-            fresh_sweep = recording(bd.aaa_backend(1e-6))
-            bd.identify(samples, shared_sweep)
-            bd.identify(samples, fresh_sweep)
-            assert_same_fits(shared_sweep.fits, fresh_sweep.fits)
-        assert_same_fits(shared.fits[:12], fresh.fits)
-
     def test_record_does_not_depend_on_call_order(self, monkeypatch):
         # paths recorded before any degree-0 fit, fits resuming on steps that
         # fits of other degrees recorded, and a repeated degree; the constraint
@@ -358,15 +376,16 @@ class TestSharedAaaPath:
         monkeypatch.setattr(aaa_module, "nullspace_basis", counting)
         samples = chain_samples(2)
         shared, direct = bd.aaa_backend(1e-6), unshared_aaa_backend(1e-6)
+        record = {}
 
-        def counted_fit(backend, degree):
+        def counted_fit(backend, degree, record=None):
             calls.clear()
-            model, report = backend(samples, degree)
+            model, report = backend(samples, degree, record=record)
             return (degree, model, report), len(calls)
 
         skipped = []
         for degree in (3, 1, -2, 0, 2, -1, -3, 4, -4, 1):
-            got, steps = counted_fit(shared, degree)
+            got, steps = counted_fit(shared, degree, record=record)
             want, direct_steps = counted_fit(direct, degree)
             assert_same_fits([got], [want])
             skipped.append(direct_steps - steps)
@@ -379,7 +398,7 @@ def unshared_vf_backend(tol, max_terms=None):
     """VF backend whose fits share nothing, as a direct ``vf_adaptive`` call."""
     own = max_terms
 
-    def fit(samples, degree, max_terms=None):
+    def fit(samples, degree, max_terms=None, record=None):
         return bd.vf_adaptive(samples, bd.VfConfig(tol=tol, target_degree=degree,
                                                    max_terms=smaller(own, max_terms)))
     return fit
@@ -428,8 +447,8 @@ def counting_factorizations(monkeypatch):
 
 class TestSharedVfGrids:
     """``vf_backend`` lets the fits of a sweep reuse the QR triangles of the
-    grids that the degree-0 fit factored; every fit must stay what a direct
-    call gives."""
+    grids that earlier fits of the sweep factored; every fit must stay what
+    a direct call gives."""
 
     @pytest.mark.parametrize("name", SHARED_VF_SWEEPS)
     def test_same_fits_as_unshared_backend(self, name):
@@ -471,50 +490,44 @@ class TestSharedVfGrids:
     def test_uncapped_fits_factor_the_grids_past_the_record(self, monkeypatch):
         calls = counting_factorizations(monkeypatch)
         # called without a cap after a degree-0 fit, the fits at +1 and -1
-        # outgrow its grids and factor the ones past its record themselves
+        # outgrow its grids; each factors only the grids past the record,
+        # which then holds them for the next fit
         samples = chain_samples(3, noise=1e-6, seed=0)
         shared = recording(bd.vf_backend(1e-4))
-        t0 = shared(samples, 0)[1].terms
+        record = {}
+        recorded = shared(samples, 0, record=record)[1].terms
         for degree in (1, -1):
             calls.clear()
-            terms = shared(samples, degree)[1].terms
-            assert terms > t0
-            # grid m has m + 1 supports; grids m < t0 come from the record
-            assert calls == list(range(t0 + 1, terms + 1))
+            terms = shared(samples, degree, record=record)[1].terms
+            assert terms > recorded
+            # grid m has m + 1 supports; grids m < recorded come from the record
+            assert calls == list(range(recorded + 1, terms + 1))
+            recorded = max(recorded, terms)
         fresh = recording(unshared_vf_backend(1e-4))
         for degree in (0, 1, -1):
             fresh(samples, degree)
         assert_same_vf_fits(shared.fits, fresh.fits)
 
-    def test_backend_follows_the_samples_it_is_given(self):
-        # one backend fed two sample sets in turn, within and across sweeps;
-        # the fits at d > 0 on ``a`` end on grids that ``b`` also factored
-        a = chain_samples(2, forward=False, noise=1e-6, seed=0)
-        b = chain_samples(3, noise=1e-6, seed=0)
+    def test_record_does_not_depend_on_call_order(self, monkeypatch):
+        # fits that do not start at degree 0, and grids recorded by fits of
+        # either sign: no grid is factored twice, and every fit stays direct
+        calls = counting_factorizations(monkeypatch)
+        samples = chain_samples(3, noise=1e-6, seed=0)
         shared = recording(bd.vf_backend(1e-4))
-        fresh = recording(unshared_vf_backend(1e-4))
-        for degree in (0, 1, 4, -1, -2, -3):
-            for samples in (a, b):
-                shared(samples, degree)
-                fresh(samples, degree)
-        assert_same_vf_fits(shared.fits, fresh.fits)
-        for samples in (a, b, a):
-            shared_sweep = recording(shared)
-            fresh_sweep = recording(bd.vf_backend(1e-4))
-            bd.identify(samples, shared_sweep)
-            bd.identify(samples, fresh_sweep)
-            assert_same_vf_fits(shared_sweep.fits, fresh_sweep.fits)
-        # a fit on new samples before any degree-0 fit on them, ending on a
-        # grid that the last sweep recorded
-        c = chain_samples(2, forward=False, noise=1e-6, seed=1)
-        assert_same_vf_fits([(4, *shared(c, 4))], [(4, *fresh(c, 4))])
+        record = {}
+        for degree in (4, 0, 2, -1):
+            shared(samples, degree, record=record)
+        assert len(calls) == len(set(calls)) == len(record)
+        assert sorted(calls) == [m + 1 for m in sorted(record)]
+        direct = unshared_vf_backend(1e-4)
+        assert_same_vf_fits(shared.fits, [(d, *direct(samples, d)) for d in (4, 0, 2, -1)])
 
 
 def uncapped(backend):
     """``backend`` with the sweep's term cap dropped, so that every fit runs
     to convergence or to the backend's own cap."""
-    def fit(samples, degree, max_terms=None):
-        return backend(samples, degree)
+    def fit(samples, degree, max_terms=None, record=None):
+        return backend(samples, degree, record=record)
     return fit
 
 
