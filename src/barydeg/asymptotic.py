@@ -9,9 +9,9 @@ Laurent-type expansion around infinity,
     r(s) ~ (sum_l c_l s^-l) / (sum_l d_l s^-l) * s^rdeg,
 
 with moment coefficients c_l, d_l given by power sums of the barycentric
-coefficients starting at the degree defects.  A piecewise model switches
-from the barycentric form to a far branch at a cutoff radius where the two
-forms' heuristic error models balance.
+coefficients starting at the degree defects.  A piecewise model stores only
+the fit and switches from the barycentric form to a far branch at a cutoff
+radius, derived from the fit, where the two forms' error models balance.
 
 The far branch is the same expansion summed to all orders: the model's own
 rational in w = scale/s.  With z_k = s_k/scale and pi(w) = prod_k (1 - z_k w),
@@ -37,6 +37,7 @@ radius but does not bound the error at the seam.
 """
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +76,7 @@ class AsymptoticModel:
         if self.num_moments_scaled[0] == 0 or self.den_moments_scaled[0] == 0:
             raise ValueError("leading moments must be nonzero")
         for name in ("mu", "nu"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
         if not 0 < self.scale < np.inf:
@@ -126,28 +128,25 @@ class FarField:
 class PiecewiseModel:
     """A fitted model plus its asymptotic continuation.
 
+    Only the fit is stored: ``bary``, the largest sampled frequency
+    magnitude ``train_T`` and the largest training relative error
+    ``train_eps``; ``asym`` and ``cutoff`` are derived on construction.
     Evaluation uses the barycentric form up to ``cutoff`` (inclusive) and
     the far branch ``far``, the model's exact rational in w = scale/s as a
-    :class:`FarField`, beyond it.  ``asym`` is the truncated expansion at
-    infinity: it places the cutoff and is what the model file stores.
-    ``train_T`` is the largest sampled frequency magnitude and ``train_eps``
-    the largest training relative error that entered the cutoff formula.
+    :class:`FarField`, beyond it.
     """
 
     bary: object
-    asym: AsymptoticModel
-    cutoff: float
     train_T: float
     train_eps: float
 
     def __post_init__(self):
         if not isinstance(self.bary, _Barycentric):
             raise TypeError("bary must be a barycentric model")
-        for name in ("cutoff", "train_T", "train_eps"):
+        for name in ("train_T", "train_eps"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and positive")
-        if self.train_eps <= 1.0 and self.cutoff < self.train_T:
-            raise ValueError("cutoff must not fall inside the sampled band")
+        self.cutoff  # derived now: a model with no degree raises TrivialModelError here
 
     def __call__(self, s):
         return eval_piecewise(self, s)
@@ -155,6 +154,16 @@ class PiecewiseModel:
     def near(self, s):
         """True where ``s`` takes the barycentric branch, |s| <= cutoff."""
         return np.abs(s) <= self.cutoff
+
+    @functools.cached_property
+    def asym(self):
+        """The truncated expansion at infinity, ``moments(bary)``: it places the cutoff."""
+        return moments(self.bary)
+
+    @functools.cached_property
+    def cutoff(self):
+        """``cutoff_radius`` of the fit at the order of ``asym``; >= train_T if train_eps <= 1."""
+        return cutoff_radius(self.train_T, self.train_eps, self.asym.rdeg, self.asym.order)
 
     @functools.cached_property
     def far(self):
@@ -309,24 +318,16 @@ def cutoff_radius(T, eps, rdeg, order):
     return float(T * eps ** (-1.0 / (abs(rdeg) + order + 1)))
 
 
-def make_piecewise(model, samples, order=DEFAULT_ORDER):
-    """Attach the asymptotic continuation and cutoff to a fitted model.
+def make_piecewise(model, samples):
+    """Attach the asymptotic continuation, at ``DEFAULT_ORDER``, to a fitted model.
 
     The training error that enters the cutoff formula is the largest
     relative error of the model over the samples, floored at 1e-16 so an
     exact fit still yields a finite cutoff.
     """
-    asym = moments(model, order)
     rel = relative_errors(samples.values, evaluate(model, samples.points))
-    eps = max(float(np.max(rel)), EPS_FLOOR)
-    T = float(np.max(np.abs(samples.points)))
-    return PiecewiseModel(
-        bary=model,
-        asym=asym,
-        cutoff=cutoff_radius(T, eps, asym.rdeg, order),
-        train_T=T,
-        train_eps=eps,
-    )
+    return PiecewiseModel(bary=model, train_T=float(np.max(np.abs(samples.points))),
+                          train_eps=max(float(np.max(rel)), EPS_FLOOR))
 
 
 def eval_piecewise(pm, s):

@@ -12,10 +12,11 @@ Subcommands:
   CSV with the value and the evaluation branch used.
 
 ``fit`` and ``identify`` share one argument set (the sample file,
-``--backend``, ``--tol``, ``--order``, ``--max-terms``, ``--report/-o`` and
+``--backend``, ``--tol``, ``--max-terms``, ``--report/-o`` and
 ``--model-out``) and one report writer.  A report's ``argv`` echoes every
 argument; its ``config`` is ``argv`` without ``command`` and the two output
 paths.  ``generate`` and ``eval`` share ``--wmin/--wmax/--count/--spacing``.
+A model file stores the fit and the values derived from it, checked on load.
 
 Exit codes: 0 on success, 2 on usage or input errors, 3 when a fit did not
 converge or the identification failed.
@@ -24,7 +25,6 @@ converge or the identification failed.
 import argparse
 import dataclasses
 import json
-import operator
 import sys
 import time
 from importlib import resources
@@ -33,8 +33,7 @@ import numpy as np
 
 from . import __version__
 from .aaa import DEFAULT_TOL as AAA_TOL
-from .asymptotic import (DEFAULT_ORDER, AsymptoticModel, PiecewiseModel, eval_piecewise,
-                         make_piecewise)
+from .asymptotic import PiecewiseModel, eval_piecewise, make_piecewise
 from .benchmarks import load_samples, mass_chain_samples, sample_grid, save_samples
 from .core import BarycentricModel, GeneralBarycentricModel, _field_names
 from .errors import BarydegError
@@ -89,12 +88,9 @@ def _pairs_to_complex(pairs):
 MODEL_KINDS = {"interpolatory": BarycentricModel, "general": GeneralBarycentricModel}
 
 
-def model_to_json(pm):
-    """Serialize a piecewise model losslessly (raw coefficients, no poles)."""
-    bary = pm.bary
-    doc = {
-        "schema_version": MODEL_SCHEMA_VERSION,
-        "supports": _complex_pairs(bary.supports),
+def _derived_entries(pm):
+    """The model-file entries that :class:`PiecewiseModel` derives from the fit."""
+    return {
         "asymptotic": {
             "mu": pm.asym.mu,
             "nu": pm.asym.nu,
@@ -105,6 +101,16 @@ def model_to_json(pm):
             "den_moments_scaled": _complex_pairs(pm.asym.den_moments_scaled),
         },
         "cutoff": pm.cutoff,
+    }
+
+
+def model_to_json(pm):
+    """Serialize a piecewise model losslessly (raw coefficients, no poles)."""
+    bary = pm.bary
+    doc = {
+        "schema_version": MODEL_SCHEMA_VERSION,
+        "supports": _complex_pairs(bary.supports),
+        **_derived_entries(pm),
         "train_T": pm.train_T,
         "train_eps": pm.train_eps,
     }
@@ -114,7 +120,7 @@ def model_to_json(pm):
     return doc
 
 
-def _entry(doc, key, convert):
+def _entry(doc, key, convert=lambda value: value):
     """``convert(doc[key])``; a missing or malformed entry raises ValueError naming it."""
     if key not in doc:
         raise ValueError(f"model file has no {key!r} entry")
@@ -127,34 +133,32 @@ def _entry(doc, key, convert):
 def model_from_json(doc):
     """Rebuild a piecewise model written by :func:`model_to_json`.
 
-    Raises ``ValueError`` naming the entry when one is missing or malformed,
-    or when the stored ``rdeg`` or ``order`` disagrees with the defects and
-    moment arrays that define it.
+    The model is built from ``kind``, the coefficient fields, ``train_T``
+    and ``train_eps``.  Raises ``ValueError`` naming the first entry that is
+    missing or malformed, ``schema_version`` when it is not this version's,
+    or a stored ``asymptotic`` entry or ``cutoff`` the fit does not give.
     """
     if not isinstance(doc, dict):
         raise ValueError("model file must hold a JSON object")
+    version = _entry(doc, "schema_version")
+    if version != MODEL_SCHEMA_VERSION:
+        raise ValueError(f"model file entry 'schema_version' is {version!r}, "
+                         f"not {MODEL_SCHEMA_VERSION!r}")
     supports = _entry(doc, "supports", _pairs_to_complex)
     kind = _entry(doc, "kind", str)
     if kind not in MODEL_KINDS:
         raise ValueError(f"model file entry 'kind' is invalid: {kind!r}")
     cls = MODEL_KINDS[kind]
     bary = cls(supports, *(_entry(doc, name, _pairs_to_complex) for name in _field_names(cls)[1:]))
-    a = _entry(doc, "asymptotic", dict)
-    asym = AsymptoticModel(
-        mu=_entry(a, "mu", operator.index), nu=_entry(a, "nu", operator.index),
-        scale=_entry(a, "scale", float),
-        num_moments_scaled=_entry(a, "num_moments_scaled", _pairs_to_complex),
-        den_moments_scaled=_entry(a, "den_moments_scaled", _pairs_to_complex),
-    )
-    stored = (_entry(a, "rdeg", operator.index), _entry(a, "order", operator.index))
-    if stored != (asym.rdeg, asym.order):
-        raise ValueError(
-            f"model file gives rdeg={stored[0]}, order={stored[1]}, but its moments "
-            f"define rdeg={asym.rdeg}, order={asym.order}"
-        )
-    return PiecewiseModel(bary=bary, asym=asym, cutoff=_entry(doc, "cutoff", float),
-                          train_T=_entry(doc, "train_T", float),
-                          train_eps=_entry(doc, "train_eps", float))
+    pm = PiecewiseModel(bary=bary, train_T=_entry(doc, "train_T", float),
+                        train_eps=_entry(doc, "train_eps", float))
+    derived = _derived_entries(pm)
+    asym = derived.pop("asymptotic")
+    for stored, entries in ((_entry(doc, "asymptotic", dict), asym), (doc, derived)):
+        for key, value in entries.items():
+            if _entry(stored, key) != value:
+                raise ValueError(f"model file entry {key!r} differs from the value its fit gives")
+    return pm
 
 
 def _write_json(path, doc):
@@ -214,7 +218,7 @@ def cmd_fit(args):
     model, rep = _backend(args)(samples, args.degree)
     pm = piecewise_error = None
     try:
-        pm = make_piecewise(model, samples, args.order)
+        pm = make_piecewise(model, samples)
     except BarydegError as exc:
         piecewise_error = str(exc)
         print(f"no piecewise model: {piecewise_error}", file=sys.stderr)
@@ -232,7 +236,7 @@ def cmd_fit(args):
 def cmd_identify(args):
     samples = _load_input(args.input)
     t0 = time.perf_counter()
-    result = identify(samples, _backend(args), max_abs_degree=args.max_abs_degree, order=args.order)
+    result = identify(samples, _backend(args), max_abs_degree=args.max_abs_degree)
     _write_run(args, t0, result.piecewise, result={
         "identified": result.converged,
         "best_degree": result.best_degree,
@@ -279,18 +283,10 @@ def build_parser():
     sweep.add_argument("--count", type=int, default=200)
     sweep.add_argument("--spacing", choices=["log", "linear"], default="log")
 
-    def order(text):
-        """A nonnegative int, so that a bad ``--order`` fails before any fit."""
-        value = int(text)
-        if value < 0:
-            raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
-        return value
-
     run = argparse.ArgumentParser(add_help=False)
     run.add_argument("input")
     run.add_argument("--backend", choices=["aaa", "vf"], default="aaa")
     run.add_argument("--tol", type=float, help=f"default: {AAA_TOL:g} for aaa, {VF_TOL:g} for vf")
-    run.add_argument("--order", type=order, default=DEFAULT_ORDER, help="asymptotic truncation order")
     run.add_argument("--max-terms", type=int, default=None)
     run.add_argument("--report", "-o", required=True)
     run.add_argument("--model-out", default=None)

@@ -20,14 +20,15 @@ The fits of a sweep share one record, a dict that :func:`identify` makes
 for each call and passes to every fit.  With :func:`aaa_backend` the fit at
 +-k resumes after the fully constrained steps that the fit at +-(k - 1)
 already took; with :func:`vf_backend` every fit solves from the QR
-triangles of the support grids that earlier fits factored.
+triangles of the support grids that earlier fits factored.  The winner's
+piecewise model, from :func:`make_piecewise`, derives its cutoff from the fit.
 """
 
 import operator
 from dataclasses import dataclass
 
 from .aaa import AaaConfig, aaa
-from .asymptotic import DEFAULT_ORDER, make_piecewise
+from .asymptotic import make_piecewise
 from .vf import DEFAULT_TOL, VfConfig, vf_adaptive
 
 DEFAULT_MAX_ABS_DEGREE = 20
@@ -149,8 +150,7 @@ def _record(backend, samples, degree, max_terms, record):
     )
 
 
-def identify(samples, backend, max_abs_degree=DEFAULT_MAX_ABS_DEGREE,
-             order=DEFAULT_ORDER):
+def identify(samples, backend, max_abs_degree=DEFAULT_MAX_ABS_DEGREE):
     """Estimate the relative degree of the system behind the samples.
 
     ``backend`` maps ``(samples, degree, max_terms=None, record=None)`` to
@@ -166,8 +166,6 @@ def identify(samples, backend, max_abs_degree=DEFAULT_MAX_ABS_DEGREE,
     """
     if operator.index(max_abs_degree) < 1:
         raise ValueError("max_abs_degree must be at least 1")
-    if operator.index(order) < 0:
-        raise ValueError("order must be nonnegative")
     record = {}
     baseline = _record(backend, samples, 0, None, record)
     candidates = [baseline]
@@ -188,7 +186,7 @@ def identify(samples, backend, max_abs_degree=DEFAULT_MAX_ABS_DEGREE,
     best_pos = sweep(+1)
     best_neg = sweep(-1)
     winner = best_pos if better(best_pos, best_neg) else best_neg
-    piecewise = make_piecewise(winner.model, samples, order) if winner.converged else None
+    piecewise = make_piecewise(winner.model, samples) if winner.converged else None
     return IdentificationResult(
         best=winner,
         candidates=tuple(candidates),

@@ -57,8 +57,9 @@ def sweep(n):
 def pole_piecewise():
     """r(s) = (3s - 1) / (2s): its barycentric form has a pole at s = 0 only."""
     model = bd.BarycentricModel([1.0, -1.0], [1.0, 2.0], [2**-0.5, 2**-0.5])
-    return bd.PiecewiseModel(bary=model, asym=moments(model), cutoff=10.0,
-                             train_T=1.0, train_eps=1e-3)
+    pm = bd.PiecewiseModel(bary=model, train_T=2.0, train_eps=1e-3)
+    assert pm.cutoff > 2.0  # the blocks' points at s = 2 take the barycentric branch
+    return pm
 
 
 class TestMoments:
@@ -281,13 +282,11 @@ class TestMakePiecewise:
 
 class TestEvalPiecewise:
     def test_boundary_point_uses_barycentric_branch(self):
-        asym = moments(exact_inverse_model())
         model = exact_inverse_model()
-        pm = bd.PiecewiseModel(bary=model, asym=asym, cutoff=50.0,
-                               train_T=10.0, train_eps=1e-12)
-        s = 50.0 + 0j  # |s| == cutoff exactly
+        pm = bd.PiecewiseModel(bary=model, train_T=10.0, train_eps=1e-12)
+        s = pm.cutoff + 0j  # |s| == cutoff exactly
         assert eval_piecewise(pm, s) == model(s)
-        just_out = 50.0 * (1 + 1e-12)
+        just_out = pm.cutoff * (1 + 1e-12)
         assert eval_piecewise(pm, just_out) == eval_asymptotic(pm.far, just_out)
 
     def test_inverse_decay_far_field(self):
@@ -315,9 +314,8 @@ class TestEvalPiecewise:
 
     def test_near_is_the_branch_eval_piecewise_takes(self):
         model = exact_inverse_model()
-        pm = bd.PiecewiseModel(bary=model, asym=moments(model), cutoff=50.0,
-                               train_T=10.0, train_eps=1e-12)
-        s = np.array([1.0, 50.0, 50.0 * (1 + 1e-12), 1e3]) * 1j
+        pm = bd.PiecewiseModel(bary=model, train_T=10.0, train_eps=1e-12)
+        s = np.array([1.0, pm.cutoff, pm.cutoff * (1 + 1e-12), 1e3 * pm.cutoff]) * 1j
         near = pm.near(s)
         assert near.tolist() == [True, True, False, False]
         assert np.array_equal(eval_piecewise(pm, s)[near], model(s[near]))
@@ -393,11 +391,13 @@ class TestEvalPiecewiseBlocks:
 
 class TestPiecewiseModelInvariants:
     def test_cutoff_inside_band_rejected(self):
+        # the cutoff is derived, so none can be given, and the derived one
+        # lies outside the band whenever train_eps <= 1
         model = exact_inverse_model()
-        asym = moments(model)
-        with pytest.raises(ValueError, match="band"):
-            bd.PiecewiseModel(bary=model, asym=asym, cutoff=1.0,
-                              train_T=10.0, train_eps=1e-6)
+        with pytest.raises(TypeError, match="cutoff"):
+            bd.PiecewiseModel(bary=model, cutoff=1.0, train_T=10.0, train_eps=1e-6)
+        for eps in (1e-16, 1e-6, 1.0):
+            assert bd.PiecewiseModel(bary=model, train_T=10.0, train_eps=eps).cutoff >= 10.0
 
     @pytest.mark.parametrize("num, den", [([1.0], [1.0, 0.5]), ([], [])])
     def test_unequal_or_empty_moment_arrays_rejected(self, num, den):
@@ -434,11 +434,20 @@ class TestPiecewiseModelInvariants:
                             num_moments_scaled=asym.num_moments_scaled,
                             den_moments_scaled=asym.den_moments_scaled)
 
-    @pytest.mark.parametrize("name", ["cutoff", "train_T", "train_eps"])
+    @pytest.mark.parametrize("name", ["mu", "nu"])
+    def test_non_integer_defect_rejected(self, name):
+        # a half-integer defect would fail only when evaluated, in a slice
+        asym = moments(exact_inverse_model())
+        fields = {k: getattr(asym, k) for k in
+                  ("mu", "nu", "scale", "num_moments_scaled", "den_moments_scaled")}
+        with pytest.raises(TypeError):
+            AsymptoticModel(**{**fields, name: getattr(asym, name) + 0.5})
+
+    @pytest.mark.parametrize("name", ["train_T", "train_eps"])
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_nonfinite_piecewise_scalar_rejected(self, name, value):
         pm = make_piecewise(exact_inverse_model(), inverse_decay_samples())
-        fields = {k: getattr(pm, k) for k in ("bary", "asym", "cutoff", "train_T", "train_eps")}
+        fields = {k: getattr(pm, k) for k in ("bary", "train_T", "train_eps")}
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             bd.PiecewiseModel(**{**fields, name: value})
 

@@ -262,21 +262,25 @@ class TestEval:
     @pytest.mark.parametrize("key, value", [
         ("rdeg", 0), ("order", 3), ("kind", None), ("cutoff", "far"),
         ("scale", "inf"), ("cutoff", "inf"), ("train_eps", "inf"),
+        ("cutoff", 1e3), ("scale", 7.0), ("schema_version", "7"), ("schema_version", None),
+        pytest.param("num_moments_scaled", lambda pairs: [*pairs[:-1], [np.nextafter(
+            pairs[-1][0], np.inf), pairs[-1][1]]], id="num_moments_scaled-last-entry"),
         pytest.param("object", [], id="top-level-list"),
     ])
     def test_tampered_degree_or_order_rejected(self, tmp_path, capsys, key, value):
         # a tampered or malformed model file exits 2 and names the bad entry;
-        # value None deletes the entry, key "object" replaces the whole file
+        # value None deletes the entry, a callable maps the stored one, key
+        # "object" replaces the whole file
         model_path = self.fit_model(tmp_path)
         doc = json.loads(model_path.read_text())
         if key == "object":
             doc = value
-        elif value is None:
-            del doc[key]
-        elif key in doc["asymptotic"]:
-            doc["asymptotic"][key] = value
         else:
-            doc[key] = value
+            section = doc["asymptotic"] if key in doc["asymptotic"] else doc
+            if value is None:
+                del section[key]
+            else:
+                section[key] = value(section[key]) if callable(value) else value
         model_path.write_text(json.dumps(doc))
         capsys.readouterr()
         assert run("eval", "--model", str(model_path), "--wmin", "1e-2",
@@ -308,6 +312,15 @@ class TestEval:
 
 
 class TestModelSerialization:
+    @staticmethod
+    def assert_derived_equal(back, pm):
+        """The loaded model's expansion and cutoff are ``make_piecewise``'s, bit for bit."""
+        assert (back.asym.mu, back.asym.nu, back.asym.scale) == (pm.asym.mu, pm.asym.nu,
+                                                                 pm.asym.scale)
+        assert np.array_equal(back.asym.num_moments_scaled, pm.asym.num_moments_scaled)
+        assert np.array_equal(back.asym.den_moments_scaled, pm.asym.den_moments_scaled)
+        assert back.cutoff == pm.cutoff
+
     def test_round_trip_bitwise(self, fwd2_samples):
         model, _ = bd.aaa(fwd2_samples, bd.AaaConfig(tol=1e-6, target_degree=-4))
         pm = bd.make_piecewise(model, fwd2_samples)
@@ -315,8 +328,8 @@ class TestModelSerialization:
         back = model_from_json(doc)
         assert np.array_equal(back.bary.supports, pm.bary.supports)
         assert np.array_equal(back.bary.weights, pm.bary.weights)
-        assert np.array_equal(back.asym.num_moments_scaled, pm.asym.num_moments_scaled)
-        assert back.cutoff == pm.cutoff and back.train_eps == pm.train_eps
+        self.assert_derived_equal(back, pm)
+        assert back.train_T == pm.train_T and back.train_eps == pm.train_eps
         s = 1j * np.geomspace(0.01, 100.0, 17)
         assert np.array_equal(bd.eval_piecewise(back, s), bd.eval_piecewise(pm, s))
 
@@ -326,6 +339,7 @@ class TestModelSerialization:
         back = model_from_json(json.loads(json.dumps(model_to_json(pm))))
         assert np.array_equal(back.bary.num_weights, pm.bary.num_weights)
         assert np.array_equal(back.bary.den_weights, pm.bary.den_weights)
+        self.assert_derived_equal(back, pm)
 
 
 class TestReports:
@@ -359,7 +373,7 @@ class TestReports:
 class TestRunReport:
     RUNS = {
         "fit": ["--degree", "-4", "--backend", "vf", "--tol", "1e-4", "--max-terms", "20"],
-        "identify": ["--max-abs-degree", "5", "--order", "8"],
+        "identify": ["--max-abs-degree", "5"],
     }
 
     @pytest.mark.parametrize("command", sorted(RUNS))
@@ -402,16 +416,18 @@ class TestRunReport:
         for factory in ("aaa_backend", "vf_backend"):
             monkeypatch.setattr(cli, factory, lambda **kwargs: no_fit)
         report_path = tmp_path / "r.json"
-        assert run(command, str(data), "--backend", backend, "--order", "-1",
-                   "-o", str(report_path)) == EXIT_USAGE
-        assert "argument --order: must be nonnegative, got -1" in capsys.readouterr().err
-        assert not report_path.exists()
+        # the truncation order is no option: any --order is a usage error
+        for order in ("-1", "8"):
+            assert run(command, str(data), "--backend", backend, "--order", order,
+                       "-o", str(report_path)) == EXIT_USAGE
+            assert "unrecognized arguments: --order" in capsys.readouterr().err
+            assert not report_path.exists()
 
     def test_shared_flags_share_defaults(self):
         parser = build_parser()
         fit = vars(parser.parse_args(["fit", "x.csv", "-o", "r.json"]))
         ident = vars(parser.parse_args(["identify", "x.csv", "-o", "r.json"]))
-        shared = ["backend", "tol", "order", "max_terms", "model_out"]
+        shared = ["backend", "tol", "max_terms", "model_out"]
         assert [fit[k] for k in shared] == [ident[k] for k in shared]
         sweep = ["--wmin", "1", "--wmax", "2", "-o", "out.csv"]
         gen = vars(parser.parse_args(["generate", "--chain", "2", *sweep]))

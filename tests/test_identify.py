@@ -198,7 +198,7 @@ class TestSweepMechanics:
         with pytest.raises(TypeError, match="record"):
             bd.identify(inverse_decay_samples(1.0, 2.0, 5), backend)
 
-    @pytest.mark.parametrize("argument", ["max_abs_degree", "order"])
+    @pytest.mark.parametrize("argument", ["max_abs_degree"])
     def test_non_integer_rejected_before_any_fit(self, argument):
         samples = inverse_decay_samples(1.0, 2.0, 5)
 
@@ -207,15 +207,6 @@ class TestSweepMechanics:
 
         with pytest.raises(TypeError):
             bd.identify(samples, backend, **{argument: 2.5})
-
-    def test_negative_order_rejected_before_any_fit(self):
-        samples = inverse_decay_samples(1.0, 2.0, 5)
-
-        def backend(samples, degree):
-            raise AssertionError(f"fit at degree {degree} ran")
-
-        with pytest.raises(ValueError, match="order"):
-            bd.identify(samples, backend, order=-1)
 
 
 class TestIdentifyEndToEnd:
