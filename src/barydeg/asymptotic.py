@@ -162,8 +162,9 @@ class PiecewiseModel:
 
     @functools.cached_property
     def cutoff(self):
-        """``cutoff_radius`` of the fit at the order of ``asym``; >= train_T if train_eps <= 1."""
-        return cutoff_radius(self.train_T, self.train_eps, self.asym.rdeg, self.asym.order)
+        """``cutoff_radius`` of the fit at the order of ``asym``, never below ``train_T``."""
+        radius = cutoff_radius(self.train_T, self.train_eps, self.asym.rdeg, self.asym.order)
+        return max(radius, self.train_T)
 
     @functools.cached_property
     def far(self):
@@ -242,29 +243,30 @@ def eval_asymptotic(asym, s):
 
     Points must be finite and nonzero.  Both sides run through one Horner
     pass in w = scale/s over the folded pair ``asym.coeffs``, in a (2, n)
-    accumulator, and one ratio.  Where the ratio overflows, or the
-    denominator vanishes only because its leading w^k underflowed, |s| lies
-    beyond the double range of the form and ``ValueError`` is raised; where
-    the denominator's series vanishes, ``PoleEvaluationError``.
+    accumulator, and one ratio.  A block that overflows or divides by zero
+    fails at its first non-finite point: ``PoleEvaluationError`` where the
+    denominator's series vanishes, else ``ValueError``, as |s| lies beyond
+    the double range of the form.  No value returned is non-finite.
     """
     if not np.asarray(s).all():
         raise ValueError("asymptotic form is undefined at s = 0")
     coeffs, scale = asym.coeffs, asym.scale
 
-    def block(x):
+    def steps(x):
+        """w, both sides and their ratio, a new array that keeps no accumulator alive."""
         w = scale / x
         num, den = _horner(coeffs, w)
-        if not den.all():
-            i = np.argmax(den == 0)
-            _raise_vanishing(coeffs[1], w[i:i + 1], x[i])
-        # a new array, so a one-block result does not keep the accumulator alive
+        return w, num, den, num / den
+
+    def block(x):
         try:
-            with np.errstate(over="raise"):
-                return num / den
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                return steps(x)[-1]
         except FloatingPointError:
-            with np.errstate(over="ignore"):
-                i = np.argmax(np.isinf(num / den))
-            raise _beyond_range(x[i]) from None
+            with np.errstate(all="ignore"):
+                parts = steps(x)
+                i = np.argmax(~np.isfinite(parts).all(axis=0))
+                raise _nonfinite_error(coeffs[1], parts[0][i:i + 1], x[i]) from None
 
     return blockwise(block, s)
 
@@ -279,20 +281,15 @@ def _horner(coeffs, w):
     return acc
 
 
-def _raise_vanishing(den, w, point):
-    """Raise for a folded denominator ``den`` that evaluated to 0 at ``point``.
+def _nonfinite_error(den, w, point):
+    """The error for ``point``, where the form with folded denominator ``den`` is not finite.
 
-    Its leading zeros are the monomial w^k; the rest, evaluated by the same
-    Horner steps, is the series.  A nonzero series means only w^k underflowed.
+    The leading zeros of ``den`` are the monomial w^k, the rest its series:
+    a pole where the series vanishes, beyond the double range elsewhere.
     """
     k = np.flatnonzero(den)[0]
-    if _horner(den[None, k:], w).all():
-        raise _beyond_range(point)
-    raise PoleEvaluationError(f"denominator series vanishes at {point}", point=point)
-
-
-def _beyond_range(point):
-    """The error for a point whose far form lies beyond the double range."""
+    if not _horner(den[None, k:], w).all():
+        return PoleEvaluationError(f"denominator series vanishes at {point}", point=point)
     return ValueError(f"s = {point} is beyond the double range of the far form")
 
 

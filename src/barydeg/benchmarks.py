@@ -84,13 +84,14 @@ def forward_tf(sys, s):
 
 
 def inverse_tf(sys, s):
-    """Position-to-force map, the reciprocal of :func:`forward_tf`."""
+    """Position-to-force map, 1 / :func:`forward_tf`; ``ValueError`` where that is 0."""
     forward = _chain_solver(sys)
 
     def block(x):
         h = forward(x)
-        if np.any(h == 0):
-            raise ZeroDivisionError("forward transfer function vanishes at the requested point")
+        if not h.all():
+            si = x[np.argmax(h == 0)]
+            raise ValueError(f"s = {si} is beyond the double range of the forward map")
         return np.divide(1.0, h, out=h)
 
     return blockwise(block, s)
@@ -146,8 +147,8 @@ def sample_grid(omega_min, omega_max, count, spacing="log"):
 
 def add_noise(values, level, seed):
     """Multiplicative uniform noise: value * (1 + level * xi), xi ~ U[-1, 1]."""
-    if level < 0:
-        raise ValueError("noise level must be nonnegative")
+    if not 0 <= level < np.inf:
+        raise ValueError("noise level must be finite and nonnegative")
     values = np.asarray(values, dtype=complex)
     xi = np.random.default_rng(seed).uniform(-1.0, 1.0, values.size)
     return values * (1.0 + level * xi.reshape(values.shape))
@@ -159,7 +160,7 @@ def mass_chain_samples(n, forward=True, omega_min=1e-2, omega_max=1.0, count=200
     sys = MassChainSystem(n)
     pts = sample_grid(omega_min, omega_max, count, spacing)
     vals = forward_tf(sys, pts) if forward else inverse_tf(sys, pts)
-    if noise > 0.0:
+    if noise:
         vals = add_noise(vals, noise, seed)
     return SampleSet(pts, vals)
 

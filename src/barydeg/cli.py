@@ -18,8 +18,9 @@ argument; its ``config`` is ``argv`` without ``command`` and the two output
 paths.  ``generate`` and ``eval`` share ``--wmin/--wmax/--count/--spacing``.
 A model file stores the fit and the values derived from it, checked on load.
 
-Exit codes: 0 on success, 2 on usage or input errors, 3 when a fit did not
-converge or the identification failed.
+Exit codes: 0 on success, 2 on usage or input errors (a package error, a
+``ValueError`` such as a point beyond the double range, or an ``OSError``),
+3 when a fit did not converge or the identification failed.
 """
 
 import argparse
@@ -328,7 +329,7 @@ def main(argv=None):
         return exc.code if exc.code is not None else EXIT_OK
     try:
         return args.func(args)
-    except (BarydegError, ValueError, OSError, ZeroDivisionError) as exc:
+    except (BarydegError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,4 +1,5 @@
 import re
+import warnings
 from functools import partial
 
 import numpy as np
@@ -173,6 +174,36 @@ class TestEvalAsymptotic:
         with pytest.raises(ValueError, match=r"s = \(1e\+200\+0j\) is beyond the double range"):
             eval_asymptotic(asym, np.array([2.0, 1e200]))
         assert eval_asymptotic(asym, 1e150) == pytest.approx(1e300, rel=1e-15)
+        # a block fails at its first failing point: w^2 overflows at 1e-160
+        with pytest.raises(ValueError, match=re.escape("s = (1e-160+0j) is beyond")):
+            eval_asymptotic(asym, np.array([2.0, 1e-160, 1.0]))
+        with pytest.raises(PoleEvaluationError) as exc:
+            eval_asymptotic(asym, np.array([2.0, 1.0, 1e-160]))
+        assert exc.value.point == 1.0
+
+    @pytest.mark.parametrize("branch, point", [
+        ("far", 1e-60j), ("far", 1e-200j), ("asym", 1e-30j), ("asym", 1e-60j), ("asym", 1e-200j),
+    ])
+    def test_overflowing_horner_pass_raises(self, branch, point):
+        # w = scale/s is so large that a Horner step overflows; the far form
+        # itself still holds at 1e-30j, where its pass stays in range
+        pm = chain_piecewise(3, forward=False)
+        assert np.isfinite(eval_asymptotic(pm.far, 1e-30j))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"s = {point} is beyond the double")):
+                eval_asymptotic(getattr(pm, branch), np.array([1e3j, point, 1e-60j]))
+
+    @pytest.mark.parametrize("num, den, point", [
+        ([2.0], [1.0], 1e-320), ([1.0, 0.0, 0.0], [1.0, 0.0, 1.0], 1e-160),
+    ])
+    def test_overflow_the_ratio_hides_raises(self, num, den, point):
+        # w = 1/s overflows in a constant form, which never reads w; 1 + w^2
+        # overflows where 1 / (1 + w^2) gives 0: every step is checked
+        asym = AsymptoticModel(mu=0, nu=0, scale=1.0, num_moments_scaled=np.array(num),
+                               den_moments_scaled=np.array(den))
+        with pytest.raises(ValueError, match=re.escape(f"s = {complex(point)} is beyond")):
+            eval_asymptotic(asym, np.array([2.0, point]))
 
     def test_zero_checked_before_first_block(self):
         asym = AsymptoticModel(mu=0, nu=0, scale=1.0,
@@ -392,11 +423,12 @@ class TestEvalPiecewiseBlocks:
 class TestPiecewiseModelInvariants:
     def test_cutoff_inside_band_rejected(self):
         # the cutoff is derived, so none can be given, and the derived one
-        # lies outside the band whenever train_eps <= 1
+        # lies outside the band whatever train_eps: a fit worse than 1 would
+        # put the radius inside it
         model = exact_inverse_model()
         with pytest.raises(TypeError, match="cutoff"):
             bd.PiecewiseModel(bary=model, cutoff=1.0, train_T=10.0, train_eps=1e-6)
-        for eps in (1e-16, 1e-6, 1.0):
+        for eps in (1e-16, 1e-6, 1.0, 10.0, 1e3):
             assert bd.PiecewiseModel(bary=model, train_T=10.0, train_eps=eps).cutoff >= 10.0
 
     @pytest.mark.parametrize("num, den", [([1.0], [1.0, 0.5]), ([], [])])

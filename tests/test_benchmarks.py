@@ -1,3 +1,4 @@
+import re
 import warnings
 from functools import partial
 
@@ -160,7 +161,7 @@ class TestInverseTf:
 
     def test_underflowed_forward_raises(self):
         # far enough out the forward map underflows to exactly zero
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ValueError, match=re.escape("s = (1e+81+0j) is beyond the double")):
             bd.inverse_tf(bd.MassChainSystem(2), 1e81)
 
     def test_scalar_matches_array_bitwise(self):
@@ -204,7 +205,7 @@ class TestChainRecurrence:
         assert out[1] == 0.0
         assert out[0] == bd.forward_tf(sys_, 0.5j)
         assert out[2] == bd.forward_tf(sys_, 2j)
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ValueError, match=re.escape("s = (1e+81+0j) is beyond")):
             bd.inverse_tf(sys_, s)
 
 
@@ -260,6 +261,17 @@ class TestAddNoise:
     def test_negative_level_rejected(self):
         with pytest.raises(ValueError):
             bd.add_noise([1.0], -1e-3, seed=0)
+
+    @pytest.mark.parametrize("level", [np.nan, np.inf])
+    def test_nan_or_infinite_level_rejected(self, level):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            bd.add_noise([1.0], level, seed=0)
+
+    @pytest.mark.parametrize("level", [-1e-3, np.nan, np.inf])
+    def test_mass_chain_samples_checks_its_noise(self, level):
+        # a bad level is rejected, not skipped as if it were 0
+        with pytest.raises(ValueError, match="nonnegative"):
+            bd.mass_chain_samples(2, noise=level)
 
 
 class TestSampleFiles:

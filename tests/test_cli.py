@@ -10,6 +10,7 @@ import pytest
 
 import barydeg as bd
 from barydeg import cli
+from barydeg.asymptotic import cutoff_radius
 from barydeg.cli import (
     EXIT_NOT_CONVERGED,
     EXIT_OK,
@@ -78,6 +79,20 @@ class TestGenerate:
                    "-o", str(tmp_path / "x.csv"))
         assert code == EXIT_USAGE
         assert "at least 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("noise", ["-1e-3", "nan", "inf"])
+    def test_bad_noise_rejected(self, tmp_path, capsys, noise):
+        path = tmp_path / "x.csv"
+        assert run("generate", "--chain", "2", "--wmin", "1e-2", "--wmax", "1",
+                   f"--noise={noise}", "-o", str(path)) == EXIT_USAGE
+        assert "noise level must be finite and nonnegative" in capsys.readouterr().err
+        assert not path.exists()
+
+    def test_band_beyond_the_double_range_rejected(self, tmp_path, capsys):
+        # the forward map underflows to 0 out there, so its inverse has no value
+        assert run("generate", "--chain", "2", "--inverted", "--wmin", "1e-2",
+                   "--wmax", "1e90", "--count", "20", "-o", str(tmp_path / "x.csv")) == EXIT_USAGE
+        assert "is beyond the double range" in capsys.readouterr().err
 
 
 class TestFit:
@@ -230,6 +245,30 @@ class TestEval:
             expected = "bary" if float(s_abs) <= cutoff else "asym"
             assert branch == expected
         assert {r[-1] for r in rows} == {"bary", "asym"}
+
+    def test_poor_fit_keeps_the_band_barycentric(self, tmp_path, capsys):
+        # a 2-term fit of noisy data errs by 8.7, which puts the cutoff radius
+        # at 0.82, inside the band; the cutoff stays at the band edge instead
+        data = generate_fwd2(tmp_path, noise="1e-3", seed="0")
+        model_path = tmp_path / "model.json"
+        code = run("fit", str(data), "--max-terms", "2", "--tol", "1e-12",
+                   "-o", str(tmp_path / "r.json"), "--model-out", str(model_path))
+        assert code == EXIT_NOT_CONVERGED
+        doc = json.loads(model_path.read_text())
+        assert doc["train_eps"] > 1 and doc["cutoff"] == doc["train_T"] == 1.0
+        out_path = tmp_path / "sweep.csv"
+        assert run("eval", "--model", str(model_path), "--wmin", "1e-2",
+                   "--wmax", "1", "--count", "50", "-o", str(out_path)) == EXIT_OK
+        assert {line.split(",")[-1] for line in out_path.read_text().splitlines()[1:]} == {"bary"}
+        # a file that stores the radius itself is rejected
+        pm = model_from_json(doc)
+        doc["cutoff"] = cutoff_radius(pm.train_T, pm.train_eps, pm.asym.rdeg, pm.asym.order)
+        assert doc["cutoff"] < 1.0
+        model_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("eval", "--model", str(model_path), "--wmin", "1e-2",
+                   "--wmax", "1", "--count", "50", "-o", str(out_path)) == EXIT_USAGE
+        assert "'cutoff'" in capsys.readouterr().err
 
     def test_rows_match_per_point_formatting(self, tmp_path):
         # the column-wise writer gives the same bytes as formatting each
