@@ -69,8 +69,8 @@ class AaaConfig:
         object.__setattr__(self, "target_degree", operator.index(self.target_degree))
         if self.max_terms is not None:
             object.__setattr__(self, "max_terms", operator.index(self.max_terms))
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < np.inf:
+            raise ValueError("tol must be finite and positive")
         if self.max_terms is not None and self.max_terms < 1:
             raise ValueError("max_terms must be at least 1")
 

@@ -179,7 +179,7 @@ def moments(model, order=DEFAULT_ORDER):
     scan, so every order shares the leading moments of
     :func:`classify_degree` bit for bit.
     """
-    if order < 0:
+    if operator.index(order) < 0:
         raise ValueError("order must be nonnegative")
     mu, nu, num_sums, den_sums, shat = _power_sum_scan(model, extra_orders=order)
     return AsymptoticModel(
@@ -306,13 +306,13 @@ def cutoff_radius(T, eps, rdeg, order):
     degree defects) that scales the barycentric error.  The formula places
     the radius; it does not bound the seam error there.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    if not T > 0:
-        raise ValueError("T must be positive")
-    if order < 0:
+    if not 0 < eps < np.inf:
+        raise ValueError("eps must be finite and positive")
+    if not 0 < T < np.inf:
+        raise ValueError("T must be finite and positive")
+    if operator.index(order) < 0:
         raise ValueError("order must be nonnegative")
-    return float(T * eps ** (-1.0 / (abs(rdeg) + order + 1)))
+    return float(T * eps ** (-1.0 / (abs(operator.index(rdeg)) + order + 1)))
 
 
 def make_piecewise(model, samples):

@@ -16,6 +16,7 @@ where the minors overflow (|s| near 1e81 for two masses), the forward map
 is exactly 0.  :func:`chain_matrices` gives the dense state-space form.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,7 @@ class MassChainSystem:
     springs: np.ndarray = None
 
     def __post_init__(self):
-        if self.n < 2:
+        if operator.index(self.n) < 2:
             raise ValueError("a mass chain needs at least 2 masses")
         masses = np.ones(self.n) if self.masses is None else np.asarray(self.masses, float)
         springs = np.ones(self.n - 1) if self.springs is None else np.asarray(self.springs, float)

@@ -16,7 +16,7 @@ Subcommands:
 ``--model-out``) and one report writer.  A report's ``argv`` echoes every
 argument; its ``config`` is ``argv`` without ``command`` and the two output
 paths.  ``generate`` and ``eval`` share ``--wmin/--wmax/--count/--spacing``.
-A model file stores the fit and the values derived from it, checked on load.
+A model file loads only if it is what ``model_to_json`` writes for the fit it holds.
 
 Exit codes: 0 on success, 2 on usage or input errors (a package error, a
 ``ValueError`` such as a point beyond the double range, or an ``OSError``),
@@ -87,38 +87,30 @@ def _pairs_to_complex(pairs):
 # A model file's ``kind`` and the class it names; the file stores the
 # class's fields after ``supports`` under their own names.
 MODEL_KINDS = {"interpolatory": BarycentricModel, "general": GeneralBarycentricModel}
-
-
-def _derived_entries(pm):
-    """The model-file entries that :class:`PiecewiseModel` derives from the fit."""
-    return {
-        "asymptotic": {
-            "mu": pm.asym.mu,
-            "nu": pm.asym.nu,
-            "rdeg": pm.asym.rdeg,
-            "order": pm.asym.order,
-            "scale": pm.asym.scale,
-            "num_moments_scaled": _complex_pairs(pm.asym.num_moments_scaled),
-            "den_moments_scaled": _complex_pairs(pm.asym.den_moments_scaled),
-        },
-        "cutoff": pm.cutoff,
-    }
+_MISSING = object()
 
 
 def model_to_json(pm):
-    """Serialize a piecewise model losslessly (raw coefficients, no poles)."""
-    bary = pm.bary
-    doc = {
+    """Serialize a piecewise model: its fit, losslessly, and what the fit derives, for readers."""
+    bary, asym = pm.bary, pm.asym
+    return {
         "schema_version": MODEL_SCHEMA_VERSION,
         "supports": _complex_pairs(bary.supports),
-        **_derived_entries(pm),
+        "asymptotic": {
+            "mu": asym.mu,
+            "nu": asym.nu,
+            "rdeg": asym.rdeg,
+            "order": asym.order,
+            "scale": asym.scale,
+            "num_moments_scaled": _complex_pairs(asym.num_moments_scaled),
+            "den_moments_scaled": _complex_pairs(asym.den_moments_scaled),
+        },
+        "cutoff": pm.cutoff,
         "train_T": pm.train_T,
         "train_eps": pm.train_eps,
+        "kind": next(kind for kind, cls in MODEL_KINDS.items() if type(bary) is cls),
+        **{name: _complex_pairs(getattr(bary, name)) for name in _field_names(type(bary))[1:]},
     }
-    doc["kind"] = next(kind for kind, cls in MODEL_KINDS.items() if type(bary) is cls)
-    for name in _field_names(type(bary))[1:]:
-        doc[name] = _complex_pairs(getattr(bary, name))
-    return doc
 
 
 def _entry(doc, key, convert=lambda value: value):
@@ -134,10 +126,11 @@ def _entry(doc, key, convert=lambda value: value):
 def model_from_json(doc):
     """Rebuild a piecewise model written by :func:`model_to_json`.
 
-    The model is built from ``kind``, the coefficient fields, ``train_T``
-    and ``train_eps``.  Raises ``ValueError`` naming the first entry that is
-    missing or malformed, ``schema_version`` when it is not this version's,
-    or a stored ``asymptotic`` entry or ``cutoff`` the fit does not give.
+    Built from ``kind``, the coefficient fields, ``train_T`` and ``train_eps``;
+    the file loads only if it is ``model_to_json`` of that fit, value for value
+    (``1`` passes for ``1.0``, ``"1.0"`` does not).  Otherwise ``ValueError``
+    names ``schema_version``, an entry the model cannot be built from, or the
+    first missing, changed or unknown entry (``asymptotic.<name>`` if nested).
     """
     if not isinstance(doc, dict):
         raise ValueError("model file must hold a JSON object")
@@ -153,12 +146,16 @@ def model_from_json(doc):
     bary = cls(supports, *(_entry(doc, name, _pairs_to_complex) for name in _field_names(cls)[1:]))
     pm = PiecewiseModel(bary=bary, train_T=_entry(doc, "train_T", float),
                         train_eps=_entry(doc, "train_eps", float))
-    derived = _derived_entries(pm)
-    asym = derived.pop("asymptotic")
-    for stored, entries in ((_entry(doc, "asymptotic", dict), asym), (doc, derived)):
-        for key, value in entries.items():
-            if _entry(stored, key) != value:
-                raise ValueError(f"model file entry {key!r} differs from the value its fit gives")
+    written = model_to_json(pm)
+    # nested entries first; a stored "asymptotic" object that passes equals the written one
+    for prefix, stored, entries in (("asymptotic.", doc.get("asymptotic"), written["asymptotic"]),
+                                    ("", doc, written)):
+        for key in {**entries, **stored} if isinstance(stored, dict) else ():
+            have, want = stored.get(key, _MISSING), entries.get(key, _MISSING)
+            if have != want:
+                raise ValueError(f"model file entry {prefix + key!r} is " + (
+                    "missing" if have is _MISSING else "unknown" if want is _MISSING
+                    else "not the value its fit gives"))
     return pm
 
 

@@ -17,6 +17,9 @@ def test_config_validation():
         bd.AaaConfig(tol=0.0)
     with pytest.raises(ValueError):
         bd.AaaConfig(tol=1e-6, max_terms=0)
+    for config in (bd.AaaConfig, bd.VfConfig):
+        with pytest.raises(ValueError, match="finite"):
+            config(tol=np.inf)
 
 
 @pytest.mark.parametrize("config", [bd.AaaConfig, bd.VfConfig])

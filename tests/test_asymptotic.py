@@ -118,6 +118,10 @@ class TestMoments:
         with pytest.raises(ValueError):
             moments(exact_inverse_model(), order=-1)
 
+    def test_non_integer_order_rejected(self):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            moments(exact_inverse_model(), 2.5)
+
 
 class TestEvalAsymptotic:
     def test_zero_rejected(self):
@@ -269,6 +273,14 @@ class TestCutoffRadius:
             cutoff_radius(1.0, 0.0, -4, 10)
         with pytest.raises(ValueError):
             cutoff_radius(1.0, -1e-3, -4, 10)
+
+    def test_non_integer_or_nonfinite_input_rejected(self):
+        for rdeg, order in ((-4, 2.5), (-4.0, 10)):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                cutoff_radius(1.0, 1e-6, rdeg, order)
+        for T, eps in ((1.0, np.inf), (np.inf, 1e-6), (1.0, np.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                cutoff_radius(T, eps, -4, 10)
 
 
 class TestMakePiecewise:

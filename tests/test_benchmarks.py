@@ -33,6 +33,11 @@ class TestMassChainSystem:
         with pytest.raises(ValueError):
             bd.MassChainSystem(3, springs=[1.0])
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, "3"])
+    def test_non_integer_count_rejected(self, n):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            bd.MassChainSystem(n)
+
 
 class TestChainMatrices:
     def test_two_masses_unit(self):

@@ -305,6 +305,8 @@ class TestEval:
         pytest.param("num_moments_scaled", lambda pairs: [*pairs[:-1], [np.nextafter(
             pairs[-1][0], np.inf), pairs[-1][1]]], id="num_moments_scaled-last-entry"),
         pytest.param("object", [], id="top-level-list"),
+        ("train_T", str), ("train_eps", str), ("extra", 1),
+        pytest.param("asymptotic", lambda section: {**section, "extra": 0}, id="asymptotic-extra"),
     ])
     def test_tampered_degree_or_order_rejected(self, tmp_path, capsys, key, value):
         # a tampered or malformed model file exits 2 and names the bad entry;
@@ -442,6 +444,16 @@ class TestRunReport:
         library = bd.aaa_backend(tol) if backend == "aaa" else bd.vf_backend()
         _, rep = library(bd.load_samples(data), -4)
         assert doc["result"]["linf_rel_error"] == rep.linf_rel_error
+
+    @pytest.mark.parametrize("command", ["fit", "identify"])
+    def test_infinite_tol_rejected(self, tmp_path, capsys, command):
+        data = generate_fwd2(tmp_path)
+        report_path = tmp_path / "r.json"
+        capsys.readouterr()
+        assert run(command, str(data), "--tol", "inf", "-o", str(report_path),
+                   "--model-out", str(tmp_path / "m.json")) == EXIT_USAGE
+        assert "tol must be finite" in capsys.readouterr().err
+        assert not report_path.exists() and not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("command", ["fit", "identify"])
     @pytest.mark.parametrize("backend", ["aaa", "vf"])
