@@ -19,12 +19,9 @@ support's row and with one more column, which ``loewner_matrix`` builds,
 and the old L goes.  The weight solve holds L and at most one more block of
 its size.  A fit that converges within |d| + 1 terms never builds L.
 
-The fits of one degree sweep share their fully constrained prefix: with a
-``spine`` (see :func:`aaa`) a fit at target d resumes after the first |d|
-steps, which the fit at the next smaller |d| of the same sign already took,
-and takes its first pick from the record instead of checking the model
-those steps left; a fresh fit is a resume after zero steps, so there is one
-way into the loop.
+The fits of one degree sweep share their fully constrained prefix through a
+``spine`` record (see :func:`aaa`): a step that a fit of the same sign
+already took is read from it, at O(1) cost.
 """
 
 import operator
@@ -84,19 +81,16 @@ def aaa(samples, config, *, spine=None):
 
     ``spine`` lets fits of the same samples under the same tolerance share
     their fully constrained steps, whatever their term caps: a cap only
-    decides where a fit stops.  At step m a fit at target d imposes
-    min(|d|, m) constraints on m + 1 weights, so the steps m <= |d| depend
-    on d only through its sign.  The dict records them flat as
-    ``spine[sign * m] = (support index, weights, pick)``, key 0 serving both
-    signs; ``pick`` is the (pool row, sample index) that step m's weights
-    pick at step m + 1, ``None`` until a fit makes that pick without
-    converging there.  A fit records its steps m <= |d| and their picks
-    where the dict lacks them.  A fit at d != 0 under a cap of T terms
-    resumes after step min(|d|, T) - 1 when the dict holds it, never deeper,
-    and below its cap takes that step's pick from the dict when it is
-    there; every other fit, fresh or at degree 0, resumes after zero steps.
-    A check that converges or ends the fit at its cap is always evaluated,
-    since the report needs its errors.
+    decides where a fit stops.  Step m adds a support and imposes
+    min(|d|, m) constraints on m + 1 weights, so the steps m <= |d| of a fit
+    at target d depend on d only through its sign.  The dict records them
+    as ``spine[sign * m] = (support index, weights, next support index)``,
+    key 0 serving both signs; the next index, step m + 1's support, is
+    ``None`` until a fit picks it.  One rule reads the record: step m takes
+    its weights from it when m <= |d| and it holds step m, and below the cap
+    takes its support from step m - 1's pick when 1 <= m <= |d| + 1 and the
+    pick is there.  A check that converges or ends the fit at its cap is
+    thus always evaluated, since the report needs its errors.
 
     The weights of a step whose constraint basis has one column are that
     column; the Loewner block is built at the first step whose basis has
@@ -120,63 +114,59 @@ def aaa(samples, config, *, spine=None):
     sign = -1 if delta < 0 else 1
     if spine is None:
         spine = {}
-    # resume after step min(|d|, cap) - 1 of the recorded path when the record
-    # holds it, else after zero steps (as a fresh or degree-0 fit always does)
-    depth = min(abs(delta), cap)
-    start = depth if sign * (depth - 1) in spine else 0
-    sup_idx = [spine[sign * m][0] for m in range(start)]
-    weights = spine[sign * (start - 1)][1] if start else None
-    # samples not yet picked as supports, in sample order; the rows of the
-    # Loewner block run over this pool
-    pool = np.delete(np.arange(mprime), sup_idx)
-    sj, fj = pts[sup_idx], vals[sup_idx]
-    x = pts[pool]
+    sup_idx = []
+    weights = None
+    # the samples not yet picked as supports; the rows of the Loewner block
+    # run over them in sample order
+    pool = np.ones(mprime, dtype=bool)
     L = None  # built at the first step whose weights have more than one direction
     mean = complex(np.mean(vals))
     approx = np.full(mprime, mean, dtype=complex)
     converged = False
 
-    for m in range(start, cap + 1):
-        prev = sign * (m - 1)  # step m - 1's key, recorded when 0 < m <= |d| + 1
-        # below the cap, a resumed fit takes step m - 1's pick from the record
-        pick = spine[prev][2] if m == start and 0 < m < cap else None
-        if pick is None:
+    for m in range(cap + 1):
+        # step m - 1's record, which holds step m's support once a fit took it
+        prev = spine[sign * (m - 1)] if 0 < m <= abs(delta) + 1 else None
+        if prev is not None and prev[2] is not None and m < cap:
+            j = prev[2]
+        else:
             if weights is not None:
                 # a temporary block, without hits: pool points are never supports
+                x = pts[pool]
                 approx[pool] = cauchy_ratio(cauchy_block(x, sj)[0],
                                             BarycentricModel._pair(fj, weights), x)
                 approx[sup_idx] = vals[sup_idx]
             rel = relative_errors(vals, approx)
-            row = int(np.argmax(rel[pool]))
-            j = int(pool[row])
+            j = int(np.flatnonzero(pool)[np.argmax(rel[pool])])
             if rel[j] <= tol:
                 converged = True
                 break
-            if 0 < m <= abs(delta) + 1 and spine[prev][2] is None:
-                spine[prev] = (*spine[prev][:2], (row, j))
-        else:
-            row, j = pick
-        pool = np.delete(pool, row)
+            if prev is not None and prev[2] is None:
+                spine[sign * (m - 1)] = (*prev[:2], j)
+        pool[j] = False
         if m == cap:
             break
         sup_idx.append(j)
         sj = pts[sup_idx]
         fj = vals[sup_idx]
+        if m <= abs(delta) and sign * m in spine:
+            weights = spine[sign * m][1]
+            continue
         V = vandermonde(sj, min(abs(delta), m))
         Q = nullspace_basis(V, left_scaling=fj if delta < 0 else None)
-        x = pts[pool]
         if Q.shape[1] == 1:
             # one direction left: the minimal singular vector of the 1 x 1
             # triangle is exactly 1, so ``solve_constrained_weights`` would
             # return Q's column; copied, so the record keeps no square block
             weights = Q[:, 0].copy()
         else:
-            fx = vals[pool]
+            x, fx = pts[pool], vals[pool]
             L = (loewner_matrix(x, fx, sj, fj) if L is None
-                 else _grow(L, row, loewner_matrix(x, fx, sj[-1:], fj[-1:])[:, 0]))
+                 else _grow(L, np.count_nonzero(pool[:j]),
+                            loewner_matrix(x, fx, sj[-1:], fj[-1:])[:, 0]))
             weights = solve_constrained_weights(L, Q)
         if m <= abs(delta):
-            spine.setdefault(sign * m, (j, weights, None))
+            spine[sign * m] = (j, weights, None)
 
     if weights is None:
         # the initial constant already matches the worst point: return it as

@@ -177,8 +177,9 @@ def save_samples(samples, path):
 def load_samples(path):
     """Read a sample set written by :func:`save_samples`.
 
-    Lines starting with ``#`` are ignored; the header row is required.
-    Malformed rows raise with the offending line number.
+    Lines starting with ``#`` are ignored; the header row and at least one
+    sample row are required.  Malformed rows raise with the offending line
+    number.
     """
     points, values = [], []
     header_seen = False
@@ -205,4 +206,6 @@ def load_samples(path):
             values.append(complex(f_re, f_im))
     if not header_seen:
         raise ValueError(f"{path}: missing header row")
+    if not points:
+        raise ValueError(f"{path}: no sample rows")
     return SampleSet(points, values)

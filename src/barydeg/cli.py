@@ -123,14 +123,22 @@ def _entry(doc, key, convert=lambda value: value):
         raise ValueError(f"model file entry {key!r} is invalid: {exc}") from None
 
 
+def _same(have, want):
+    """``have == want``, entry by entry, with no bool standing in for a number."""
+    if isinstance(have, list) and isinstance(want, list):
+        return len(have) == len(want) and all(map(_same, have, want))
+    return isinstance(have, bool) == isinstance(want, bool) and have == want
+
+
 def model_from_json(doc):
     """Rebuild a piecewise model written by :func:`model_to_json`.
 
     Built from ``kind``, the coefficient fields, ``train_T`` and ``train_eps``;
     the file loads only if it is ``model_to_json`` of that fit, value for value
-    (``1`` passes for ``1.0``, ``"1.0"`` does not).  Otherwise ``ValueError``
-    names ``schema_version``, an entry the model cannot be built from, or the
-    first missing, changed or unknown entry (``asymptotic.<name>`` if nested).
+    (``1`` passes for ``1.0``, ``"1.0"`` and ``true`` do not).  Otherwise
+    ``ValueError`` names ``schema_version``, an entry the model cannot be built
+    from, or the first missing, changed or unknown entry
+    (``asymptotic.<name>`` if nested).
     """
     if not isinstance(doc, dict):
         raise ValueError("model file must hold a JSON object")
@@ -152,7 +160,7 @@ def model_from_json(doc):
                                     ("", doc, written)):
         for key in {**entries, **stored} if isinstance(stored, dict) else ():
             have, want = stored.get(key, _MISSING), entries.get(key, _MISSING)
-            if have != want:
+            if not _same(have, want):
                 raise ValueError(f"model file entry {prefix + key!r} is " + (
                     "missing" if have is _MISSING else "unknown" if want is _MISSING
                     else "not the value its fit gives"))

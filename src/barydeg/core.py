@@ -213,7 +213,14 @@ class GeneralBarycentricModel(_Barycentric):
     @staticmethod
     def _pair(num_weights, den_weights):
         """``from_weights``' coefficients: the vectors (n, d) scaled to ||[n; d]|| = 1."""
-        norm = np.linalg.norm(np.concatenate([num_weights, den_weights]))
+        stacked = np.concatenate([num_weights, den_weights])
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(stacked)
+        if not np.isfinite(norm):
+            # the squares overflow above about 1e154: scale by the largest
+            # magnitude first
+            big = np.max(np.abs(stacked))
+            norm = big * np.linalg.norm(stacked / big)
         if norm == 0.0:
             raise ValueError("coefficient vector must be nonzero")
         return num_weights / norm, den_weights / norm

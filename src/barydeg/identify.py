@@ -17,9 +17,9 @@ lost to the incumbent anyway (it needs more terms, or never converges), so
 the sweep picks the same winner.  The degree-0 fit is never capped.
 
 The fits of a sweep share one record, a dict that :func:`identify` makes
-for each call and passes to every fit.  With :func:`aaa_backend` the fit at
-+-k resumes after the fully constrained steps that the fit at +-(k - 1)
-already took; with :func:`vf_backend` every fit solves from the QR
+for each call and passes to every fit.  With :func:`aaa_backend` a fit reads
+each fully constrained step that a fit of its sign already took from the
+record; with :func:`vf_backend` every fit solves from the QR
 triangles of the support grids that earlier fits factored.  The winner's
 piecewise model, from :func:`make_piecewise`, derives its cutoff from the fit.
 """

@@ -247,7 +247,7 @@ def test_fit_inside_its_constrained_prefix_builds_no_loewner_block(monkeypatch):
 
 
 def test_record_holds_no_array_longer_than_the_cap():
-    # the record keeps steps, weights and picks, never a pool-size array
+    # the record keeps supports, weights and picks, never a pool-size array
     samples = chain_samples(2, noise=1e-6, seed=0, count=300)
     spine = {}
     for degree in (0, 1, 2, 3, -1, -2, -3, -4, -5, -6):
@@ -256,5 +256,5 @@ def test_record_holds_no_array_longer_than_the_cap():
     assert any(pick is not None for _, _, pick in spine.values())
     for j, weights, pick in spine.values():
         assert isinstance(j, int)
-        assert pick is None or all(isinstance(k, int) for k in pick)
+        assert pick is None or isinstance(pick, int)
         assert weights.base is None and weights.size <= 6

@@ -336,6 +336,12 @@ class TestSampleFiles:
         with pytest.raises(ValueError, match="header"):
             bd.load_samples(path)
 
+    def test_header_only_names_the_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text(f"# no rows\n{CSV_HEADER}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: no sample rows$"):
+            bd.load_samples(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             bd.load_samples(tmp_path / "nope.csv")

@@ -11,6 +11,7 @@ import pytest
 import barydeg as bd
 from barydeg import cli
 from barydeg.asymptotic import cutoff_radius
+from barydeg.benchmarks import CSV_HEADER
 from barydeg.cli import (
     EXIT_NOT_CONVERGED,
     EXIT_OK,
@@ -152,6 +153,13 @@ class TestFit:
         code = run("fit", str(tmp_path / "nope.csv"), "-o", str(tmp_path / "r.json"))
         assert code == EXIT_USAGE
         assert "not found" in capsys.readouterr().err
+
+    def test_header_only_input(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text(f"{CSV_HEADER}\n")
+        code = run("fit", str(path), "-o", str(tmp_path / "r.json"))
+        assert code == EXIT_USAGE
+        assert f"{path}: no sample rows" in capsys.readouterr().err
 
     def test_nonconvergence_exit_code(self, tmp_path):
         path = tmp_path / "noisy.csv"
@@ -306,6 +314,8 @@ class TestEval:
             pairs[-1][0], np.inf), pairs[-1][1]]], id="num_moments_scaled-last-entry"),
         pytest.param("object", [], id="top-level-list"),
         ("train_T", str), ("train_eps", str), ("extra", 1),
+        # a bool where the file holds a number: train_T is 1.0, nu is 0
+        ("train_T", True), ("nu", False),
         pytest.param("asymptotic", lambda section: {**section, "extra": 0}, id="asymptotic-extra"),
     ])
     def test_tampered_degree_or_order_rejected(self, tmp_path, capsys, key, value):

@@ -1,9 +1,10 @@
 import dataclasses
+import functools
 import importlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import barydeg as bd
 from barydeg.aaa import FitReport
@@ -244,6 +245,33 @@ class TestIdentifyEndToEnd:
         assert pm.cutoff > pm.train_T
 
 
+# (masses, forward, AAA tol): the chains of acceptance criteria 1 and 2
+SCALED_CHAINS = [(2, True, 1e-6), (3, True, 1e-6), (2, False, 1e-6), (3, False, 1e-7)]
+
+
+@functools.cache
+def unscaled_identifications():
+    """(samples, backend, degree identified on them): AAA on each noiseless
+    chain, VF on each chain with noise 1e-6."""
+    cases = []
+    for n, forward, tol in SCALED_CHAINS:
+        cases += [(chain_samples(n, forward=forward), bd.aaa_backend(tol)),
+                  (chain_samples(n, forward=forward, noise=1e-6, seed=0), bd.vf_backend(1e-4))]
+    return [(samples, backend, bd.identify(samples, backend).best_degree)
+            for samples, backend in cases]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(a=st.integers(-8, 8), b=st.integers(-200, 200))
+@example(a=8, b=200)
+def test_identified_degree_does_not_depend_on_the_units(a, b):
+    # the sample points scaled by 10^a and the values by 10^b: the degree is a
+    # property of the system, not of the units its data is given in
+    for samples, backend, degree in unscaled_identifications():
+        scaled = bd.SampleSet(10.0 ** a * samples.points, 10.0 ** b * samples.values)
+        assert bd.identify(scaled, backend).best_degree == degree
+
+
 def smaller(*caps):
     """The smallest of the term caps given, ``None`` standing for no cap."""
     return min((cap for cap in caps if cap is not None), default=None)
@@ -380,9 +408,9 @@ class TestSharedAaaPath:
             want, direct_steps = counted_fit(direct, degree)
             assert_same_fits([got], [want])
             skipped.append(direct_steps - steps)
-        # a fit at d skips its first |d| steps when a fit of its sign recorded
-        # step |d| - 1 (key 0 serves both signs), else none: 3, -2 and 0 skip none
-        assert skipped == [0, 1, 0, 0, 2, 1, 3, 4, 4, 1]
+        # a fit at d skips each step m <= |d| that a fit of its sign recorded
+        # (key 0 serves both signs): only the first fit, at 3, skips none
+        assert skipped == [0, 2, 1, 1, 3, 2, 3, 4, 4, 2]
 
 
 def unshared_vf_backend(tol, max_terms=None):
