@@ -24,9 +24,12 @@ N = w^defect * A(w), and pi cancels in the ratio, so with m = min(mu, nu)
     P = w^(mu - m) * A,  Q = w^(nu - m) * B,
 
 with no truncation (:func:`far_field`).  P and Q have the same length, so
-the monomial costs no Horner step of its own.  The truncated expansion
-(:func:`moments`) still places the cutoff and is what the seam and oracle
-checks test; it is evaluated in the same folded form.
+one accumulator holds both sides, and each side's Horner pass
+(:func:`_horner`) runs over its nonzero coefficients only: the zeros the
+monomial pads in cost a plain multiply each, and a side's trailing zeros
+cost nothing.  The truncated expansion (:func:`moments`) still places the
+cutoff and is what the seam and oracle checks test; it is evaluated in the
+same folded form.
 
 Both heuristics leave out model-dependent constants.  The truncation error
 of the expansion carries the moment ratio |c_{N+1}/c_0 - d_{N+1}/d_0|; the
@@ -196,8 +199,9 @@ def far_field(model):
     a_i = sum_{t<=i} pi_t p_{mu+i-t} for i < terms - mu, and the denominator
     B likewise from nu; the power sums below each defect are dropped, as the
     truncated expansion drops them.  Folding the monomial in makes both sides
-    terms - min(mu, nu) long, so evaluating it costs terms - 1 - min(mu, nu)
-    Horner steps.
+    terms - min(mu, nu) long, so evaluating it costs at most
+    terms - 1 - min(mu, nu) Horner steps per side, the monomial's |rdeg| of
+    them plain multiplies.
     """
     terms = model.terms
     mu, nu, num_sums, den_sums, shat = _power_sum_scan(model, extra_orders=terms - 1)
@@ -241,12 +245,13 @@ def _rescale_sums(sums, shat, start):
 def eval_asymptotic(asym, s):
     """Evaluate an :class:`AsymptoticModel` or a :class:`FarField` at scalar or array ``s``.
 
-    Points must be finite and nonzero.  Both sides run through one Horner
-    pass in w = scale/s over the folded pair ``asym.coeffs``, in a (2, n)
-    accumulator, and one ratio.  A block that overflows or divides by zero
-    fails at its first non-finite point: ``PoleEvaluationError`` where the
-    denominator's series vanishes, else ``ValueError``, as |s| lies beyond
-    the double range of the form.  No value returned is non-finite.
+    Points must be finite and nonzero.  Each side of the folded pair
+    ``asym.coeffs`` runs through one Horner pass in w = scale/s over its
+    nonzero coefficients, into a (2, n) accumulator, and then one ratio.  A
+    block that overflows or divides by zero fails at its first non-finite
+    point: ``PoleEvaluationError`` where the denominator's series vanishes,
+    else ``ValueError``, as |s| lies beyond the double range of the form.
+    No value returned is non-finite.
     """
     if not np.asarray(s).all():
         raise ValueError("asymptotic form is undefined at s = 0")
@@ -272,12 +277,28 @@ def eval_asymptotic(asym, s):
 
 
 def _horner(coeffs, w):
-    """Each row of ``coeffs`` (ascending powers) at the points ``w``, in place."""
+    """Each row of ``coeffs`` (ascending powers) at the points ``w``, in place.
+
+    A row runs over its nonzero span [lo, hi] only: it starts from w * c_hi,
+    takes the multiply-adds down to c_lo, then lo plain multiplies by w.
+    These are the steps of Horner's rule over the whole row without the
+    ones that add a zero, so the values are the same; only a part that
+    underflows to zero may differ in its sign.
+    """
     acc = np.empty((coeffs.shape[0], w.size), dtype=complex)
-    acc[:] = coeffs[:, -1:]
-    for l in range(coeffs.shape[1] - 2, -1, -1):
-        acc *= w
-        acc += coeffs[:, l:l + 1]
+    for row, a in zip(coeffs, acc):
+        nonzero = np.flatnonzero(row)
+        lo, hi = (nonzero[0], nonzero[-1]) if nonzero.size else (0, 0)
+        if hi == 0:
+            a[:] = row[0]
+            continue
+        np.multiply(row[hi], w, out=a)
+        for l in range(hi - 1, 0, -1):
+            if l >= lo:
+                a += row[l]
+            a *= w
+        if lo == 0:
+            a += row[0]
     return acc
 
 

@@ -30,7 +30,9 @@ are pairwise distinct.
 :func:`cauchy_block` is the one builder of Cauchy blocks 1 / (x_j - s_k):
 model calls, AAA's values on its pool and VF's values in each round all go
 through it and on to :func:`cauchy_ratio`, so they share one layout and one
-matrix-vector product.  The fits take each step's pair from the kind's
+matrix-vector product.  A point equal to a support (a hit) is an exact zero
+difference, so the builder looks for hits only when inverting the block
+traps a division by zero.  The fits take each step's pair from the kind's
 ``_pair``, which also makes the pair that ``from_weights`` stores.  The
 block is column-major: each column is one contiguous subtraction, and the
 ratio's products run down the columns.  VF's QR buffer [C | f C] is the
@@ -56,6 +58,8 @@ _NORM_TOL = 1e-12
 # its term magnitudes; degree classification and the asymptotic moments
 # share it, so they always locate the same degree defects.
 _REL_TOL = 1e-8
+# the hit indices of a Cauchy block without hits
+_NO_HITS = (np.empty(0, dtype=np.intp),) * 2
 
 
 def _as_complex_vector(x, name):
@@ -279,6 +283,12 @@ class FitReport:
         )
 
 
+def _differences(points, supports, out):
+    """``out`` filled with x_j - s_k, one column at a time."""
+    for k in range(supports.size):
+        np.subtract(points, supports[k], out=out[:, k])
+
+
 def cauchy_block(points, supports, out=None):
     """Cauchy block 1 / (x_j - s_k) and the indices of its exact hits.
 
@@ -289,16 +299,28 @@ def cauchy_block(points, supports, out=None):
     equals a support are set to 1 instead; their (row, column) indices come
     back in row-major order, empty when there is none.  Returns the block
     and the index pair.
+
+    A hit is an exact zero difference, and 1 / 0 always raises numpy's
+    division-by-zero flag.  So the block is inverted with that flag
+    trapped, and only a trapped division looks for hits: it builds the
+    differences again, sets the zeros to 1 and inverts once more.  No other
+    flag is trapped, so overflow (a subnormal difference) and invalid
+    operations (a difference that overflowed) warn once, as numpy's
+    division does.
     """
     if out is None:
         out = np.empty((points.size, supports.size), dtype=complex, order="F")
-    for k in range(supports.size):
-        np.subtract(points, supports[k], out=out[:, k])
-    if out.all():
-        hits = (np.empty(0, dtype=np.intp),) * 2
-    else:
-        hits = np.nonzero(out == 0)
-        out[hits] = 1.0
+    _differences(points, supports, out)
+    try:
+        with np.errstate(divide="raise"):
+            np.divide(1.0, out, out=out)
+        return out, _NO_HITS
+    except FloatingPointError:
+        # the first build has reported its flags
+        with np.errstate(all="ignore"):
+            _differences(points, supports, out)
+    hits = np.nonzero(out == 0)
+    out[hits] = 1.0
     np.divide(1.0, out, out=out)
     return out, hits
 

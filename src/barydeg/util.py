@@ -13,16 +13,28 @@ _TINY = np.nextafter(0.0, 1.0)
 BLOCK = 2**13
 
 
-def relative_errors(values, approx):
-    """Pointwise |values - approx| / max(|values|, floor).
+def error_scale(values):
+    """The denominators max(|values|, floor) of :func:`relative_errors`.
 
     The floor is ``1e-300 * max|values|``, clamped away from zero so
     all-zero data stays finite.
     """
-    values = np.asarray(values)
-    mag = np.abs(values)
+    mag = np.abs(np.asarray(values))
     floor = max(_FLOOR_FACTOR * float(np.max(mag, initial=0.0)), _TINY)
-    return np.abs(values - np.asarray(approx)) / np.maximum(mag, floor)
+    return np.maximum(mag, floor, out=mag)
+
+
+def relative_errors(values, approx, scale=None):
+    """Pointwise |values - approx| / max(|values|, floor).
+
+    ``scale`` is ``error_scale(values)``, computed here when omitted; a
+    caller that measures several approximations of the same values passes
+    it once computed, with the same result bit for bit.
+    """
+    values = np.asarray(values)
+    if scale is None:
+        scale = error_scale(values)
+    return np.abs(values - np.asarray(approx)) / scale
 
 
 def blockwise(fn, s):

@@ -44,7 +44,7 @@ from .core import (
 )
 from .core import evaluate as eval_general
 from .errors import ConstraintError, GridError
-from .util import relative_errors
+from .util import error_scale, relative_errors
 
 DEFAULT_TOL = 1e-4
 DEFAULT_MAX_TERMS = 60
@@ -153,7 +153,7 @@ def vf_solve(grid, target_degree):
     if delta > 0:
         den = solve_constrained_weights(grid.r, grid.qf[:, delta:])
     else:
-        den = _min_right_vector(np.vstack([h[j:], grid.r]))
+        den = _min_right_vector(np.vstack([h[j:], grid.r]) if k else grid.r)
     u = np.linalg.solve(grid.t[:j, :j], h[:j] @ den)
     return grid.qf[:, k:] @ u[::-1], den
 
@@ -195,11 +195,16 @@ def vf_adaptive(samples, config, *, grids=None):
     depend on the samples and m alone.  A fit given a dict takes grid m
     from it when it holds m, and records ``grids[m]`` for every grid it
     factors; without one, each round's grid is freed.
+
+    Every round measures its values against the same samples, so the fit
+    takes their error scale (``error_scale``) once and passes it to each
+    round's ``relative_errors`` and to the report's.
     """
     cap = DEFAULT_MAX_TERMS if config.max_terms is None else config.max_terms
     target = config.target_degree
     delta = int(np.sign(target)) * min(abs(target), cap - 1)
     pts, vals = samples.points, samples.values
+    scale = error_scale(vals)
     converged = False
     for m in range(abs(delta), cap):
         if grids and m in grids:
@@ -212,12 +217,13 @@ def vf_adaptive(samples, config, *, grids=None):
         num, den = vf_solve(grid, delta)
         # a temporary block; _factor checked the supports disjoint from the samples
         rel = relative_errors(vals, cauchy_ratio(cauchy_block(pts, supports)[0],
-                                                 GeneralBarycentricModel._pair(num, den), pts))
+                                                 GeneralBarycentricModel._pair(num, den), pts),
+                              scale)
         if float(np.max(rel)) <= config.tol:
             converged = True
             break
     model = GeneralBarycentricModel.from_weights(supports, num, den)
-    rel = relative_errors(vals, eval_general(model, pts))
+    rel = relative_errors(vals, eval_general(model, pts), scale)
     report = FitReport.from_errors(model, rel, converged, delta,
                                    degree_diagnostics(model, delta))
     return model, report

@@ -9,6 +9,7 @@ import barydeg as bd
 from barydeg.asymptotic import (
     AsymptoticModel,
     FarField,
+    _horner,
     classify_degree,
     cutoff_radius,
     eval_asymptotic,
@@ -255,6 +256,50 @@ class TestEvalAsymptotic:
         while owner.base is not None:
             owner = owner.base
         assert owner.nbytes == out.nbytes
+
+
+def folded_horner(coeffs, w):
+    """Horner's rule over every coefficient of each row, the zeros included."""
+    acc = np.empty((coeffs.shape[0], w.size), dtype=complex)
+    acc[:] = coeffs[:, -1:]
+    for l in range(coeffs.shape[1] - 2, -1, -1):
+        acc *= w
+        acc += coeffs[:, l:l + 1]
+    return acc
+
+
+class TestHorner:
+    @pytest.mark.parametrize("mask", [
+        [0, 0, 1, 1, 1, 1],  # leading zeros
+        [1, 1, 1, 1, 0, 0],  # trailing zeros
+        [1, 0, 0, 1, 0, 1],  # interior zeros
+        [0, 0, 0, 1, 0, 0],  # a pure monomial, lo = hi > 0
+        [0, 0, 0, 0, 0, 1],
+        [1, 0, 0, 0, 0, 0],  # a constant
+        [0, 0, 0, 0, 0, 0],  # no nonzero coefficient
+        [1],  # a single coefficient
+    ])
+    def test_equals_the_folded_loop(self, mask):
+        rng = np.random.default_rng(sum(mask) + 7 * len(mask))
+        # one row with the mask's zeros, one without
+        mask = np.array([mask, np.ones(len(mask))], dtype=bool)
+        coeffs = np.where(mask, rng.normal(size=mask.shape) + 1j * rng.normal(size=mask.shape), 0)
+        w = np.exp(rng.uniform(-3, 3, 500) + 1j * rng.uniform(0, 2 * np.pi, 500))
+        assert _horner(coeffs, w).tobytes() == folded_horner(coeffs, w).tobytes()
+        # where w^5 underflows only a zero's sign may differ
+        w *= 1e-70
+        assert np.array_equal(_horner(coeffs, w), folded_horner(coeffs, w))
+
+    @pytest.mark.parametrize("n, forward", [(2, True), (3, True), (2, False), (3, False)])
+    def test_far_branch_of_the_chains(self, n, forward):
+        # the constrained side of these fits is one term c w^|rdeg|
+        pm = chain_piecewise(n, forward)
+        coeffs = pm.far.coeffs
+        assert np.count_nonzero(coeffs[0 if forward else 1]) == 1
+        w = pm.far.scale / far_sweep(pm)
+        assert _horner(coeffs, w).tobytes() == folded_horner(coeffs, w).tobytes()
+        w = pm.far.scale / np.array([4.2e60j, 1e100j])
+        assert np.array_equal(_horner(coeffs, w), folded_horner(coeffs, w))
 
 
 class TestCutoffRadius:

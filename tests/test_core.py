@@ -1,5 +1,6 @@
 
 import importlib
+import warnings
 
 import numpy as np
 import pytest
@@ -394,6 +395,78 @@ class TestCauchyBlock:
         misses = np.ones(block.shape, dtype=bool)
         misses[hit_i, hit_k] = False
         assert block[misses].tobytes() == (1.0 / np.subtract.outer(pts, sj)[misses]).tobytes()
+
+    @staticmethod
+    def scanning_block(points, supports, out):
+        """The block as built by scanning every difference for a zero first."""
+        for k in range(supports.size):
+            np.subtract(points, supports[k], out=out[:, k])
+        if out.all():
+            hits = (np.empty(0, dtype=np.intp),) * 2
+        else:
+            hits = np.nonzero(out == 0)
+            out[hits] = 1.0
+        np.divide(1.0, out, out=out)
+        return out, hits
+
+    @pytest.mark.parametrize("hits", [
+        [(0, 1)],  # in the first row
+        [(7, 3), (29, 3)],  # in the last column
+        [(0, 0), (12, 2), (29, 3)],
+    ])
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_hits_equal_the_scanning_reference(self, hits, strided):
+        rng = np.random.default_rng(len(hits))
+        pts, sj = random_complex(rng, 30), random_complex(rng, 4)
+        for i, k in hits:
+            pts[i] = sj[k]
+        if strided:
+            # the Cauchy half of a row-major [C | f C] buffer, as VF fills it
+            bufs = [np.full((30, 8), 7.0 + 7.0j) for _ in range(2)]
+            outs = [buf[:, :4] for buf in bufs]
+        else:
+            outs = [np.empty((30, 4), dtype=complex, order="F") for _ in range(2)]
+        block, (hit_i, hit_k) = cauchy_block(pts, sj, out=outs[0])
+        ref, (ref_i, ref_k) = self.scanning_block(pts, sj, outs[1])
+        assert block is outs[0]
+        assert list(zip(hit_i.tolist(), hit_k.tolist())) == hits
+        assert hit_i.tolist() == ref_i.tolist() and hit_k.tolist() == ref_k.tolist()
+        assert block.tobytes() == ref.tobytes()
+        if strided:
+            assert bufs[0].tobytes() == bufs[1].tobytes()
+
+    def test_subnormal_difference_warns_of_overflow(self):
+        # 1 / (d + d i) overflows without dividing by zero: no hit, and the
+        # warning of numpy's division, not a trapped error
+        d = 1e-310
+        pts, sj = np.array([1.0, d + 1j * d]), np.array([0j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                cauchy_block(pts, sj)
+        with np.errstate(over="ignore"):
+            block, (hit_i, hit_k) = cauchy_block(pts, sj)
+        assert hit_i.size == hit_k.size == 0
+        assert block[1, 0] == complex(np.inf, -np.inf)
+
+    @pytest.mark.parametrize("points", [
+        [1.0, 1e-310 + 1e-310j],  # 1 / d overflows
+        [1.0, 1e-310],  # 1 / d overflows, and 0 * inf is invalid
+        [1e308 + 1e308j, 1.0],  # the difference overflows, and inf / inf is invalid
+        [0.0, 1e308 + 1e308j],  # as well as a hit
+    ])
+    def test_warns_as_the_scanning_reference(self, points):
+        pts, sj = np.array(points, dtype=complex), np.array([0j, -1e308 - 1e308j])
+        caught = []
+        for build in (lambda: cauchy_block(pts, sj), lambda: self.scanning_block(
+                pts, sj, np.empty((pts.size, sj.size), dtype=complex, order="F"))):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                block, hits = build()
+            caught.append(([str(w.message) for w in seen], block.tobytes(),
+                           [h.tolist() for h in hits]))
+        assert caught[0][0]
+        assert caught[0] == caught[1]
 
 
 class TestLoewner:

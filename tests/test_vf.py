@@ -317,8 +317,8 @@ class TestVfRounds:
         relative_errors = vf_module.relative_errors
         errors = []
 
-        def keeping(values, approx):
-            errors.append(relative_errors(values, approx))
+        def keeping(values, approx, scale=None):
+            errors.append(relative_errors(values, approx, scale))
             return errors[-1]
 
         monkeypatch.setattr(vf_module, "relative_errors", keeping)
