@@ -23,13 +23,18 @@ N = w^defect * A(w), and pi cancels in the ratio, so with m = min(mu, nu)
     r(s) = (s/scale)^rdeg * A(w) / B(w) = P(w) / Q(w),
     P = w^(mu - m) * A,  Q = w^(nu - m) * B,
 
-with no truncation (:func:`far_field`).  P and Q have the same length, so
-one accumulator holds both sides, and each side's Horner pass
-(:func:`_horner`) runs over its nonzero coefficients only: the zeros the
-monomial pads in cost a plain multiply each, and a side's trailing zeros
-cost nothing.  The truncated expansion (:func:`moments`) still places the
-cutoff and is what the seam and oracle checks test; it is evaluated in the
-same folded form.
+with no truncation (:func:`far_field`).  P and Q have the same length L,
+so one accumulator holds both sides, and each side's Horner pass
+(:func:`_horner`) runs over its nonzero coefficients only.  In
+u = s/scale = 1/w, u^(L-1) * P(1/u) is P's row reversed, so for |s| from
+scale to reach = scale * 2^(512/(L-1)) the far kernel (:func:`_far_kernel`)
+takes one Horner pass per side in u and one division, with no division for
+w.  The monomial's zeros become the top of the reversed row, which costs
+nothing: the side of a fit with |rdeg| = terms - 1 is a constant.  A block
+reaching outside that annulus runs the form in w, where those zeros cost a
+plain multiply each.  The truncated expansion (:func:`moments`) still
+places the cutoff and is what the seam and oracle checks test; it is
+evaluated in the same folded form.
 
 Both heuristics leave out model-dependent constants.  The truncation error
 of the expansion carries the moment ratio |c_{N+1}/c_0 - d_{N+1}/d_0|; the
@@ -51,6 +56,7 @@ from .util import blockwise, relative_errors
 
 DEFAULT_ORDER = 10
 EPS_FLOOR = 1e-16
+_NORMAL = np.finfo(float).tiny
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,35 +251,65 @@ def _rescale_sums(sums, shat, start):
 def eval_asymptotic(asym, s):
     """Evaluate an :class:`AsymptoticModel` or a :class:`FarField` at scalar or array ``s``.
 
-    Points must be finite and nonzero.  Each side of the folded pair
-    ``asym.coeffs`` runs through one Horner pass in w = scale/s over its
-    nonzero coefficients, into a (2, n) accumulator, and then one ratio.  A
-    block that overflows or divides by zero fails at its first non-finite
-    point: ``PoleEvaluationError`` where the denominator's series vanishes,
-    else ``ValueError``, as |s| lies beyond the double range of the form.
-    No value returned is non-finite.
+    Points must be finite and nonzero; both are checked before any block
+    runs, and each block is then written into the output by the kernel of
+    :func:`_far_kernel`.  No value returned is non-finite: a block that
+    overflows or divides by zero fails at its first non-finite point,
+    ``PoleEvaluationError`` where the denominator's series vanishes, else
+    ``ValueError``, as |s| lies beyond the double range of the form.
     """
     if not np.asarray(s).all():
         raise ValueError("asymptotic form is undefined at s = 0")
-    coeffs, scale = asym.coeffs, asym.scale
+    far = _far_kernel(asym)
+    return blockwise(lambda x, out: far(x, out, np.abs(x)), s)
 
-    def steps(x):
-        """w, both sides and their ratio, a new array that keeps no accumulator alive."""
+
+def _far_kernel(asym):
+    """The block kernel ``block(x, out, mag)`` of the folded pair ``asym.coeffs``, mag = |x|.
+
+    It writes P/Q at the nonzero points ``x`` into ``out``.  With L the
+    pair's length, u^(L-1) * P(1/u) is P's row reversed, so where the
+    block lies wholly in the annulus scale <= |x| <= reach,
+    reach = scale * 2^(512/(L-1)), each side runs one Horner pass in
+    u = x * (1/scale) over its nonzero coefficients, and then one ratio.
+    There 1 <= |u| and |w| <= 1 with |u|^(L-1) <= 2^512, so no power the
+    passes form comes near overflow or underflow.  Any other block, and a
+    block where a u step traps, runs the form in w = scale/x, whose
+    failure decides the error: a pole, or a point beyond the double range.
+    """
+    coeffs, scale = asym.coeffs, asym.scale
+    reverse = coeffs[:, ::-1]
+    width = coeffs.shape[1]
+    inv = 1.0 / scale
+    reach = scale * 2.0 ** (512 / (width - 1)) if width > 1 else np.inf
+    if not _NORMAL <= inv < np.inf:
+        reach = 0.0  # a subnormal or infinite 1/scale would round u: no block takes it
+
+    def steps(x, ratio=None):
+        """w, both sides and their ratio, written into ``ratio`` when given."""
         w = scale / x
         num, den = _horner(coeffs, w)
-        return w, num, den, num / den
+        return w, num, den, np.divide(num, den, out=ratio)
 
-    def block(x):
+    def block(x, out, mag):
+        if scale <= mag.min() and mag.max() <= reach:
+            try:
+                with np.errstate(over="raise", divide="raise", invalid="raise"):
+                    num, den = _horner(reverse, x * inv)
+                    np.divide(num, den, out=out)
+                return
+            except FloatingPointError:
+                pass  # the w form below fails where the model does
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                return steps(x)[-1]
+                steps(x, out)
         except FloatingPointError:
             with np.errstate(all="ignore"):
                 parts = steps(x)
                 i = np.argmax(~np.isfinite(parts).all(axis=0))
                 raise _nonfinite_error(coeffs[1], parts[0][i:i + 1], x[i]) from None
 
-    return blockwise(block, s)
+    return block
 
 
 def _horner(coeffs, w):
@@ -351,19 +387,30 @@ def make_piecewise(model, samples):
 def eval_piecewise(pm, s):
     """Barycentric evaluation for |s| <= cutoff, the exact far branch beyond.
 
-    Points are split and evaluated block by block; a non-finite point
-    raises before any block runs.  A block wholly on one side of the cutoff
-    goes to its branch whole, without a masked copy.
+    The points are checked once, as every evaluator checks them: a
+    non-finite one raises before any block runs.  Each block then computes
+    |x| once and routes its points by |x| <= cutoff, the test of
+    :meth:`PiecewiseModel.near`, to the two branch kernels, which write
+    into the output: a block wholly on one side goes to its branch whole,
+    a mixed one in its two parts.  Far points need no s = 0 check, as
+    |x| > cutoff > 0 there.
     """
-    def block(x):
-        near = pm.near(x)
+    near_kernel, far_kernel, cutoff = pm.bary._kernel(), _far_kernel(pm.far), pm.cutoff
+
+    def block(x, out):
+        mag = np.abs(x)
+        near = mag <= cutoff
         if near.all():
-            return evaluate(pm.bary, x)
-        if not near.any():
-            return eval_asymptotic(pm.far, x)
-        out = np.empty(x.shape, dtype=complex)
-        out[near] = evaluate(pm.bary, x[near])
-        out[~near] = eval_asymptotic(pm.far, x[~near])
-        return out
+            near_kernel(x, out)
+        elif not near.any():
+            far_kernel(x, out, mag)
+        else:
+            far = ~near
+            part = np.empty(np.count_nonzero(near), dtype=complex)
+            near_kernel(x[near], part)
+            out[near] = part
+            part = np.empty(x.size - part.size, dtype=complex)
+            far_kernel(x[far], part, mag[far])
+            out[far] = part
 
     return blockwise(block, s)

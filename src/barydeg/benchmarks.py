@@ -88,18 +88,18 @@ def inverse_tf(sys, s):
     """Position-to-force map, 1 / :func:`forward_tf`; ``ValueError`` where that is 0."""
     forward = _chain_solver(sys)
 
-    def block(x):
-        h = forward(x)
-        if not h.all():
-            si = x[np.argmax(h == 0)]
+    def block(x, out):
+        forward(x, out)
+        if not out.all():
+            si = x[np.argmax(out == 0)]
             raise ValueError(f"s = {si} is beyond the double range of the forward map")
-        return np.divide(1.0, h, out=h)
+        np.divide(1.0, out, out=out)
 
     return blockwise(block, s)
 
 
 def _chain_solver(sys):
-    """Block function for :func:`blockwise`: the forward map at a point vector.
+    """Block kernel for :func:`blockwise`: the forward map at ``x``, written into ``out``.
 
     K(s) = s^2 M - A is tridiagonal with off-diagonal -k_j, so the map is
     (K^-1)_{1n} = prod(k) / theta_n, where theta_j is the leading principal
@@ -115,7 +115,7 @@ def _chain_solver(sys):
     k = [float(v) for v in sys.springs] + [0.0]
     gain = float(np.prod(sys.springs))
 
-    def block(x):
+    def block(x, out):
         with np.errstate(over="ignore", invalid="ignore"):
             s2 = x * x
             prev, theta = 1.0, s2 * m[0] + k[0]
@@ -125,8 +125,8 @@ def _chain_solver(sys):
         if not theta.all():
             si = x[np.flatnonzero(theta == 0)[0]]
             raise PoleEvaluationError(f"system matrix singular at {si}", point=si)
-        out = np.zeros_like(theta)
-        return np.divide(gain, theta, out=out, where=np.isfinite(theta))
+        out.fill(0.0)
+        np.divide(gain, theta, out=out, where=np.isfinite(theta))
 
     return block
 

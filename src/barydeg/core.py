@@ -30,7 +30,9 @@ are pairwise distinct.
 :func:`cauchy_block` is the one builder of Cauchy blocks 1 / (x_j - s_k):
 model calls, AAA's values on its pool and VF's values in each round all go
 through it and on to :func:`cauchy_ratio`, so they share one layout and one
-matrix-vector product.  A point equal to a support (a hit) is an exact zero
+matrix-vector product.  A model call is the block kernel of
+:func:`~barydeg.util.blockwise`: each block's ratio is written straight into
+its slice of the output.  A point equal to a support (a hit) is an exact zero
 difference, so the builder looks for hits only when inverting the block
 traps a division by zero.  The fits take each step's pair from the kind's
 ``_pair``, which also makes the pair that ``from_weights`` stores.  The
@@ -127,16 +129,19 @@ class _Barycentric(_PointSet):
 
     def __call__(self, s):
         """Evaluate at scalar or array ``s``; a support (bitwise) gives its value."""
+        return blockwise(self._kernel(), s)
+
+    def _kernel(self):
+        """The block kernel ``block(x, out)``: the values at ``x``, written into ``out``."""
         coefficients = self.coefficients
 
-        def block(x):
+        def block(x, out):
             cauchy, (hit_i, hit_k) = cauchy_block(x, self.supports)
             on_hits = [self._on_support(k) for k in hit_k]
-            out = cauchy_ratio(cauchy, coefficients, x, exempt=hit_i)
+            cauchy_ratio(cauchy, coefficients, x, exempt=hit_i, out=out)
             out[hit_i] = on_hits
-            return out
 
-        return blockwise(block, s)
+        return block
 
     @property
     def terms(self):
@@ -217,14 +222,7 @@ class GeneralBarycentricModel(_Barycentric):
     @staticmethod
     def _pair(num_weights, den_weights):
         """``from_weights``' coefficients: the vectors (n, d) scaled to ||[n; d]|| = 1."""
-        stacked = np.concatenate([num_weights, den_weights])
-        with np.errstate(over="ignore"):
-            norm = np.linalg.norm(stacked)
-        if not np.isfinite(norm):
-            # the squares overflow above about 1e154: scale by the largest
-            # magnitude first
-            big = np.max(np.abs(stacked))
-            norm = big * np.linalg.norm(stacked / big)
+        norm = _scaled_norm(np.concatenate([num_weights, den_weights]))
         if norm == 0.0:
             raise ValueError("coefficient vector must be nonzero")
         return num_weights / norm, den_weights / norm
@@ -275,12 +273,28 @@ class FitReport:
         return cls(
             terms=model.terms,
             linf_rel_error=float(np.max(rel)),
-            l2_rel_error=float(np.linalg.norm(rel)),
+            l2_rel_error=float(_scaled_norm(rel)),
             converged=converged,
             constraint_residual=residual,
             leading_sum_magnitudes=leading,
             effective_degree=effective_degree,
         )
+
+
+def _scaled_norm(v):
+    """Euclidean norm of ``v``, rescaled by max|v| only where the plain one overflows.
+
+    The squares overflow above about 1e154; rescaled, the norm stays finite
+    up to the double range.  Wherever the plain norm is finite, or ``v``
+    holds a non-finite entry, it is ``np.linalg.norm(v)`` bit for bit.
+    """
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(v)
+    if np.isinf(norm):
+        big = np.max(np.abs(v))
+        if big < np.inf:
+            norm = big * np.linalg.norm(v / big)
+    return norm
 
 
 def _differences(points, supports, out):
@@ -325,17 +339,18 @@ def cauchy_block(points, supports, out=None):
     return out, hits
 
 
-def cauchy_ratio(cauchy, coefficients, points, exempt=None):
+def cauchy_ratio(cauchy, coefficients, points, exempt=None, out=None):
     """Barycentric ratio (C @ n) / (C @ d) of a Cauchy block C.
 
     ``cauchy`` holds 1 / (x_i - s_k) for the points ``x_i`` in its rows and
     the supports ``s_k`` in its columns; ``coefficients`` is the (n, d)
-    pair.  A vanishing denominator raises PoleEvaluationError at the first
-    such point, except in the rows indexed by ``exempt``, whose values the
-    caller replaces.
+    pair.  The ratio is written into ``out``, a new vector when omitted,
+    and returned.  A vanishing denominator raises PoleEvaluationError at
+    the first such point, except in the rows indexed by ``exempt``, whose
+    values the caller replaces.
     """
     num_coeffs, den_coeffs = coefficients
-    num = cauchy @ num_coeffs
+    num = np.matmul(cauchy, num_coeffs, out=out)
     den = cauchy @ den_coeffs
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.divide(num, den, out=num)

@@ -38,25 +38,23 @@ def relative_errors(values, approx, scale=None):
 
 
 def blockwise(fn, s):
-    """``fn`` applied to the finite points of scalar or array ``s``, in blocks.
+    """The block kernel ``fn`` run over the finite points of scalar or array ``s``.
 
     ``s`` is flattened to a complex vector; any non-finite point raises
-    ``ValueError`` before ``fn`` runs.  ``fn`` maps a 1-D point vector to
-    complex values of the same length.  Up to ``BLOCK`` points it is called
-    once on the whole vector; longer inputs are written block by block of at
-    most ``BLOCK`` points into one preallocated complex output.  The result
-    has the shape of ``s``, or is a Python complex when ``s`` is a scalar.
+    ``ValueError`` before ``fn`` runs.  One complex output is allocated, and
+    ``fn(x, out)`` is called on each slice ``x`` of at most ``BLOCK`` points
+    in order, with ``out`` the matching slice of the output, which ``fn``
+    fills in place.  An exception from a block propagates and no later
+    block runs.  The result has the shape of ``s``, or is a Python complex
+    when ``s`` is a scalar.
     """
     sv = np.asarray(s, dtype=complex).ravel()
     # a complex value is finite exactly when both its parts are
     if not np.isfinite(sv.view(np.float64)).all():
         raise ValueError("evaluation points must be finite")
-    if sv.size <= BLOCK:
-        out = fn(sv)
-    else:
-        out = np.empty(sv.size, dtype=complex)
-        for start in range(0, sv.size, BLOCK):
-            out[start:start + BLOCK] = fn(sv[start:start + BLOCK])
+    out = np.empty(sv.size, dtype=complex)
+    for start in range(0, sv.size, BLOCK):
+        fn(sv[start:start + BLOCK], out[start:start + BLOCK])
     if np.ndim(s) == 0:
         return complex(out[0])
     return out.reshape(np.shape(s))

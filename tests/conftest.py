@@ -41,7 +41,7 @@ def traced_peak(fn, *args):
 def sliced(fn, s):
     """``fn`` called on each ``BLOCK``-point slice of ``s`` alone, joined.
 
-    Each call takes the evaluators' direct path.  The reference is per
+    Each call is one block of the evaluator.  The reference is per
     block, not per point: a one-point call uses numpy's dot product
     instead of its matrix-vector product and may differ in the last bit.
     """

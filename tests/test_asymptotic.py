@@ -716,3 +716,98 @@ class TestFarField:
         s = far_sweep(pm)
         # measured 1.8e-14; the series reaches 2.3e-3
         assert max_rel_err(eval_piecewise(pm, s), deflated_form(pm.bary, s)) <= 1e-12
+
+
+def reach(far):
+    """The outer radius of the far kernel's annulus, scale * 2^(512/(L-1))."""
+    return far.scale * 2.0 ** (512 / (far.coeffs.shape[1] - 1))
+
+
+def u_form(far, s):
+    """P/Q by Horner's rule in u = s * (1/scale) over the reversed rows."""
+    num, den = folded_horner(far.coeffs[:, ::-1], s * (1 / far.scale))
+    return num / den
+
+
+def w_form(far, s):
+    """P/Q by Horner's rule in w = scale/s over the folded rows."""
+    num, den = folded_horner(far.coeffs, far.scale / s)
+    return num / den
+
+
+CHAINS = [(2, True), (3, True), (2, False), (3, False)]
+
+
+class TestFarAnnulus:
+    """A far block wholly in scale <= |s| <= reach runs in u = s/scale, any other in w."""
+
+    @pytest.mark.parametrize("n, forward", CHAINS)
+    def test_a_block_inside_is_the_reversed_rows_in_u(self, n, forward):
+        pm = chain_piecewise(n, forward)
+        s = far_sweep(pm)
+        assert pm.far.scale <= np.min(np.abs(s)) and np.max(np.abs(s)) <= reach(pm.far)
+        expected = u_form(pm.far, s).tobytes()
+        assert eval_asymptotic(pm.far, s).tobytes() == expected
+        assert eval_piecewise(pm, s).tobytes() == expected
+
+    @pytest.mark.parametrize("n, forward", CHAINS)
+    @pytest.mark.parametrize("edge", ["below scale", "beyond reach"])
+    def test_one_point_outside_puts_its_block_in_w(self, n, forward, edge):
+        pm = chain_piecewise(n, forward)
+        far = pm.far
+        s = far_sweep(pm)
+        if edge == "below scale":
+            s[1234] = 1j * np.nextafter(far.scale, 0.0)
+        else:
+            s[1234] = 1j * np.nextafter(reach(far), np.inf)
+        assert eval_asymptotic(far, s).tobytes() == w_form(far, s).tobytes()
+        # a point below the scale lies below the cutoff too, and leaves the far branch
+        if edge == "beyond reach":
+            assert eval_piecewise(pm, s).tobytes() == w_form(far, s).tobytes()
+
+    @pytest.mark.parametrize("n, forward", CHAINS)
+    def test_chain_fits_agree_in_u_and_w(self, n, forward):
+        pm = chain_piecewise(n, forward)
+        s = far_sweep(pm)
+        # measured <= 2.5e-15
+        assert max_rel_err(eval_piecewise(pm, s), w_form(pm.far, s)) <= 1e-14
+
+    @pytest.mark.parametrize("forward", [True, False])
+    @pytest.mark.parametrize("degree", [0, -4, 4])
+    def test_many_term_fits_are_as_accurate_in_u_as_in_w(self, forward, degree):
+        samples = chain_samples(2, forward, noise=1e-6, count=400)
+        model, _ = bd.aaa(samples, bd.AaaConfig(tol=1e-9, target_degree=degree, max_terms=60))
+        assert model.terms == 60
+        pm = make_piecewise(model, samples)
+        # the far branch from the cutoff to just inside reach, 410 * scale here
+        s = bd.sample_grid(pm.cutoff * (1 + 1e-12), reach(pm.far) * (1 - 1e-12), 4000)
+        assert not pm.near(s).any() and pm.far.scale <= pm.cutoff
+        values = eval_piecewise(pm, s)
+        assert values.tobytes() == u_form(pm.far, s).tobytes()
+        reference = deflated_form(pm.bary, s)
+        # measured 0.78-1.00: the two forms differ by up to 4e-8 on these
+        # ill-conditioned fits, but neither is the less accurate
+        assert max_rel_err(values, reference) <= 1.1 * max_rel_err(w_form(pm.far, s), reference)
+
+    def test_a_scale_without_a_normal_reciprocal_keeps_w(self):
+        # 1/scale is subnormal here and would round u
+        scale = 1.7e308
+        asym = AsymptoticModel(mu=0, nu=0, scale=scale,
+                               num_moments_scaled=np.array([1.0, 0.5]),
+                               den_moments_scaled=np.array([1.0, 0.25]))
+        s = scale * np.array([1.0, 1.03, 1.05], dtype=complex)
+        assert np.max(np.abs(s)) <= reach(asym)
+        assert eval_asymptotic(asym, s).tobytes() == w_form(asym, s).tobytes()
+
+    def test_pole_inside_the_annulus_raises_there(self):
+        # denominator series 1 - 1/s, so 1 - w, or u - 1 reversed: a pole at s = 1 = scale
+        asym = AsymptoticModel(mu=0, nu=0, scale=1.0,
+                               num_moments_scaled=np.array([1.0, 0.0]),
+                               den_moments_scaled=np.array([1.0, -1.0]))
+        s = np.geomspace(1.5, 1e100, 3 * BLOCK).astype(complex)
+        assert np.max(np.abs(s)) <= reach(asym)
+        assert eval_asymptotic(asym, s).tobytes() == u_form(asym, s).tobytes()
+        s[2 * BLOCK + 7] = 1.0
+        with pytest.raises(PoleEvaluationError) as exc:
+            eval_asymptotic(asym, s)
+        assert exc.value.point == 1.0

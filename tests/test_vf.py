@@ -1,4 +1,5 @@
 import importlib
+import warnings
 
 import numpy as np
 import pytest
@@ -145,6 +146,18 @@ class TestVfAdaptive:
         model, rep = bd.vf_adaptive(ss, bd.VfConfig(tol=1e-4))
         assert rep.converged and rep.terms == 1
         assert rep.linf_rel_error <= 1e-12
+
+    def test_exact_zero_samples_report_a_finite_l2_error(self):
+        # a zero value's floored scale makes its relative error about 1e285,
+        # whose square overflows the plain Euclidean norm
+        pts = bd.sample_grid(1e-2, 1.0, 50)
+        vals = np.zeros(50, dtype=complex)
+        vals[-1] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, rep = bd.vf_adaptive(bd.SampleSet(pts, vals), bd.VfConfig())
+        assert rep.linf_rel_error > 1e200
+        assert rep.linf_rel_error <= rep.l2_rel_error < np.inf
 
     def test_forward_chain_prescribed_degree(self, fwd2_samples):
         model, rep = bd.vf_adaptive(fwd2_samples, bd.VfConfig(tol=1e-4, target_degree=-4))
