@@ -9,9 +9,9 @@ Laurent-type expansion around infinity,
     r(s) ~ (sum_l c_l s^-l) / (sum_l d_l s^-l) * s^rdeg,
 
 with moment coefficients c_l, d_l given by power sums of the barycentric
-coefficients starting at the degree defects.  A piecewise model stores only
-the fit and switches from the barycentric form to a far branch at a cutoff
-radius, derived from the fit, where the two forms' error models balance.
+coefficients starting at the degree defects.  The paper switches from the
+barycentric form to the expansion at a cutoff radius where heuristic error
+models of the two forms balance (:func:`cutoff_radius`).
 
 The far branch is the same expansion summed to all orders: the model's own
 rational in w = scale/s.  With z_k = s_k/scale and pi(w) = prod_k (1 - z_k w),
@@ -36,12 +36,21 @@ plain multiply each.  The truncated expansion (:func:`moments`) still
 places the cutoff and is what the seam and oracle checks test; it is
 evaluated in the same folded form.
 
-Both heuristics leave out model-dependent constants.  The truncation error
-of the expansion carries the moment ratio |c_{N+1}/c_0 - d_{N+1}/d_0|; the
-barycentric cancellation error carries the relative size of the residual
-lower power sums, which a fit zeroes only to rounding.  These constants can
-exceed 1 by one or two orders of magnitude, so the cutoff formula places the
-radius but does not bound the error at the seam.
+Both heuristics of the cutoff leave out model-dependent constants.  The
+truncation error of the expansion carries the moment ratio
+|c_{N+1}/c_0 - d_{N+1}/d_0|; the barycentric cancellation error carries the
+relative size of the residual lower power sums, which a fit zeroes only to
+rounding.  These constants can exceed 1 by one or two orders of magnitude,
+so the cutoff formula places the radius but does not bound the error at the
+seam, and the far branch, which truncates nothing, has no truncation error
+to balance.  A piecewise model therefore stores only the fit and switches
+to the far branch at ``switch``: the first radius of a fixed ladder above
+the scale where two estimates computed from the model's own coefficients
+cross (:func:`_switch_estimates`), the running error bound of the far
+branch's Horner passes and the barycentric form's cancellation from the
+residual power sums.  The switch lies between the band edge ``train_T`` and
+the cutoff, which bounds it and stays the seam of the truncated expansion;
+a fit whose residual power sums vanish exactly switches at the cutoff.
 """
 
 import functools
@@ -50,13 +59,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _as_complex_vector, _Barycentric, _power_sum_scan, evaluate
+from .core import _as_complex_vector, _Barycentric, _power_sum_scan, evaluate, vandermonde
 from .errors import PoleEvaluationError
 from .util import blockwise, relative_errors
 
 DEFAULT_ORDER = 10
 EPS_FLOOR = 1e-16
 _NORMAL = np.finfo(float).tiny
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+# the switch radius is the first of these multiples of the scale where the
+# far branch's error estimate falls to the barycentric one's; the ladder goes
+# on as 10, 20, 30, 50, 100, ...
+_LADDER = (1.01, 1.1, 1.25, 1.5, 2.0, 3.0, 5.0)
+_DECADE = (1.0, 2.0, 3.0, 5.0)
+# the directions of s at which the far estimate is taken, |P(w)| depending on them
+_DIRECTIONS = np.exp(2j * np.pi * np.arange(16) / 16)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,10 +156,11 @@ class PiecewiseModel:
 
     Only the fit is stored: ``bary``, the largest sampled frequency
     magnitude ``train_T`` and the largest training relative error
-    ``train_eps``; ``asym`` and ``cutoff`` are derived on construction.
-    Evaluation uses the barycentric form up to ``cutoff`` (inclusive) and
-    the far branch ``far``, the model's exact rational in w = scale/s as a
-    :class:`FarField`, beyond it.
+    ``train_eps``; ``asym`` and ``cutoff`` are derived on construction,
+    ``far`` and ``switch`` on first use.  Evaluation uses the barycentric
+    form up to ``switch`` (inclusive) and the far branch ``far``, the
+    model's exact rational in w = scale/s as a :class:`FarField`, beyond
+    it.  ``switch`` lies in [``train_T``, ``cutoff``].
     """
 
     bary: object
@@ -161,8 +179,8 @@ class PiecewiseModel:
         return eval_piecewise(self, s)
 
     def near(self, s):
-        """True where ``s`` takes the barycentric branch, |s| <= cutoff."""
-        return np.abs(s) <= self.cutoff
+        """True where ``s`` takes the barycentric branch, |s| <= switch."""
+        return np.abs(s) <= self.switch
 
     @functools.cached_property
     def asym(self):
@@ -171,7 +189,11 @@ class PiecewiseModel:
 
     @functools.cached_property
     def cutoff(self):
-        """``cutoff_radius`` of the fit at the order of ``asym``, never below ``train_T``."""
+        """``cutoff_radius`` of the fit at the order of ``asym``, never below ``train_T``.
+
+        It bounds ``switch`` from above, and it is where the truncated
+        expansion ``asym`` meets the barycentric form.
+        """
         radius = cutoff_radius(self.train_T, self.train_eps, self.asym.rdeg, self.asym.order)
         return max(radius, self.train_T)
 
@@ -179,6 +201,23 @@ class PiecewiseModel:
     def far(self):
         """The far branch, ``far_field(bary)``: derived on first use, never stored."""
         return far_field(self.bary)
+
+    @functools.cached_property
+    def switch(self):
+        """The radius where evaluation changes branch, derived on first use, never stored.
+
+        It is the first radius of the ladder scale * {1.01, 1.1, 1.25, 1.5,
+        2, 3, 5, 10, 20, 30, 50, 100, ...} below ``cutoff`` at which the far
+        branch's error estimate is at most the barycentric one's
+        (:func:`_switch_estimates`), raised to ``train_T``; ``cutoff``
+        where no radius below it qualifies.  A fit whose power sums below
+        the defects vanish exactly has no barycentric cancellation to
+        estimate, so it switches at ``cutoff``.
+        """
+        for radius, e_far, e_bary in _switch_estimates(self.bary, self.cutoff):
+            if e_far <= e_bary:
+                return max(radius, self.train_T)
+        return self.cutoff
 
 
 def moments(model, order=DEFAULT_ORDER):
@@ -215,6 +254,57 @@ def far_field(model):
     num = np.convolve(pi, num_sums)[:terms - mu]
     den = np.convolve(pi, den_sums)[:terms - nu]
     return FarField(scale=shat, coeffs=_fold(num, den, mu, nu))
+
+
+def _switch_estimates(model, top):
+    """(radius, E_far, E_bary) at each radius of the switch ladder below ``top``.
+
+    Both estimate a branch's relative error from the model's own
+    coefficients, O(terms) per radius.  E_far is the running error bound of
+    Horner's rule (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2002, 5.1) for A and B of :func:`far_field`, u * sum_l c'_l |w|^l / |A(w)|
+    plus the same for B, with u the unit roundoff and c' = |pi| * |p| the
+    absolute convolution that forms each coefficient; it is taken at the
+    worst of 16 equally spaced directions of s, as |A(w)| depends on them.
+    Both branches then share a floor from the conditioning of the leading
+    power sums, u * sum_k |c_k| |z_k|^mu / |p_mu| per side, which E_far
+    includes.  E_bary is the cancellation estimate of the barycentric form
+    (Higham, IMA JNA 2004): each power sum below a side's defect, zero in
+    exact arithmetic, enters with relative weight
+    |sum_k c_k z_k^l| / |p_mu| * (R/scale)^(mu - l); it is 0 where those
+    sums vanish exactly.
+    """
+    terms = model.terms
+    mu, nu, num_sums, den_sums, scale = _power_sum_scan(model, extra_orders=terms - 1)
+    pi = np.poly(model.supports / scale)
+    powers = vandermonde(model.supports, max(mu, nu) + 1)
+    pair, bound, residual, floor = [], [], [], 0.0
+    for c, defect, sums in zip(model.coefficients, (mu, nu), (num_sums, den_sums)):
+        pair.append(np.convolve(pi, sums)[:terms - defect])
+        bound.append(np.convolve(np.abs(pi), np.abs(sums))[:terms - defect])
+        lead = abs(sums[0])
+        residual.append(np.abs(c @ powers[:, :defect]) / lead)
+        floor += _UNIT_ROUNDOFF * float(np.abs(c) @ np.abs(powers[:, defect])) / lead
+    pair, bound = _fold(*pair, 0, 0), _fold(*bound, 0, 0)
+    with np.errstate(all="ignore"):  # a far radius may overflow E_bary, or meet a pole
+        for ratio in _ladder():
+            radius = scale * ratio
+            if not radius < top:
+                return
+            num, den = np.abs(_horner(pair, _DIRECTIONS / ratio))
+            (bnum,), (bden,) = _horner(bound, np.array([1 / ratio])).real
+            e_far = floor + _UNIT_ROUNDOFF * float(np.max(bnum / num + bden / den))
+            e_bary = sum(float(r @ ratio ** np.arange(r.size, 0.0, -1)) for r in residual)
+            yield radius, e_far, e_bary
+
+
+def _ladder():
+    """The switch ladder's ratios to the scale: 1.01, 1.1, ... 5, then 10, 20, 30, 50, 100, ..."""
+    yield from _LADDER
+    decade = 10.0
+    while True:
+        yield from (decade * r for r in _DECADE)
+        decade *= 10.0
 
 
 def _fold(num, den, mu, nu):
@@ -261,70 +351,92 @@ def eval_asymptotic(asym, s):
     if not np.asarray(s).all():
         raise ValueError("asymptotic form is undefined at s = 0")
     far = _far_kernel(asym)
-    return blockwise(lambda x, out: far(x, out, np.abs(x)), s)
+
+    def block(x, out):
+        mag = np.abs(x)
+        far(x, out, mag.min(), mag.max())
+
+    return blockwise(block, s)
 
 
 def _far_kernel(asym):
-    """The block kernel ``block(x, out, mag)`` of the folded pair ``asym.coeffs``, mag = |x|.
+    """The block kernel ``block(x, out, lo, hi)`` of the folded pair ``asym.coeffs``.
 
-    It writes P/Q at the nonzero points ``x`` into ``out``.  With L the
-    pair's length, u^(L-1) * P(1/u) is P's row reversed, so where the
-    block lies wholly in the annulus scale <= |x| <= reach,
-    reach = scale * 2^(512/(L-1)), each side runs one Horner pass in
-    u = x * (1/scale) over its nonzero coefficients, and then one ratio.
-    There 1 <= |u| and |w| <= 1 with |u|^(L-1) <= 2^512, so no power the
-    passes form comes near overflow or underflow.  Any other block, and a
-    block where a u step traps, runs the form in w = scale/x, whose
-    failure decides the error: a pole, or a point beyond the double range.
+    It writes P/Q at the nonzero points ``x``, whose magnitudes lie in
+    [lo, hi], into ``out``.  With L the pair's length, u^(L-1) * P(1/u) is
+    P's row reversed, so where the block lies wholly in the annulus
+    scale <= |x| <= reach, reach = scale * 2^(512/(L-1)), each side runs one
+    Horner pass in u = x * (1/scale) over its nonzero coefficients, and then
+    one ratio.  There 1 <= |u| and |w| <= 1 with |u|^(L-1) <= 2^512, so no
+    power the passes form comes near overflow or underflow.  Any other
+    block, and a block where a u step traps, runs the form in w = scale/x,
+    whose failure decides the error: a pole, or a point beyond the double
+    range.  Each row's nonzero span is found once, here.
     """
     coeffs, scale = asym.coeffs, asym.scale
     reverse = coeffs[:, ::-1]
+    spans, reverse_spans = _spans(coeffs), _spans(reverse)
     width = coeffs.shape[1]
     inv = 1.0 / scale
     reach = scale * 2.0 ** (512 / (width - 1)) if width > 1 else np.inf
     if not _NORMAL <= inv < np.inf:
         reach = 0.0  # a subnormal or infinite 1/scale would round u: no block takes it
+    # numpy's complex division forms 1/x, which overflows for |x| below
+    # about 5.6e-309; with a subnormal scale, points near it are that small,
+    # so w is formed from both operands times the power of two that lifts
+    # the scale into the normal range, exactly, in any block that this
+    # power does not carry beyond the double range
+    lift = 1.0 if scale >= _NORMAL else np.ldexp(1.0, -1021 - np.frexp(scale)[1])
+    lifted_below = np.finfo(float).max / lift if lift > 1.0 else 0.0
 
-    def steps(x, ratio=None):
+    def steps(x, hi, ratio=None):
         """w, both sides and their ratio, written into ``ratio`` when given."""
-        w = scale / x
-        num, den = _horner(coeffs, w)
+        w = (scale * lift) / (x * lift) if hi <= lifted_below else scale / x
+        num, den = _horner(coeffs, w, spans)
         return w, num, den, np.divide(num, den, out=ratio)
 
-    def block(x, out, mag):
-        if scale <= mag.min() and mag.max() <= reach:
+    def block(x, out, lo, hi):
+        if scale <= lo and hi <= reach:
             try:
                 with np.errstate(over="raise", divide="raise", invalid="raise"):
-                    num, den = _horner(reverse, x * inv)
+                    num, den = _horner(reverse, x * inv, reverse_spans)
                     np.divide(num, den, out=out)
                 return
             except FloatingPointError:
                 pass  # the w form below fails where the model does
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                steps(x, out)
+                steps(x, hi, out)
         except FloatingPointError:
             with np.errstate(all="ignore"):
-                parts = steps(x)
+                parts = steps(x, hi)
                 i = np.argmax(~np.isfinite(parts).all(axis=0))
                 raise _nonfinite_error(coeffs[1], parts[0][i:i + 1], x[i]) from None
 
     return block
 
 
-def _horner(coeffs, w):
+def _spans(coeffs):
+    """Each row's nonzero span (lo, hi) in ``coeffs``; (0, 0) for a zero row."""
+    spans = []
+    for row in coeffs:
+        nonzero = np.flatnonzero(row)
+        spans.append((nonzero[0], nonzero[-1]) if nonzero.size else (0, 0))
+    return spans
+
+
+def _horner(coeffs, w, spans=None):
     """Each row of ``coeffs`` (ascending powers) at the points ``w``, in place.
 
-    A row runs over its nonzero span [lo, hi] only: it starts from w * c_hi,
-    takes the multiply-adds down to c_lo, then lo plain multiplies by w.
-    These are the steps of Horner's rule over the whole row without the
-    ones that add a zero, so the values are the same; only a part that
-    underflows to zero may differ in its sign.
+    A row runs over its nonzero span [lo, hi] only (``spans``, from
+    :func:`_spans` when not given): it starts from w * c_hi, takes the
+    multiply-adds down to c_lo, then lo plain multiplies by w.  These are
+    the steps of Horner's rule over the whole row without the ones that add
+    a zero, so the values are the same; only a part that underflows to zero
+    may differ in its sign.
     """
     acc = np.empty((coeffs.shape[0], w.size), dtype=complex)
-    for row, a in zip(coeffs, acc):
-        nonzero = np.flatnonzero(row)
-        lo, hi = (nonzero[0], nonzero[-1]) if nonzero.size else (0, 0)
+    for row, a, (lo, hi) in zip(coeffs, acc, _spans(coeffs) if spans is None else spans):
         if hi == 0:
             a[:] = row[0]
             continue
@@ -385,32 +497,36 @@ def make_piecewise(model, samples):
 
 
 def eval_piecewise(pm, s):
-    """Barycentric evaluation for |s| <= cutoff, the exact far branch beyond.
+    """Barycentric evaluation for |s| <= switch, the exact far branch beyond.
 
-    The points are checked once, as every evaluator checks them: a
-    non-finite one raises before any block runs.  Each block then computes
-    |x| once and routes its points by |x| <= cutoff, the test of
-    :meth:`PiecewiseModel.near`, to the two branch kernels, which write
-    into the output: a block wholly on one side goes to its branch whole,
-    a mixed one in its two parts.  Far points need no s = 0 check, as
-    |x| > cutoff > 0 there.
+    ``pm.switch`` lies between ``train_T`` and ``pm.cutoff``: the radius
+    from which the far branch's estimated error is no larger than the
+    barycentric form's.  The points are checked once, as every evaluator
+    checks them: a non-finite one raises before any block runs.  Each block
+    then computes |x| once and routes its points by |x| <= switch, the test
+    of :meth:`PiecewiseModel.near`, to the two branch kernels, which write
+    into the output: a block whose largest |x| is at most the switch goes
+    to the barycentric branch whole, one whose smallest is beyond it to the
+    far branch whole, and only a mixed one is split by a mask.  Far points
+    need no s = 0 check, as |x| > switch > 0 there.
     """
-    near_kernel, far_kernel, cutoff = pm.bary._kernel(), _far_kernel(pm.far), pm.cutoff
+    near_kernel, far_kernel, switch = pm.bary._kernel(), _far_kernel(pm.far), pm.switch
 
     def block(x, out):
         mag = np.abs(x)
-        near = mag <= cutoff
-        if near.all():
+        lo, hi = mag.min(), mag.max()
+        if hi <= switch:
             near_kernel(x, out)
-        elif not near.any():
-            far_kernel(x, out, mag)
+        elif lo > switch:
+            far_kernel(x, out, lo, hi)
         else:
+            near = mag <= switch
             far = ~near
             part = np.empty(np.count_nonzero(near), dtype=complex)
             near_kernel(x[near], part)
             out[near] = part
             part = np.empty(x.size - part.size, dtype=complex)
-            far_kernel(x[far], part, mag[far])
+            far_kernel(x[far], part, mag[far].min(), hi)
             out[far] = part
 
     return blockwise(block, s)

@@ -1,15 +1,17 @@
 import re
 import warnings
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import barydeg as bd
 from barydeg.asymptotic import (
     AsymptoticModel,
     FarField,
     _horner,
+    _switch_estimates,
     classify_degree,
     cutoff_radius,
     eval_asymptotic,
@@ -209,6 +211,20 @@ class TestEvalAsymptotic:
                                den_moments_scaled=np.array(den))
         with pytest.raises(ValueError, match=re.escape(f"s = {complex(point)} is beyond")):
             eval_asymptotic(asym, np.array([2.0, point]))
+
+    def test_subnormal_scale_evaluates_at_its_points(self):
+        # numpy's complex division by a subnormal point overflows; w is
+        # formed from both operands lifted into the normal range instead
+        asym = AsymptoticModel(mu=0, nu=0, scale=1e-310, num_moments_scaled=[1, 0.5],
+                               den_moments_scaled=[1, 0.25])
+        ratio = np.array([1, 1.03, 1.05])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = eval_asymptotic(asym, 1e-310 * ratio)
+        # the subnormal points carry about 44 bits
+        np.testing.assert_allclose(values, (1 + 0.5 / ratio) / (1 + 0.25 / ratio), rtol=1e-12)
+        # a block the lift would carry beyond the double range divides as it is
+        assert eval_asymptotic(asym, np.array([1e306, 1e306 + 1e306j])).tolist() == [1, 1]
 
     def test_zero_checked_before_first_block(self):
         asym = AsymptoticModel(mu=0, nu=0, scale=1.0,
@@ -471,8 +487,10 @@ class TestEvalPiecewiseBlocks:
 
     def test_one_sided_sweeps_take_one_branch_whole(self):
         pm = fwd3_piecewise()
-        inside = bd.sample_grid(1e-2, pm.cutoff / 2, 2 * BLOCK + 3)
-        outside = bd.sample_grid(2 * pm.cutoff, 1e6, 2 * BLOCK + 3)
+        # the chain fit switches at 1.01 * scale, well inside its cutoff
+        inside = bd.sample_grid(1e-2, pm.switch, 2 * BLOCK + 3)
+        outside = bd.sample_grid(pm.switch * (1 + 1e-12), 1e6, 2 * BLOCK + 3)
+        assert pm.near(inside).all() and not pm.near(outside).any()
         assert np.array_equal(eval_piecewise(pm, inside), pm.bary(inside))
         assert np.array_equal(eval_piecewise(pm, outside), eval_asymptotic(pm.far, outside))
 
@@ -811,3 +829,79 @@ class TestFarAnnulus:
         with pytest.raises(PoleEvaluationError) as exc:
             eval_asymptotic(asym, s)
         assert exc.value.point == 1.0
+
+
+@cache
+def many_term_piecewise(degree):
+    """Forward 2-mass data with noise 1e-6 fitted by AAA at tol 1e-8: 101 terms at 0, 103 at -4."""
+    samples = chain_samples(2, noise=1e-6)
+    model, _ = bd.aaa(samples, bd.AaaConfig(tol=1e-8, target_degree=degree))
+    return make_piecewise(model, samples)
+
+
+class TestSwitch:
+    """The branch changes where the far estimate falls to the barycentric one, never beyond the cutoff."""
+
+    @pytest.mark.parametrize("n, forward", CHAINS)
+    def test_chain_fits_switch_at_the_first_rungs(self, n, forward):
+        pm = chain_piecewise(n, forward)
+        # measured: 1.01 * scale on all four, where the cutoff is 5.3-6.6 * scale
+        assert pm.train_T <= pm.switch <= 1.1 * pm.far.scale < pm.cutoff
+
+    @pytest.mark.parametrize("degree, terms", [(0, 101), (-4, 103)])
+    def test_many_term_fits_keep_the_cutoff(self, degree, terms):
+        pm = many_term_piecewise(degree)
+        assert pm.bary.terms == terms
+        estimates = list(_switch_estimates(pm.bary, pm.cutoff))
+        # every rung below the cutoff, 7.1 * scale at 0 and 4.7 * scale at -4
+        rungs = [r for r in (1.01, 1.1, 1.25, 1.5, 2.0, 3.0, 5.0) if r * pm.far.scale < pm.cutoff]
+        assert [r / pm.far.scale for r, _, _ in estimates] == pytest.approx(rungs, rel=1e-15)
+        assert len(rungs) == (7 if degree == 0 else 6)
+        if degree == 0:
+            # no defect, so no residual sums for the barycentric form to cancel
+            assert all(e_bary == 0 for _, _, e_bary in estimates)
+        else:
+            # measured: E_far above E_bary up to 3 * scale (1.9e-9 against 1.1e-9)
+            assert all(e_far > e_bary for _, e_far, e_bary in estimates)
+        assert pm.switch == pm.cutoff
+
+    def test_far_estimate_bounds_the_far_error(self):
+        pm = many_term_piecewise(-4)
+        directions = np.exp(2j * np.pi * np.arange(16) / 16)
+        for radius, e_far, _ in _switch_estimates(pm.bary, pm.cutoff):
+            s = radius * directions
+            error = max_rel_err(eval_asymptotic(pm.far, s), deflated_form(pm.bary, s))
+            # measured margin 7-80x
+            assert error <= e_far, radius / pm.far.scale
+
+    def test_exact_residual_sums_keep_the_cutoff(self):
+        pm = bd.PiecewiseModel(bary=exact_inverse_model(), train_T=10.0, train_eps=1e-12)
+        assert pm.switch == pm.cutoff
+
+    def test_switch_is_derived_on_first_use(self):
+        pm = chain_piecewise(2)
+        assert "switch" not in vars(pm)
+        pm.near(1j)
+        assert vars(pm)["switch"] == pm.switch
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**31), m=st.integers(1, 6), data=st.data())
+    def test_exact_type_models_switch_inside_their_bounds(self, seed, m, data):
+        mu, nu = data.draw(st.integers(0, m)), data.draw(st.integers(0, m))
+        rng = np.random.default_rng(seed)
+        model = exact_type_model(rng, m, mu, nu)
+        scale = float(np.max(np.abs(model.supports)))
+        train_T = scale * float(rng.uniform(0.5, 2.0))
+        pm = bd.PiecewiseModel(bary=model, train_T=train_T,
+                               train_eps=float(10.0 ** rng.uniform(-14, -2)))
+        assert pm.train_T <= pm.switch <= pm.cutoff
+        # points on both sides of the switch, each evaluated on its own
+        radii = np.concatenate([[pm.switch, np.nextafter(pm.switch, np.inf)],
+                                pm.switch * np.geomspace(0.5, 4.0, 6)])
+        # the two points at the switch on the real axis, where |s| is the radius exactly
+        phases = np.concatenate([[0.0, 0.0], rng.uniform(0, 2 * np.pi, radii.size - 2)])
+        s = radii * np.exp(1j * phases)
+        for point, near in zip(s, pm.near(s)):
+            expected = model(point) if near else eval_asymptotic(pm.far, point)
+            assert eval_piecewise(pm, point) == expected
+        assert pm.near(s).tolist()[:2] == [True, False]

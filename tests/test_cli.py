@@ -244,13 +244,16 @@ class TestEval:
 
     def test_branch_switches_at_cutoff(self, tmp_path):
         model_path = self.fit_model(tmp_path)
-        cutoff = json.loads(model_path.read_text())["cutoff"]
+        doc = json.loads(model_path.read_text())
+        # the file's cutoff bounds the switch radius, which its fit derives
+        switch = model_from_json(doc).switch
+        assert doc["train_T"] <= switch < doc["cutoff"]
         out_path = tmp_path / "sweep.csv"
         assert run("eval", "--model", str(model_path), "--wmin", "1e-2",
                    "--wmax", "1e3", "--count", "60", "-o", str(out_path)) == EXIT_OK
         rows = [line.split(",") for line in out_path.read_text().splitlines()[1:]]
         for s_abs, _, _, _, branch in rows:
-            expected = "bary" if float(s_abs) <= cutoff else "asym"
+            expected = "bary" if float(s_abs) <= switch else "asym"
             assert branch == expected
         assert {r[-1] for r in rows} == {"bary", "asym"}
 
