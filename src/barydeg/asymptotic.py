@@ -23,7 +23,7 @@ N = w^defect * A(w), and pi cancels in the ratio, so with m = min(mu, nu)
     r(s) = (s/scale)^rdeg * A(w) / B(w) = P(w) / Q(w),
     P = w^(mu - m) * A,  Q = w^(nu - m) * B,
 
-with no truncation (:func:`far_field`).  P and Q have the same length L,
+with no truncation.  P and Q have the same length L,
 so one accumulator holds both sides, and each side's Horner pass
 (:func:`_horner`) runs over its nonzero coefficients only.  In
 u = s/scale = 1/w, u^(L-1) * P(1/u) is P's row reversed, so for |s| from
@@ -46,11 +46,18 @@ seam, and the far branch, which truncates nothing, has no truncation error
 to balance.  A piecewise model therefore stores only the fit and switches
 to the far branch at ``switch``: the first radius of a fixed ladder above
 the scale where two estimates computed from the model's own coefficients
-cross (:func:`_switch_estimates`), the running error bound of the far
-branch's Horner passes and the barycentric form's cancellation from the
-residual power sums.  The switch lies between the band edge ``train_T`` and
-the cutoff, which bounds it and stays the seam of the truncated expansion;
-a fit whose residual power sums vanish exactly switches at the cutoff.
+cross, the running error bound of the far branch's Horner passes and the
+barycentric form's cancellation from the residual power sums.  The switch
+lies between the band edge ``train_T`` and the cutoff, which bounds it and
+stays the seam of the truncated expansion; a fit whose residual power sums
+vanish exactly switches at the cutoff.
+
+The far side has one derivation per model (:func:`_derive_far`): one
+power-sum scan to terms - 1 extra orders gives the defects, the sums and
+their term magnitudes, from which pi(w), A and B, their absolute
+convolutions, the residual sums below each defect and the floor are formed
+once.  ``far`` and ``switch`` both read it, so the switch weighs exactly
+the residual sums the scan judged negligible.
 """
 
 import functools
@@ -59,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _as_complex_vector, _Barycentric, _power_sum_scan, evaluate, vandermonde
+from .core import _as_complex_vector, _Barycentric, _power_sum_scan, evaluate
 from .errors import PoleEvaluationError
 from .util import blockwise, relative_errors
 
@@ -139,11 +146,13 @@ class AsymptoticModel:
 
 @dataclass(frozen=True, eq=False)
 class FarField:
-    """A model's exact rational P(w) / Q(w) in w = scale/s, from :func:`far_field`.
+    """A model's exact rational P(w) / Q(w) in w = scale/s, ``PiecewiseModel.far``.
 
     ``coeffs`` is the (2, L) pair of P and Q in ascending powers of w, the
     monomial (s/scale)^rdeg folded in: the side with the larger defect
-    starts with |rdeg| zeros.
+    starts with |rdeg| zeros.  A model's far side is derived once, by
+    :func:`_derive_far`, which forms A and B (P and Q before the fold) from
+    the same scan and convolutions as the switch estimates.
     """
 
     scale: float
@@ -183,6 +192,11 @@ class PiecewiseModel:
         return np.abs(s) <= self.switch
 
     @functools.cached_property
+    def _far_side(self):
+        """``(far, estimates)``, :func:`_derive_far` of the fit: ``far`` and ``switch`` read it."""
+        return _derive_far(self.bary)
+
+    @functools.cached_property
     def asym(self):
         """The truncated expansion at infinity, ``moments(bary)``: it places the cutoff."""
         return moments(self.bary)
@@ -197,10 +211,10 @@ class PiecewiseModel:
         radius = cutoff_radius(self.train_T, self.train_eps, self.asym.rdeg, self.asym.order)
         return max(radius, self.train_T)
 
-    @functools.cached_property
+    @property
     def far(self):
-        """The far branch, ``far_field(bary)``: derived on first use, never stored."""
-        return far_field(self.bary)
+        """The far branch, a :class:`FarField`: derived on first use, never stored."""
+        return self._far_side[0]
 
     @functools.cached_property
     def switch(self):
@@ -208,13 +222,13 @@ class PiecewiseModel:
 
         It is the first radius of the ladder scale * {1.01, 1.1, 1.25, 1.5,
         2, 3, 5, 10, 20, 30, 50, 100, ...} below ``cutoff`` at which the far
-        branch's error estimate is at most the barycentric one's
-        (:func:`_switch_estimates`), raised to ``train_T``; ``cutoff``
+        branch's error estimate is at most the barycentric one's (the
+        estimates of :func:`_derive_far`), raised to ``train_T``; ``cutoff``
         where no radius below it qualifies.  A fit whose power sums below
         the defects vanish exactly has no barycentric cancellation to
         estimate, so it switches at ``cutoff``.
         """
-        for radius, e_far, e_bary in _switch_estimates(self.bary, self.cutoff):
+        for radius, e_far, e_bary in self._far_side[1](self.cutoff):
             if e_far <= e_bary:
                 return max(radius, self.train_T)
         return self.cutoff
@@ -229,73 +243,71 @@ def moments(model, order=DEFAULT_ORDER):
     """
     if operator.index(order) < 0:
         raise ValueError("order must be nonnegative")
-    mu, nu, num_sums, den_sums, shat = _power_sum_scan(model, extra_orders=order)
+    mu, nu, sums, _, shat = _power_sum_scan(model, extra_orders=order)
     return AsymptoticModel(
         mu=mu, nu=nu, scale=shat,
-        num_moments_scaled=num_sums, den_moments_scaled=den_sums,
+        num_moments_scaled=sums[0, mu:mu + order + 1],
+        den_moments_scaled=sums[1, nu:nu + order + 1],
     )
 
 
-def far_field(model):
-    """The model's exact rational in w = scale/s, as a :class:`FarField`.
+def _derive_far(model):
+    """The far branch and its switch estimates, ``(far, estimates)``, from one power-sum scan.
 
     With pi_t the coefficients of pi(w) = prod_k (1 - z_k w), z_k = s_k/scale,
     and p_l the scaled power sums, the numerator polynomial A has
     a_i = sum_{t<=i} pi_t p_{mu+i-t} for i < terms - mu, and the denominator
     B likewise from nu; the power sums below each defect are dropped, as the
-    truncated expansion drops them.  Folding the monomial in makes both sides
-    terms - min(mu, nu) long, so evaluating it costs at most
-    terms - 1 - min(mu, nu) Horner steps per side, the monomial's |rdeg| of
-    them plain multiplies.
-    """
-    terms = model.terms
-    mu, nu, num_sums, den_sums, shat = _power_sum_scan(model, extra_orders=terms - 1)
-    pi = np.poly(model.supports / shat)
-    num = np.convolve(pi, num_sums)[:terms - mu]
-    den = np.convolve(pi, den_sums)[:terms - nu]
-    return FarField(scale=shat, coeffs=_fold(num, den, mu, nu))
+    truncated expansion drops them.  ``far`` is the :class:`FarField` of A
+    and B with the monomial folded in, both sides terms - min(mu, nu) long,
+    so evaluating it costs at most terms - 1 - min(mu, nu) Horner steps per
+    side, the monomial's |rdeg| of them plain multiplies.
 
-
-def _switch_estimates(model, top):
-    """(radius, E_far, E_bary) at each radius of the switch ladder below ``top``.
-
-    Both estimate a branch's relative error from the model's own
-    coefficients, O(terms) per radius.  E_far is the running error bound of
-    Horner's rule (Higham, *Accuracy and Stability of Numerical Algorithms*,
-    2002, 5.1) for A and B of :func:`far_field`, u * sum_l c'_l |w|^l / |A(w)|
-    plus the same for B, with u the unit roundoff and c' = |pi| * |p| the
+    ``estimates(top)`` yields (radius, E_far, E_bary) at each radius of the
+    switch ladder below ``top``.  Both estimate a branch's relative error
+    from the same scan, O(terms) per radius.  E_far is the running error
+    bound of Horner's rule (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2002, 5.1) for A and B, u * sum_l c'_l |w|^l / |A(w)| plus
+    the same for B, with u the unit roundoff and c' = |pi| * |p| the
     absolute convolution that forms each coefficient; it is taken at the
     worst of 16 equally spaced directions of s, as |A(w)| depends on them.
     Both branches then share a floor from the conditioning of the leading
-    power sums, u * sum_k |c_k| |z_k|^mu / |p_mu| per side, which E_far
-    includes.  E_bary is the cancellation estimate of the barycentric form
-    (Higham, IMA JNA 2004): each power sum below a side's defect, zero in
-    exact arithmetic, enters with relative weight
+    power sums, u * sum_k |c_k| |z_k|^mu / |p_mu| per side (the scan's term
+    magnitudes at the defect), which E_far includes.  E_bary is the
+    cancellation estimate of the barycentric form (Higham, IMA JNA 2004):
+    each power sum below a side's defect, one the scan judged negligible
+    and zero in exact arithmetic, enters with relative weight
     |sum_k c_k z_k^l| / |p_mu| * (R/scale)^(mu - l); it is 0 where those
     sums vanish exactly.
     """
     terms = model.terms
-    mu, nu, num_sums, den_sums, scale = _power_sum_scan(model, extra_orders=terms - 1)
+    mu, nu, sums, magnitudes, scale = _power_sum_scan(model, extra_orders=terms - 1)
     pi = np.poly(model.supports / scale)
-    powers = vandermonde(model.supports, max(mu, nu) + 1)
     pair, bound, residual, floor = [], [], [], 0.0
-    for c, defect, sums in zip(model.coefficients, (mu, nu), (num_sums, den_sums)):
-        pair.append(np.convolve(pi, sums)[:terms - defect])
-        bound.append(np.convolve(np.abs(pi), np.abs(sums))[:terms - defect])
-        lead = abs(sums[0])
-        residual.append(np.abs(c @ powers[:, :defect]) / lead)
-        floor += _UNIT_ROUNDOFF * float(np.abs(c) @ np.abs(powers[:, defect])) / lead
+    for row, magnitude, defect in zip(sums, magnitudes, (mu, nu)):
+        p, lead = row[defect:defect + terms], abs(row[defect])
+        pair.append(np.convolve(pi, p)[:terms - defect])
+        bound.append(np.convolve(np.abs(pi), np.abs(p))[:terms - defect])
+        residual.append(np.abs(row[:defect]) / lead)
+        floor += _UNIT_ROUNDOFF * float(magnitude[defect]) / lead
+    far = FarField(scale=scale, coeffs=_fold(*pair, mu, nu))
     pair, bound = _fold(*pair, 0, 0), _fold(*bound, 0, 0)
-    with np.errstate(all="ignore"):  # a far radius may overflow E_bary, or meet a pole
+
+    def estimates(top):
         for ratio in _ladder():
             radius = scale * ratio
             if not radius < top:
                 return
-            num, den = np.abs(_horner(pair, _DIRECTIONS / ratio))
-            (bnum,), (bden,) = _horner(bound, np.array([1 / ratio])).real
-            e_far = floor + _UNIT_ROUNDOFF * float(np.max(bnum / num + bden / den))
-            e_bary = sum(float(r @ ratio ** np.arange(r.size, 0.0, -1)) for r in residual)
+            # a far radius may overflow E_bary, or meet a pole; the state
+            # ends before each yield, so the caller's own stays in force
+            with np.errstate(all="ignore"):
+                num, den = np.abs(_horner(pair, _DIRECTIONS / ratio))
+                (bnum,), (bden,) = _horner(bound, np.array([1 / ratio])).real
+                e_far = floor + _UNIT_ROUNDOFF * float(np.max(bnum / num + bden / den))
+                e_bary = sum(float(r @ ratio ** np.arange(r.size, 0.0, -1)) for r in residual)
             yield radius, e_far, e_bary
+
+    return far, estimates
 
 
 def _ladder():
@@ -381,17 +393,17 @@ def _far_kernel(asym):
     reach = scale * 2.0 ** (512 / (width - 1)) if width > 1 else np.inf
     if not _NORMAL <= inv < np.inf:
         reach = 0.0  # a subnormal or infinite 1/scale would round u: no block takes it
-    # numpy's complex division forms 1/x, which overflows for |x| below
-    # about 5.6e-309; with a subnormal scale, points near it are that small,
-    # so w is formed from both operands times the power of two that lifts
-    # the scale into the normal range, exactly, in any block that this
-    # power does not carry beyond the double range
-    lift = 1.0 if scale >= _NORMAL else np.ldexp(1.0, -1021 - np.frexp(scale)[1])
-    lifted_below = np.finfo(float).max / lift if lift > 1.0 else 0.0
 
-    def steps(x, hi, ratio=None):
+    def steps(x, lo, hi, ratio=None):
         """w, both sides and their ratio, written into ``ratio`` when given."""
-        w = (scale * lift) / (x * lift) if hi <= lifted_below else scale / x
+        # numpy's complex division forms 1/x, which overflows for |x| below
+        # about 5.6e-309, so where the block's smallest |x| or the scale is
+        # subnormal, w is formed from both operands times the power of two
+        # that lifts the smaller into the normal range, exactly, unless this
+        # power would carry the block beyond the double range
+        lift = np.ldexp(1.0, max(0, -1021 - np.frexp(min(lo, scale))[1]))
+        lifted = lift > 1.0 and hi <= np.finfo(float).max / lift
+        w = (scale * lift) / (x * lift) if lifted else scale / x
         num, den = _horner(coeffs, w, spans)
         return w, num, den, np.divide(num, den, out=ratio)
 
@@ -406,10 +418,10 @@ def _far_kernel(asym):
                 pass  # the w form below fails where the model does
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                steps(x, hi, out)
+                steps(x, lo, hi, out)
         except FloatingPointError:
             with np.errstate(all="ignore"):
-                parts = steps(x, hi)
+                parts = steps(x, lo, hi)
                 i = np.argmax(~np.isfinite(parts).all(axis=0))
                 raise _nonfinite_error(coeffs[1], parts[0][i:i + 1], x[i]) from None
 

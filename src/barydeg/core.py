@@ -371,8 +371,9 @@ def loewner_matrix(points, values, supports, support_values):
     over the supports ``s_k`` with values ``f_k``.  Sample and support
     points must be disjoint.
 
-    The result is filled one column at a time, with one sample-length
-    buffer for the numerators, so the build holds no block besides the
+    The result is filled one column at a time: the differences by
+    :func:`_differences`, as in a Cauchy block, then the numerators through
+    one sample-length buffer, so the build holds no block besides the
     result; each entry is the same IEEE operation as the broadcast formula.
     """
     pts = np.asarray(points, dtype=complex).ravel()
@@ -382,8 +383,7 @@ def loewner_matrix(points, values, supports, support_values):
     if pts.size != vals.size or sj.size != fj.size:
         raise ValueError("points and values, supports and support_values must have equal lengths")
     out = np.empty((pts.size, sj.size), dtype=complex)
-    for k in range(sj.size):
-        np.subtract(pts, sj[k], out=out[:, k])
+    _differences(pts, sj, out)
     if not out.all():
         j, k = np.argwhere(out == 0)[0]
         raise ValueError(f"sample point {pts[j]} coincides with support {sj[k]}")
@@ -461,30 +461,35 @@ def _min_right_vector(a):
 
 
 def _power_sum_scan(model, extra_orders=0):
-    """Locate the degree defects mu, nu and return the scaled power sums.
+    """Locate the degree defects mu, nu and return every power sum the scan forms.
 
     The defect of each coefficient side is the first l < terms where its
     power sum (in the scaled variable s_k / shat) is significant relative
     to the sum of its term magnitudes.  Returns
-    (mu, nu, num_sums, den_sums, shat) with num_sums[i] =
-    sum_k c_k (s_k/shat)^(mu+i) for i = 0..extra_orders, and likewise for
-    den_sums from nu.
+    (mu, nu, sums, magnitudes, shat): ``sums`` is the (2, terms +
+    extra_orders) block of sum_k c_k (s_k/shat)^l, numerator row first, and
+    ``magnitudes`` the (2, terms) block of sum_k |c_k| |s_k/shat|^l that
+    the sums are judged against.
     """
     terms = model.terms
     P = vandermonde(model.supports, terms + extra_orders)
     coeffs = np.array(model.coefficients)
     sums = coeffs @ P
-    significant = np.abs(sums[:, :terms]) > _REL_TOL * (np.abs(coeffs) @ np.abs(P[:, :terms]))
+    magnitudes = np.abs(coeffs) @ np.abs(P[:, :terms])
+    significant = np.abs(sums[:, :terms]) > _REL_TOL * magnitudes
     for side, what in enumerate(("numerator", "denominator")):
         if not significant[side].any():
             raise TrivialModelError(f"all {what} power sums are negligible; model is trivial")
     mu, nu = (int(l) for l in np.argmax(significant, axis=1))
-    return (mu, nu, sums[0, mu:mu + extra_orders + 1], sums[1, nu:nu + extra_orders + 1],
-            support_scale(model.supports))
+    return mu, nu, sums, magnitudes, support_scale(model.supports)
 
 
 def evaluate(model, s):
-    """Evaluate either model kind at ``s``."""
+    """Evaluate either model kind at ``s``.
+
+    Equal to ``model(s)``; it stays while ``bench/tracing.py`` binds it as
+    the ``core.eval`` layer.
+    """
     return model(s)
 
 

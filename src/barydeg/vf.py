@@ -42,6 +42,7 @@ from .core import (
     solve_constrained_weights,
     vandermonde,
 )
+# kept while bench/tracing.py binds this name as the core.eval layer; it goes with that binding
 from .core import evaluate as eval_general
 from .errors import ConstraintError, GridError
 from .util import error_scale, relative_errors
@@ -223,6 +224,7 @@ def vf_adaptive(samples, config, *, grids=None):
             converged = True
             break
     model = GeneralBarycentricModel.from_weights(supports, num, den)
+    # equals the last round's rel bit for bit; kept while the bench's core.eval layer counts it
     rel = relative_errors(vals, eval_general(model, pts), scale)
     report = FitReport.from_errors(model, rel, converged, delta,
                                    degree_diagnostics(model, delta))

@@ -11,12 +11,10 @@ from barydeg.asymptotic import (
     AsymptoticModel,
     FarField,
     _horner,
-    _switch_estimates,
     classify_degree,
     cutoff_radius,
     eval_asymptotic,
     eval_piecewise,
-    far_field,
     make_piecewise,
     moments,
 )
@@ -214,10 +212,11 @@ class TestEvalAsymptotic:
 
     def test_subnormal_scale_evaluates_at_its_points(self):
         # numpy's complex division by a subnormal point overflows; w is
-        # formed from both operands lifted into the normal range instead
+        # formed from both operands lifted into the normal range instead,
+        # by the power of two that the block's smallest |x| needs
         asym = AsymptoticModel(mu=0, nu=0, scale=1e-310, num_moments_scaled=[1, 0.5],
                                den_moments_scaled=[1, 0.25])
-        ratio = np.array([1, 1.03, 1.05])
+        ratio = np.array([1, 1.03, 1.05, 0.2, 0.1])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             values = eval_asymptotic(asym, 1e-310 * ratio)
@@ -334,6 +333,10 @@ class TestCutoffRadius:
             cutoff_radius(1.0, 0.0, -4, 10)
         with pytest.raises(ValueError):
             cutoff_radius(1.0, -1e-3, -4, 10)
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            cutoff_radius(1.0, 1e-6, -4, -1)
 
     def test_non_integer_or_nonfinite_input_rejected(self):
         for rdeg, order in ((-4, 2.5), (-4.0, 10)):
@@ -506,6 +509,13 @@ class TestPiecewiseModelInvariants:
         for eps in (1e-16, 1e-6, 1.0, 10.0, 1e3):
             assert bd.PiecewiseModel(bary=model, train_T=10.0, train_eps=eps).cutoff >= 10.0
 
+    @pytest.mark.parametrize("bary", [lambda: moments(exact_inverse_model()),
+                                      lambda: exact_inverse_model().coefficients],
+                             ids=["expansion", "coefficient-pair"])
+    def test_non_barycentric_fit_rejected(self, bary):
+        with pytest.raises(TypeError, match="bary must be a barycentric model"):
+            bd.PiecewiseModel(bary=bary(), train_T=10.0, train_eps=1e-6)
+
     @pytest.mark.parametrize("num, den", [([1.0], [1.0, 0.5]), ([], [])])
     def test_unequal_or_empty_moment_arrays_rejected(self, num, den):
         with pytest.raises(ValueError, match="equal length"):
@@ -621,10 +631,10 @@ def unfolded_pair(model):
     (s/scale)^rdeg * A(w) / B(w) with the power sums below each defect dropped.
     """
     terms = model.terms
-    mu, nu, num_sums, den_sums, scale = _power_sum_scan(model, extra_orders=terms - 1)
+    mu, nu, sums, _, scale = _power_sum_scan(model, extra_orders=terms - 1)
     pi = np.poly(model.supports / scale)
-    return (mu, nu, scale, np.convolve(pi, num_sums)[:terms - mu],
-            np.convolve(pi, den_sums)[:terms - nu])
+    return (mu, nu, scale, np.convolve(pi, sums[0, mu:mu + terms])[:terms - mu],
+            np.convolve(pi, sums[1, nu:nu + terms])[:terms - nu])
 
 
 def unfolded_form(model, s):
@@ -652,7 +662,6 @@ class TestFarField:
                                np.concatenate([np.zeros(nu - m), den])])
             assert far.coeffs.shape == (2, pm.bary.terms - m)
             assert np.array_equal(far.coeffs, folded)
-            assert np.array_equal(far_field(pm.bary).coeffs, folded)
 
     @pytest.mark.parametrize("n, forward", [(2, True), (3, True), (2, False), (3, False)])
     def test_chain_fits_agree_with_the_unfolded_form(self, n, forward):
@@ -852,7 +861,7 @@ class TestSwitch:
     def test_many_term_fits_keep_the_cutoff(self, degree, terms):
         pm = many_term_piecewise(degree)
         assert pm.bary.terms == terms
-        estimates = list(_switch_estimates(pm.bary, pm.cutoff))
+        estimates = list(pm._far_side[1](pm.cutoff))
         # every rung below the cutoff, 7.1 * scale at 0 and 4.7 * scale at -4
         rungs = [r for r in (1.01, 1.1, 1.25, 1.5, 2.0, 3.0, 5.0) if r * pm.far.scale < pm.cutoff]
         assert [r / pm.far.scale for r, _, _ in estimates] == pytest.approx(rungs, rel=1e-15)
@@ -868,7 +877,7 @@ class TestSwitch:
     def test_far_estimate_bounds_the_far_error(self):
         pm = many_term_piecewise(-4)
         directions = np.exp(2j * np.pi * np.arange(16) / 16)
-        for radius, e_far, _ in _switch_estimates(pm.bary, pm.cutoff):
+        for radius, e_far, _ in pm._far_side[1](pm.cutoff):
             s = radius * directions
             error = max_rel_err(eval_asymptotic(pm.far, s), deflated_form(pm.bary, s))
             # measured margin 7-80x
@@ -883,6 +892,33 @@ class TestSwitch:
         assert "switch" not in vars(pm)
         pm.near(1j)
         assert vars(pm)["switch"] == pm.switch
+
+    def test_far_and_switch_read_one_scan(self, monkeypatch):
+        pm = chain_piecewise(3)  # construction scans to order 10 for asym
+        scans, polys = [], []
+        scan, poly = bd.asymptotic._power_sum_scan, np.poly
+
+        def counted_scan(model, extra_orders=0):
+            scans.append(extra_orders)
+            return scan(model, extra_orders)
+
+        def counted_poly(seq):
+            polys.append(seq)
+            return poly(seq)
+
+        monkeypatch.setattr(bd.asymptotic, "_power_sum_scan", counted_scan)
+        monkeypatch.setattr(np, "poly", counted_poly)
+        far, switch = pm.far, pm.switch
+        assert pm.far is far and pm.switch == switch
+        assert scans == [pm.bary.terms - 1] and len(polys) == 1
+
+    def test_estimates_keep_the_callers_error_state(self):
+        pm = many_term_piecewise(-4)
+        state = np.geterr()
+        estimates = pm._far_side[1](pm.cutoff)
+        for _ in estimates:
+            # a suspended estimate leaves the caller's floating-point state as it was
+            assert np.geterr() == state
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**31), m=st.integers(1, 6), data=st.data())

@@ -32,6 +32,8 @@ class TestMassChainSystem:
     def test_wrong_lengths(self):
         with pytest.raises(ValueError):
             bd.MassChainSystem(3, springs=[1.0])
+        with pytest.raises(ValueError, match="one mass per node"):
+            bd.MassChainSystem(3, masses=[1.0, 1.0])
 
     @pytest.mark.parametrize("n", [2.5, 2.0, "3"])
     def test_non_integer_count_rejected(self, n):
@@ -334,6 +336,10 @@ class TestSampleFiles:
         path = tmp_path / "nohdr.csv"
         path.write_text("0,1,2,3\n")
         with pytest.raises(ValueError, match="header"):
+            bd.load_samples(path)
+        # a file of comments and blank lines ends before any header
+        path.write_text("# comments only\n\n# no header\n")
+        with pytest.raises(ValueError, match="missing header row"):
             bd.load_samples(path)
 
     def test_header_only_names_the_file(self, tmp_path):

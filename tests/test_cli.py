@@ -310,7 +310,8 @@ class TestEval:
         assert np.allclose(mags, 3.0, rtol=1e-10)
 
     @pytest.mark.parametrize("key, value", [
-        ("rdeg", 0), ("order", 3), ("kind", None), ("cutoff", "far"),
+        ("rdeg", 0), ("order", 3), ("kind", None), ("kind", "rational"), ("supports", 5),
+        ("cutoff", "far"),
         ("scale", "inf"), ("cutoff", "inf"), ("train_eps", "inf"),
         ("cutoff", 1e3), ("scale", 7.0), ("schema_version", "7"), ("schema_version", None),
         pytest.param("num_moments_scaled", lambda pairs: [*pairs[:-1], [np.nextafter(

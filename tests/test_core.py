@@ -494,6 +494,13 @@ class TestLoewner:
         with pytest.raises(ValueError, match=r"point \(2\+0j\) coincides with support \(2\+0j\)"):
             loewner_matrix([0.5, 2.0, 3.0], [1.0, 1.0, 1.0], [3.0, 2.0], [1.0, 1.0])
 
+    @pytest.mark.parametrize("lengths", [(3, 2, 2, 2), (3, 3, 2, 1)],
+                             ids=["values", "support_values"])
+    def test_mismatched_lengths_rejected(self, lengths):
+        pts, vals, sj, fj = (np.arange(n) + 10.0 * i for i, n in enumerate(lengths))
+        with pytest.raises(ValueError, match="must have equal lengths"):
+            loewner_matrix(pts, vals, sj, fj)
+
     @pytest.mark.parametrize("shape", [(30, 7), (1, 7), (30, 1), (1, 1)])
     def test_equals_the_broadcast_formula_bit_for_bit(self, shape):
         rng = np.random.default_rng(11)
@@ -569,6 +576,14 @@ class TestNullspaceBasis:
     def test_no_free_direction(self):
         with pytest.raises(ConstraintError):
             nullspace_basis(np.ones((2, 2)))
+
+    @pytest.mark.parametrize("V, scaling, match", [
+        (np.ones(3), None, "V must be a matrix"),
+        (np.ones((3, 1)), [1.0, 2.0], "left_scaling length"),
+    ], ids=["vector", "short-scaling"])
+    def test_malformed_input_rejected(self, V, scaling, match):
+        with pytest.raises(ValueError, match=match):
+            nullspace_basis(V, left_scaling=scaling)
 
     def test_zero_columns_gives_identity(self):
         Q = nullspace_basis(np.empty((3, 0)))
