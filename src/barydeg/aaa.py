@@ -41,7 +41,7 @@ from .core import (
     vandermonde,
 )
 from .errors import ConfigurationError
-from .util import relative_errors
+from .util import not_bool, relative_errors
 
 DEFAULT_TOL = 1e-6  # the CLI's tol for AAA when none is given
 DEFAULT_MAX_TERMS = 120
@@ -63,10 +63,12 @@ class AaaConfig:
 
     def __post_init__(self):
         # integers only: where int() would truncate 2.5, operator.index raises
-        object.__setattr__(self, "target_degree", operator.index(self.target_degree))
+        object.__setattr__(self, "target_degree",
+                           operator.index(not_bool(self.target_degree, "target_degree")))
         if self.max_terms is not None:
-            object.__setattr__(self, "max_terms", operator.index(self.max_terms))
-        if not 0 < self.tol < np.inf:
+            object.__setattr__(self, "max_terms",
+                               operator.index(not_bool(self.max_terms, "max_terms")))
+        if not 0 < not_bool(self.tol, "tol") < np.inf:
             raise ValueError("tol must be finite and positive")
         if self.max_terms is not None and self.max_terms < 1:
             raise ValueError("max_terms must be at least 1")

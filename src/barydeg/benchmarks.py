@@ -16,6 +16,7 @@ where the minors overflow (|s| near 1e81 for two masses), the forward map
 is exactly 0.  :func:`chain_matrices` gives the dense state-space form.
 """
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -178,8 +179,9 @@ def load_samples(path):
     """Read a sample set written by :func:`save_samples`.
 
     Lines starting with ``#`` are ignored; the header row and at least one
-    sample row are required.  Malformed rows raise with the offending line
-    number.
+    sample row are required.  Malformed rows (a wrong field count, a
+    non-numeric or non-finite field) raise with the offending line number;
+    repeated points raise naming the file.
     """
     points, values = [], []
     header_seen = False
@@ -199,13 +201,19 @@ def load_samples(path):
             if len(fields) != 4:
                 raise ValueError(f"{path}: line {lineno}: expected 4 fields, got {len(fields)}")
             try:
-                s_re, s_im, f_re, f_im = (float(x) for x in fields)
+                s_re, s_im, f_re, f_im = row = [float(x) for x in fields]
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: non-numeric field in {line!r}") from None
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"{path}: line {lineno}: non-finite field in {line!r}")
             points.append(complex(s_re, s_im))
             values.append(complex(f_re, f_im))
     if not header_seen:
         raise ValueError(f"{path}: missing header row")
     if not points:
         raise ValueError(f"{path}: no sample rows")
-    return SampleSet(points, values)
+    try:
+        return SampleSet(points, values)
+    except ValueError as err:
+        # the rows are finite, so what is left is a repeated point
+        raise ValueError(f"{path}: {err}") from None

@@ -1,27 +1,36 @@
 """Data-driven identification of a system's relative degree.
 
-The data is fitted repeatedly under different imposed relative degrees, and
-the fits are compared by a complexity-first criterion: fewer barycentric
-terms win; at equal complexity the larger |degree| wins (it is the more
-constrained, hence simpler, model); only full ties fall through to the
-approximation error.  The search sweeps degrees 0, 1, 2, ... until a fit
-stops improving or its effective degree stops growing (both fitters cap it
-at terms - 1, after which every further target repeats the same fit), repeats
-toward negative degrees, and keeps the better of the two directions'
-winners.  Each fit runs under a term cap bounded by its incumbent: once the
-incumbent has converged with T terms, the fit at degree k is stopped after
-max(T, |k| + 1) terms (|k| + 1 is the fewest terms that can hold degree k).
-The cap is exact: a fit's first rounds do not depend on its cap, so a fit
-that converges within it is the same fit, and one that does not would have
-lost to the incumbent anyway (it needs more terms, or never converges), so
-the sweep picks the same winner.  The degree-0 fit is never capped.
+The data is fitted under different imposed relative degrees, and the fits
+are compared by a complexity-first criterion, :func:`better`: fewer
+barycentric terms win; at equal complexity the larger |degree| wins (it is
+the more constrained, hence simpler, model); only full ties fall through to
+the approximation error.
 
-The fits of a sweep share one record, a dict that :func:`identify` makes
-for each call and passes to every fit.  With :func:`aaa_backend` a fit reads
-each fully constrained step that a fit of its sign already took from the
-record; with :func:`vf_backend` every fit solves from the QR
-triangles of the support grids that earlier fits factored.  The winner's
-piecewise model, from :func:`make_piecewise`, derives its cutoff from the fit.
+Each :func:`identify` call keeps one candidate table.  Its ``fit(degree,
+cap)`` is the only place the backend is called: it records the fit as a
+:class:`CandidateRecord`, keeps the records in call order, and returns the
+recorded candidate when the same ``(degree, cap)`` comes again.  A rule
+chooses which fits to ask for and which one wins.
+
+The rule is the paper's sweep, :func:`_paper_sweep`.  It fits degrees 0, 1,
+2, ... until a fit stops improving or its effective degree stops growing
+(both fitters cap it at terms - 1, after which every further target repeats
+the same fit), repeats toward negative degrees from the same degree-0 fit,
+and keeps the better of the two directions' winners.  Each fit runs under a
+term cap bounded by its incumbent: once the incumbent has converged with T
+terms, the fit at degree k is stopped after max(T, |k| + 1) terms (|k| + 1
+is the fewest terms that can hold degree k).  The cap is exact: a fit's
+first rounds do not depend on its cap, so a fit that converges within it is
+the same fit, and one that does not would have lost to the incumbent anyway
+(it needs more terms, or never converges), so the sweep picks the same
+winner.  The degree-0 fit is never capped.
+
+The fits of a call share one record, a dict that the table makes for the
+call and passes to every fit.  With :func:`aaa_backend` a fit reads each
+fully constrained step that a fit of its sign already took from the record;
+with :func:`vf_backend` every fit solves from the QR triangles of the
+support grids that earlier fits factored.  The winner's piecewise model,
+from :func:`make_piecewise`, derives its cutoff from the fit.
 """
 
 import operator
@@ -29,6 +38,7 @@ from dataclasses import dataclass
 
 from .aaa import AaaConfig, aaa
 from .asymptotic import make_piecewise
+from .util import not_bool
 from .vf import DEFAULT_TOL, VfConfig, vf_adaptive
 
 DEFAULT_MAX_ABS_DEGREE = 20
@@ -100,6 +110,32 @@ def better(a, b):
     return a.linf_rel_error < b.linf_rel_error
 
 
+def _paper_sweep(fit, max_abs_degree):
+    """The paper's rule over a candidate table: the winner of its sweep.
+
+    Each direction starts from the degree-0 fit and asks ``fit`` for
+    degrees 1, 2, ... ``max_abs_degree`` of its sign, each under the cap
+    max(T, k + 1) when the incumbent has converged with T terms.  It stops
+    at the first fit that its incumbent beats (the incumbent wins), or at
+    the first whose effective degree did not grow (that fit wins).  The
+    better of the two directions' winners wins.
+    """
+    def sweep(direction):
+        prev = fit(0, None)
+        for k in range(1, max_abs_degree + 1):
+            cap = max(prev.terms, k + 1) if prev.converged else None
+            cand = fit(direction * k, cap)
+            if better(prev, cand):
+                return prev
+            if cand.degree == prev.degree:
+                return cand
+            prev = cand
+        return prev
+
+    best_pos, best_neg = sweep(+1), sweep(-1)
+    return best_pos if better(best_pos, best_neg) else best_neg
+
+
 def _smaller(*caps):
     """The smallest of the term caps given, ``None`` standing for no cap."""
     return min((cap for cap in caps if cap is not None), default=None)
@@ -138,18 +174,6 @@ def vf_backend(tol=DEFAULT_TOL, max_terms=None):
     return fit
 
 
-def _record(backend, samples, degree, max_terms, record):
-    model, report = backend(samples, degree, max_terms=max_terms, record=record)
-    return CandidateRecord(
-        degree=report.effective_degree,
-        terms=report.terms,
-        linf_rel_error=report.linf_rel_error,
-        converged=report.converged,
-        model=model,
-        max_terms=max_terms,
-    )
-
-
 def identify(samples, backend, max_abs_degree=DEFAULT_MAX_ABS_DEGREE):
     """Estimate the relative degree of the system behind the samples.
 
@@ -158,37 +182,27 @@ def identify(samples, backend, max_abs_degree=DEFAULT_MAX_ABS_DEGREE):
     given; use :func:`aaa_backend` or :func:`vf_backend`.  Every fit of one
     call gets the same ``record``, a dict made for the call, in which the
     backend may keep what the fits share; a backend that wraps another
-    passes it on.  The degree-0 fit is shared by both sweep directions, so
-    at most ``2 * max_abs_degree + 1`` fits run, each under the incumbent's
-    term cap (see the module docstring).  The winner's piecewise
-    (barycentric + asymptotic) model is attached, unless no candidate
-    converged.
+    passes it on.
+
+    The call's candidate table runs each ``(degree, cap)`` fit once, and
+    the paper's sweep chooses the winner from it (see the module
+    docstring).  Both directions share the degree-0 fit, so at most
+    ``2 * max_abs_degree + 1`` fits run.  ``candidates`` holds the table's
+    records in call order.  The winner's piecewise (barycentric +
+    asymptotic) model is attached, unless no candidate converged.
     """
-    if operator.index(max_abs_degree) < 1:
+    if operator.index(not_bool(max_abs_degree, "max_abs_degree")) < 1:
         raise ValueError("max_abs_degree must be at least 1")
-    record = {}
-    baseline = _record(backend, samples, 0, None, record)
-    candidates = [baseline]
+    record, table = {}, {}
 
-    def sweep(direction):
-        prev = baseline
-        for k in range(1, max_abs_degree + 1):
-            cap = max(prev.terms, k + 1) if prev.converged else None
-            cand = _record(backend, samples, direction * k, cap, record)
-            candidates.append(cand)
-            if better(prev, cand):
-                return prev
-            if cand.degree == prev.degree:
-                return cand
-            prev = cand
-        return prev
+    def fit(degree, cap):
+        if (degree, cap) not in table:
+            model, report = backend(samples, degree, max_terms=cap, record=record)
+            table[degree, cap] = CandidateRecord(
+                degree=report.effective_degree, terms=report.terms, model=model, max_terms=cap,
+                linf_rel_error=report.linf_rel_error, converged=report.converged)
+        return table[degree, cap]
 
-    best_pos = sweep(+1)
-    best_neg = sweep(-1)
-    winner = best_pos if better(best_pos, best_neg) else best_neg
+    winner = _paper_sweep(fit, max_abs_degree)
     piecewise = make_piecewise(winner.model, samples) if winner.converged else None
-    return IdentificationResult(
-        best=winner,
-        candidates=tuple(candidates),
-        piecewise=piecewise,
-    )
+    return IdentificationResult(best=winner, candidates=tuple(table.values()), piecewise=piecewise)

@@ -13,6 +13,13 @@ _TINY = np.nextafter(0.0, 1.0)
 BLOCK = 2**13
 
 
+def not_bool(value, name):
+    """``value``, unless it is a bool: ``True`` is not the number 1 in a setting."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{name} must be a number, not a bool")
+    return value
+
+
 def error_scale(values):
     """The denominators max(|values|, floor) of :func:`relative_errors`.
 

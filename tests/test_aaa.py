@@ -32,6 +32,16 @@ def test_config_takes_integers_only(config, field):
     assert value == 2 and type(value) is int
 
 
+@pytest.mark.parametrize("config", [bd.AaaConfig, bd.VfConfig])
+@pytest.mark.parametrize("field, value", [
+    ("tol", True), pytest.param("tol", np.True_, id="tol-numpy-True"),
+    ("target_degree", True), ("max_terms", True)])
+def test_config_takes_no_bools(config, field, value):
+    # a bool is not the number 1 (or 1.0), as in model files
+    with pytest.raises(TypeError, match=field):
+        config(**{"tol": 1e-6, field: value})
+
+
 def test_constant_data_returns_initial_model():
     ss = bd.SampleSet([1j, 2j, 3j], [4.0, 4.0, 4.0])
     model, rep = bd.aaa(ss, bd.AaaConfig(tol=1e-6))

@@ -326,6 +326,25 @@ class TestSampleFiles:
         with pytest.raises(ValueError, match="line 3"):
             bd.load_samples(path)
 
+    # 1e999 parses as inf
+    @pytest.mark.parametrize("column, field", [(0, "nan"), (1, "1e999"), (2, "nan"), (3, "-inf")])
+    def test_non_finite_field_names_file_and_line(self, tmp_path, column, field):
+        path = tmp_path / "nonfinite.csv"
+        row = ["0", "2", "1", "0"]
+        row[column] = field
+        line = ",".join(row)
+        path.write_text(f"{CSV_HEADER}\n0,1,2,3\n{line}\n")
+        message = f"^{re.escape(str(path))}: line 3: non-finite field in '{re.escape(line)}'$"
+        with pytest.raises(ValueError, match=message):
+            bd.load_samples(path)
+
+    def test_duplicate_rows_name_the_file(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text(f"{CSV_HEADER}\n0,1,2,3\n0,2,0,0\n0,1,4,5\n")
+        message = f"^{re.escape(str(path))}: sample points must be pairwise distinct$"
+        with pytest.raises(ValueError, match=message):
+            bd.load_samples(path)
+
     def test_wrong_field_count_names_line(self, tmp_path):
         path = tmp_path / "bad2.csv"
         path.write_text(f"{CSV_HEADER}\n0,1,2\n")

@@ -206,8 +206,64 @@ class TestSweepMechanics:
         def backend(samples, degree, max_terms=None, record=None):
             raise AssertionError(f"fit at degree {degree} ran")
 
-        with pytest.raises(TypeError):
-            bd.identify(samples, backend, **{argument: 2.5})
+        # a bool is not the integer 1
+        for value in (2.5, True):
+            with pytest.raises(TypeError):
+                bd.identify(samples, backend, **{argument: value})
+
+
+def reference_sweep(table, saturate, max_abs_degree):
+    """The paper's sweep written out over a ``fake_backend`` table.
+
+    Returns the fits it asks for as (degree, max_terms) pairs, its
+    candidates as (degree, terms, error, converged, max_terms) rows and the
+    winner's index among them.  A candidate beats another when its key is
+    smaller: converged first, then fewer terms, larger |degree|, smaller
+    error.
+    """
+    def key(i):
+        degree, terms, err, converged, _ = rows[i]
+        return (not converged, terms, -abs(degree), err)
+
+    calls, rows = [(0, None)], [(0, *table[0], None)]
+    winners = []
+    for direction in (1, -1):
+        prev = 0
+        for k in range(1, max_abs_degree + 1):
+            degree = direction * k
+            cap = max(rows[prev][1], k + 1) if rows[prev][3] else None
+            terms, err, converged = table[degree]
+            effective = degree if saturate is None else direction * min(k, saturate)
+            calls.append((degree, cap))
+            rows.append((effective, terms, err, converged, cap))
+            if key(prev) < key(len(rows) - 1):
+                break
+            grew = effective != rows[prev][0]
+            prev = len(rows) - 1
+            if not grew:
+                break
+        winners.append(prev)
+    pos, neg = winners
+    return calls, rows, pos if key(pos) < key(neg) else neg
+
+
+# one fit: terms, error, converged; few values, so that ties are common
+FAKE_FITS = st.tuples(st.integers(1, 6), st.sampled_from([1e-9, 1e-8, 1e-7]), st.booleans())
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data(), max_abs_degree=st.integers(1, 6))
+def test_default_rule_is_the_papers_sweep(data, max_abs_degree):
+    table = {d: data.draw(FAKE_FITS, label=f"fit at {d}")
+             for d in range(-max_abs_degree, max_abs_degree + 1)}
+    saturate = data.draw(st.none() | st.integers(1, max_abs_degree), label="saturate")
+    backend = fake_backend(table, saturate)
+    result = bd.identify(inverse_decay_samples(1.0, 2.0, 5), backend, max_abs_degree)
+    calls, rows, winner = reference_sweep(table, saturate, max_abs_degree)
+    assert list(zip(backend.calls, backend.caps)) == calls
+    assert [(c.degree, c.terms, c.linf_rel_error, c.converged, c.max_terms)
+            for c in result.candidates] == rows
+    assert result.best is result.candidates[winner]
 
 
 class TestIdentifyEndToEnd:
