@@ -24,7 +24,6 @@ The fits of one degree sweep share their fully constrained prefix through a
 already took is read from it, at O(1) cost.
 """
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +40,7 @@ from .core import (
     vandermonde,
 )
 from .errors import ConfigurationError
-from .util import not_bool, relative_errors
+from .util import integer, positive, relative_errors
 
 DEFAULT_TOL = 1e-6  # the CLI's tol for AAA when none is given
 DEFAULT_MAX_TERMS = 120
@@ -62,16 +61,10 @@ class AaaConfig:
     max_terms: int = None
 
     def __post_init__(self):
-        # integers only: where int() would truncate 2.5, operator.index raises
-        object.__setattr__(self, "target_degree",
-                           operator.index(not_bool(self.target_degree, "target_degree")))
+        object.__setattr__(self, "target_degree", integer(self.target_degree, "target_degree"))
         if self.max_terms is not None:
-            object.__setattr__(self, "max_terms",
-                               operator.index(not_bool(self.max_terms, "max_terms")))
-        if not 0 < not_bool(self.tol, "tol") < np.inf:
-            raise ValueError("tol must be finite and positive")
-        if self.max_terms is not None and self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
+            object.__setattr__(self, "max_terms", integer(self.max_terms, "max_terms", 1))
+        positive(self.tol, "tol")
 
 
 def aaa(samples, config, *, spine=None):

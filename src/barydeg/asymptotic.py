@@ -61,14 +61,13 @@ the residual sums the scan judged negligible.
 """
 
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import _as_complex_vector, _Barycentric, _power_sum_scan, evaluate
 from .errors import PoleEvaluationError
-from .util import blockwise, relative_errors
+from .util import blockwise, integer, positive, relative_errors
 
 DEFAULT_ORDER = 10
 EPS_FLOOR = 1e-16
@@ -109,11 +108,8 @@ class AsymptoticModel:
         if self.num_moments_scaled[0] == 0 or self.den_moments_scaled[0] == 0:
             raise ValueError("leading moments must be nonzero")
         for name in ("mu", "nu"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if not 0 < self.scale < np.inf:
-            raise ValueError("scale must be finite and positive")
+            object.__setattr__(self, name, integer(getattr(self, name), name, 0))
+        positive(self.scale, "scale")
 
     @property
     def rdeg(self):
@@ -180,8 +176,7 @@ class PiecewiseModel:
         if not isinstance(self.bary, _Barycentric):
             raise TypeError("bary must be a barycentric model")
         for name in ("train_T", "train_eps"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and positive")
+            positive(getattr(self, name), name)
         self.cutoff  # derived now: a model with no degree raises TrivialModelError here
 
     def __call__(self, s):
@@ -241,8 +236,7 @@ def moments(model, order=DEFAULT_ORDER):
     scan, so every order shares the leading moments of
     :func:`classify_degree` bit for bit.
     """
-    if operator.index(order) < 0:
-        raise ValueError("order must be nonnegative")
+    order = integer(order, "order", 0)
     mu, nu, sums, _, shat = _power_sum_scan(model, extra_orders=order)
     return AsymptoticModel(
         mu=mu, nu=nu, scale=shat,
@@ -487,13 +481,10 @@ def cutoff_radius(T, eps, rdeg, order):
     degree defects) that scales the barycentric error.  The formula places
     the radius; it does not bound the seam error there.
     """
-    if not 0 < eps < np.inf:
-        raise ValueError("eps must be finite and positive")
-    if not 0 < T < np.inf:
-        raise ValueError("T must be finite and positive")
-    if operator.index(order) < 0:
-        raise ValueError("order must be nonnegative")
-    return float(T * eps ** (-1.0 / (abs(operator.index(rdeg)) + order + 1)))
+    positive(T, "T")
+    positive(eps, "eps")
+    order = integer(order, "order", 0)
+    return float(T * eps ** (-1.0 / (abs(integer(rdeg, "rdeg")) + order + 1)))
 
 
 def make_piecewise(model, samples):

@@ -17,14 +17,13 @@ is exactly 0.  :func:`chain_matrices` gives the dense state-space form.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import SampleSet
 from .errors import PoleEvaluationError
-from .util import blockwise, write_rows
+from .util import blockwise, integer, not_bool, write_rows
 
 CSV_HEADER = "s_re,s_im,f_re,f_im"
 
@@ -38,8 +37,7 @@ class MassChainSystem:
     springs: np.ndarray = None
 
     def __post_init__(self):
-        if operator.index(self.n) < 2:
-            raise ValueError("a mass chain needs at least 2 masses")
+        integer(self.n, "n", 2)
         masses = np.ones(self.n) if self.masses is None else np.asarray(self.masses, float)
         springs = np.ones(self.n - 1) if self.springs is None else np.asarray(self.springs, float)
         if masses.size != self.n:
@@ -134,10 +132,11 @@ def _chain_solver(sys):
 
 def sample_grid(omega_min, omega_max, count, spacing="log"):
     """Points i*omega on the positive imaginary axis, endpoints included."""
-    if not (omega_min > 0 and omega_min < omega_max and np.isfinite(omega_max)):
+    not_bool(omega_min, "omega_min")
+    not_bool(omega_max, "omega_max")
+    if not 0 < omega_min < omega_max < np.inf:
         raise ValueError("need 0 < omega_min < omega_max < inf")
-    if count < 2:
-        raise ValueError("need at least 2 grid points")
+    integer(count, "count", 2)
     if spacing == "log":
         omega = np.geomspace(omega_min, omega_max, count)
     elif spacing == "linear":
@@ -149,16 +148,21 @@ def sample_grid(omega_min, omega_max, count, spacing="log"):
 
 def add_noise(values, level, seed):
     """Multiplicative uniform noise: value * (1 + level * xi), xi ~ U[-1, 1]."""
-    if not 0 <= level < np.inf:
+    if not 0 <= not_bool(level, "level") < np.inf:
         raise ValueError("noise level must be finite and nonnegative")
     values = np.asarray(values, dtype=complex)
-    xi = np.random.default_rng(seed).uniform(-1.0, 1.0, values.size)
+    xi = np.random.default_rng(not_bool(seed, "seed")).uniform(-1.0, 1.0, values.size)
     return values * (1.0 + level * xi.reshape(values.shape))
 
 
 def mass_chain_samples(n, forward=True, omega_min=1e-2, omega_max=1.0, count=200,
                        spacing="log", noise=0.0, seed=0):
     """Convenience: sample a mass-chain transfer function on a frequency grid."""
+    # checked here, not left to add_noise, so the errors name these arguments
+    # and a bool seed fails at noise 0 too
+    not_bool(seed, "seed")
+    if not 0 <= not_bool(noise, "noise") < np.inf:
+        raise ValueError("noise level must be finite and nonnegative")
     sys = MassChainSystem(n)
     pts = sample_grid(omega_min, omega_max, count, spacing)
     vals = forward_tf(sys, pts) if forward else inverse_tf(sys, pts)

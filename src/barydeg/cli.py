@@ -193,6 +193,7 @@ def _load_input(path):
 
 
 def _backend(args):
+    # made before the input is read, so bad settings fail without reading it;
     # the default tol is the backend's, set on args so the report shows it
     if args.tol is None:
         args.tol = AAA_TOL if args.backend == "aaa" else VF_TOL
@@ -219,9 +220,9 @@ def _write_run(args, t0, pm, **sections):
 
 
 def cmd_fit(args):
-    samples = _load_input(args.input)
+    backend, samples = _backend(args), _load_input(args.input)
     t0 = time.perf_counter()
-    model, rep = _backend(args)(samples, args.degree)
+    model, rep = backend(samples, args.degree)
     pm = piecewise_error = None
     try:
         pm = make_piecewise(model, samples)
@@ -240,9 +241,9 @@ def cmd_fit(args):
 
 
 def cmd_identify(args):
-    samples = _load_input(args.input)
+    backend, samples = _backend(args), _load_input(args.input)
     t0 = time.perf_counter()
-    result = identify(samples, _backend(args), max_abs_degree=args.max_abs_degree)
+    result = identify(samples, backend, max_abs_degree=args.max_abs_degree)
     _write_run(args, t0, result.piecewise, result={
         "identified": result.converged,
         "best_degree": result.best_degree,

@@ -53,7 +53,7 @@ from .errors import (
     TrivialModelError,
     UndefinedValueError,
 )
-from .util import blockwise
+from .util import blockwise, integer
 
 _NORM_TOL = 1e-12
 # A power sum counts as nonzero when it exceeds this fraction of the sum of
@@ -401,10 +401,8 @@ def vandermonde(supports, cols):
     constraints, their diagnostics and the power-sum scan all read this
     block, so they share the scaled power sums c @ vandermonde(s, cols).
     """
-    if cols < 0:
-        raise ValueError("column count must be nonnegative")
     sj = np.asarray(supports, dtype=complex).ravel()
-    return np.power.outer(sj / support_scale(sj), np.arange(cols))
+    return np.power.outer(sj / support_scale(sj), np.arange(integer(cols, "cols", 0)))
 
 
 def nullspace_basis(V, left_scaling=None):

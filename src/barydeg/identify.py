@@ -33,12 +33,11 @@ support grids that earlier fits factored.  The winner's piecewise model,
 from :func:`make_piecewise`, derives its cutoff from the fit.
 """
 
-import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .aaa import AaaConfig, aaa
 from .asymptotic import make_piecewise
-from .util import not_bool
+from .util import integer
 from .vf import DEFAULT_TOL, VfConfig, vf_adaptive
 
 DEFAULT_MAX_ABS_DEGREE = 20
@@ -64,8 +63,7 @@ class CandidateRecord:
     max_terms: int = None
 
     def __post_init__(self):
-        if self.terms < 1:
-            raise ValueError("terms must be at least 1")
+        integer(self.terms, "terms", 1)
         if self.linf_rel_error < 0:
             raise ValueError("linf_rel_error must be nonnegative")
 
@@ -147,12 +145,13 @@ def aaa_backend(tol, max_terms=None):
     ``record`` is passed to :func:`aaa` as its ``spine``, so the fits given
     one dict share their fully constrained first steps; without it a fit
     shares nothing.  A fit runs under the smaller of ``max_terms`` and the
-    cap it is called with.
+    cap it is called with.  The settings are checked here, as an
+    :class:`AaaConfig`, before any fit.
     """
-    own = max_terms
+    base = AaaConfig(tol=tol, max_terms=max_terms)
 
     def fit(samples, degree, max_terms=None, record=None):
-        config = AaaConfig(tol=tol, target_degree=degree, max_terms=_smaller(own, max_terms))
+        config = replace(base, target_degree=degree, max_terms=_smaller(base.max_terms, max_terms))
         return aaa(samples, config, spine=record)
     return fit
 
@@ -164,12 +163,13 @@ def vf_backend(tol=DEFAULT_TOL, max_terms=None):
     fits given one dict solve from the support grids that any of them
     factored; without it a fit shares nothing.  A fit runs under the smaller
     of ``max_terms`` and the cap it is called with; with neither,
-    :func:`vf_adaptive` applies its own default cap.
+    :func:`vf_adaptive` applies its own default cap.  The settings are
+    checked here, as a :class:`VfConfig`, before any fit.
     """
-    own = max_terms
+    base = VfConfig(tol=tol, max_terms=max_terms)
 
     def fit(samples, degree, max_terms=None, record=None):
-        config = VfConfig(tol=tol, target_degree=degree, max_terms=_smaller(own, max_terms))
+        config = replace(base, target_degree=degree, max_terms=_smaller(base.max_terms, max_terms))
         return vf_adaptive(samples, config, grids=record)
     return fit
 
@@ -191,8 +191,7 @@ def identify(samples, backend, max_abs_degree=DEFAULT_MAX_ABS_DEGREE):
     records in call order.  The winner's piecewise (barycentric +
     asymptotic) model is attached, unless no candidate converged.
     """
-    if operator.index(not_bool(max_abs_degree, "max_abs_degree")) < 1:
-        raise ValueError("max_abs_degree must be at least 1")
+    integer(max_abs_degree, "max_abs_degree", 1)
     record, table = {}, {}
 
     def fit(degree, cap):

@@ -1,4 +1,12 @@
-"""Small shared helpers: relative errors, blockwise evaluation, CSV rows."""
+"""Small shared helpers: number checks, relative errors, blockwise evaluation, CSV rows.
+
+Every number a caller passes in goes through one of three checks, which
+name the argument in their errors: :func:`not_bool`, :func:`integer`
+(no bool, no float standing in for an integer, an optional minimum) and
+:func:`positive` (no bool, finite and positive).
+"""
+
+import operator
 
 import numpy as np
 
@@ -17,6 +25,31 @@ def not_bool(value, name):
     """``value``, unless it is a bool: ``True`` is not the number 1 in a setting."""
     if isinstance(value, (bool, np.bool_)):
         raise TypeError(f"{name} must be a number, not a bool")
+    return value
+
+
+def integer(value, name, minimum=None):
+    """``value`` as an int, if it is one and is at least ``minimum`` (``None``: no minimum).
+
+    A bool or a non-integer raises ``TypeError``: ``operator.index`` does
+    the conversion, so 2.5 and 2.0 raise where ``int()`` would truncate
+    them.  A value below ``minimum`` raises ``ValueError``.
+    """
+    not_bool(value, name)
+    try:
+        value = operator.index(value)
+    except TypeError as exc:
+        raise TypeError(f"{name}: {exc}") from None
+    if minimum is not None and value < minimum:
+        bound = "nonnegative" if minimum == 0 else f"at least {minimum}"
+        raise ValueError(f"{name} must be {bound}")
+    return value
+
+
+def positive(value, name):
+    """``value``: ``TypeError`` for a bool, ``ValueError`` unless it is finite and positive."""
+    if not 0 < not_bool(value, name) < np.inf:
+        raise ValueError(f"{name} must be finite and positive")
     return value
 
 

@@ -471,6 +471,31 @@ class TestRunReport:
 
     @pytest.mark.parametrize("command", ["fit", "identify"])
     @pytest.mark.parametrize("backend", ["aaa", "vf"])
+    @pytest.mark.parametrize("option, name", [("--tol", "tol"), ("--max-terms", "max_terms")])
+    def test_bad_setting_rejected_before_the_input_is_read(self, tmp_path, capsys, command,
+                                                           backend, option, name):
+        report_path = tmp_path / "r.json"
+        assert run(command, str(tmp_path / "nope.csv"), "--backend", backend, option, "0",
+                   "-o", str(report_path)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert name in err and "not found" not in err
+        assert not report_path.exists()
+
+    @pytest.mark.parametrize("argv, name", [
+        (["generate", "--chain", "2", "--wmin", "1e-2", "--wmax", "1", "--count", "1"], "count"),
+        (["generate", "--chain", "1", "--wmin", "1e-2", "--wmax", "1"], "n"),
+        (["identify", "DATA", "--max-abs-degree", "0"], "max_abs_degree"),
+    ])
+    def test_out_of_range_number_named(self, tmp_path, capsys, argv, name):
+        data = generate_fwd2(tmp_path)
+        capsys.readouterr()
+        argv = [str(data) if a == "DATA" else a for a in argv]
+        assert run(*argv, "-o", str(tmp_path / "out")) == EXIT_USAGE
+        assert f"error: {name} must be at least" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["fit", "identify"])
+    @pytest.mark.parametrize("backend", ["aaa", "vf"])
     def test_negative_order_rejected_before_any_fit(self, tmp_path, monkeypatch, capsys,
                                                     command, backend):
         data = generate_fwd2(tmp_path)
