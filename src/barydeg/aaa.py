@@ -20,8 +20,11 @@ and the old L goes.  The weight solve holds L and at most one more block of
 its size.  A fit that converges within |d| + 1 terms never builds L.
 
 The fits of one degree sweep share their fully constrained prefix through a
-``spine`` record (see :func:`aaa`): a step that a fit of the same sign
-already took is read from it, at O(1) cost.
+``spine`` record (see :func:`aaa`): two append-only lists per sign, the
+supports picked at checks 0, 1, ... and the weights of steps 0, 1, ...  A
+fit reads a pick or a step that a fit of its sign already recorded, at O(1)
+cost, while the index lies inside its own constrained prefix, and appends
+the ones it computes there.
 """
 
 from dataclasses import dataclass
@@ -76,16 +79,19 @@ def aaa(samples, config, *, spine=None):
 
     ``spine`` lets fits of the same samples under the same tolerance share
     their fully constrained steps, whatever their term caps: a cap only
-    decides where a fit stops.  Step m adds a support and imposes
-    min(|d|, m) constraints on m + 1 weights, so the steps m <= |d| of a fit
-    at target d depend on d only through its sign.  The dict records them
-    as ``spine[sign * m] = (support index, weights, next support index)``,
-    key 0 serving both signs; the next index, step m + 1's support, is
-    ``None`` until a fit picks it.  One rule reads the record: step m takes
-    its weights from it when m <= |d| and it holds step m, and below the cap
-    takes its support from step m - 1's pick when 1 <= m <= |d| + 1 and the
-    pick is there.  A check that converges or ends the fit at its cap is
-    thus always evaluated, since the report needs its errors.
+    decides where a fit stops.  Check m picks the support of step m, which
+    adds it and imposes min(|d|, m) constraints on m + 1 weights, so the
+    steps m <= |d| of a fit at target d, and the checks m <= |d| + 1 that
+    follow them, depend on d only through its sign.  The dict holds two
+    append-only lists per sign, ``spine[sign] = (picks, steps)`` with sign
+    -1 for d < 0 and 1 otherwise:
+    ``picks[m]`` is the support index picked at check m and ``steps[m]``
+    step m's weights.  One rule reads them: check m takes ``picks[m]`` when
+    m < len(picks), m <= |d| + 1 and m is below the cap, and step m takes
+    ``steps[m]`` when m < len(steps) and m <= |d|.  A fit appends what it
+    computes inside those bounds at the next index.  A check that converges
+    or ends the fit at its cap is thus always evaluated, since the report
+    needs its errors.
 
     The weights of a step whose constraint basis has one column are that
     column; the Loewner block is built at the first step whose basis has
@@ -106,9 +112,8 @@ def aaa(samples, config, *, spine=None):
     # problem never loses all of its rows
     cap = min(cap, mprime - 1)
 
-    sign = -1 if delta < 0 else 1
-    if spine is None:
-        spine = {}
+    # the record's two lists for this fit's sign; without a record the fit shares nothing
+    picks, steps = ({} if spine is None else spine).setdefault(-1 if delta < 0 else 1, ([], []))
     sup_idx = []
     weights = None
     # the samples not yet picked as supports; the rows of the Loewner block
@@ -120,10 +125,8 @@ def aaa(samples, config, *, spine=None):
     converged = False
 
     for m in range(cap + 1):
-        # step m - 1's record, which holds step m's support once a fit took it
-        prev = spine[sign * (m - 1)] if 0 < m <= abs(delta) + 1 else None
-        if prev is not None and prev[2] is not None and m < cap:
-            j = prev[2]
+        if m < len(picks) and m <= abs(delta) + 1 and m < cap:
+            j = picks[m]
         else:
             if weights is not None:
                 # a temporary block, without hits: pool points are never supports
@@ -136,16 +139,16 @@ def aaa(samples, config, *, spine=None):
             if rel[j] <= tol:
                 converged = True
                 break
-            if prev is not None and prev[2] is None:
-                spine[sign * (m - 1)] = (*prev[:2], j)
+            if len(picks) == m <= abs(delta) + 1:
+                picks.append(j)
         pool[j] = False
         if m == cap:
             break
         sup_idx.append(j)
         sj = pts[sup_idx]
         fj = vals[sup_idx]
-        if m <= abs(delta) and sign * m in spine:
-            weights = spine[sign * m][1]
+        if m < len(steps) and m <= abs(delta):
+            weights = steps[m]
             continue
         V = vandermonde(sj, min(abs(delta), m))
         Q = nullspace_basis(V, left_scaling=fj if delta < 0 else None)
@@ -161,7 +164,7 @@ def aaa(samples, config, *, spine=None):
                             loewner_matrix(x, fx, sj[-1:], fj[-1:])[:, 0]))
             weights = solve_constrained_weights(L, Q)
         if m <= abs(delta):
-            spine[sign * m] = (j, weights, None)
+            steps.append(weights)
 
     if weights is None:
         # the initial constant already matches the worst point: return it as
