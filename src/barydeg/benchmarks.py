@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import SampleSet
 from .errors import PoleEvaluationError
-from .util import blockwise, integer, not_bool, write_rows
+from .util import blockwise, integer, not_bool, real, write_rows
 
 CSV_HEADER = "s_re,s_im,f_re,f_im"
 
@@ -132,8 +132,8 @@ def _chain_solver(sys):
 
 def sample_grid(omega_min, omega_max, count, spacing="log"):
     """Points i*omega on the positive imaginary axis, endpoints included."""
-    not_bool(omega_min, "omega_min")
-    not_bool(omega_max, "omega_max")
+    real(omega_min, "omega_min")
+    real(omega_max, "omega_max")
     if not 0 < omega_min < omega_max < np.inf:
         raise ValueError("need 0 < omega_min < omega_max < inf")
     integer(count, "count", 2)
@@ -148,7 +148,7 @@ def sample_grid(omega_min, omega_max, count, spacing="log"):
 
 def add_noise(values, level, seed):
     """Multiplicative uniform noise: value * (1 + level * xi), xi ~ U[-1, 1]."""
-    if not 0 <= not_bool(level, "level") < np.inf:
+    if not 0 <= real(level, "level") < np.inf:
         raise ValueError("noise level must be finite and nonnegative")
     values = np.asarray(values, dtype=complex)
     xi = np.random.default_rng(not_bool(seed, "seed")).uniform(-1.0, 1.0, values.size)
@@ -161,7 +161,7 @@ def mass_chain_samples(n, forward=True, omega_min=1e-2, omega_max=1.0, count=200
     # checked here, not left to add_noise, so the errors name these arguments
     # and a bool seed fails at noise 0 too
     not_bool(seed, "seed")
-    if not 0 <= not_bool(noise, "noise") < np.inf:
+    if not 0 <= real(noise, "noise") < np.inf:
         raise ValueError("noise level must be finite and nonnegative")
     sys = MassChainSystem(n)
     pts = sample_grid(omega_min, omega_max, count, spacing)

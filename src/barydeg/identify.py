@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 
 from .aaa import AaaConfig, aaa
 from .asymptotic import make_piecewise
-from .util import integer
+from .util import integer, real
 from .vf import DEFAULT_TOL, VfConfig, vf_adaptive
 
 DEFAULT_MAX_ABS_DEGREE = 20
@@ -64,7 +64,8 @@ class CandidateRecord:
 
     def __post_init__(self):
         integer(self.terms, "terms", 1)
-        if self.linf_rel_error < 0:
+        # not ``< 0``: nan must fail too; inf, a failed fit's error, passes
+        if not real(self.linf_rel_error, "linf_rel_error") >= 0:
             raise ValueError("linf_rel_error must be nonnegative")
 
 

@@ -1,9 +1,10 @@
 """Small shared helpers: number checks, relative errors, blockwise evaluation, CSV rows.
 
-Every number a caller passes in goes through one of three checks, which
-name the argument in their errors: :func:`not_bool`, :func:`integer`
-(no bool, no float standing in for an integer, an optional minimum) and
-:func:`positive` (no bool, finite and positive).
+Every number a caller passes in goes through one of four checks, which
+name the argument in their errors: :func:`not_bool`, :func:`real` (no
+bool, and a value that orders against a float, so not a string or a
+complex), :func:`integer` (no bool, no float standing in for an integer,
+an optional minimum) and :func:`positive` (a real, finite and positive).
 """
 
 import operator
@@ -28,6 +29,21 @@ def not_bool(value, name):
     return value
 
 
+def real(value, name):
+    """``value``, if it is a real number: ``TypeError`` for a bool or a value that does not order.
+
+    The range tests that follow it compare the value with numbers, so a
+    string, a complex or ``None`` would fail there with a message that
+    names no argument.  nan passes: it orders, and the range tests reject it.
+    """
+    not_bool(value, name)
+    try:
+        value < 0.0  # only the TypeError of a value that does not order matters
+    except TypeError:
+        raise TypeError(f"{name} must be a real number, not {type(value).__name__}") from None
+    return value
+
+
 def integer(value, name, minimum=None):
     """``value`` as an int, if it is one and is at least ``minimum`` (``None``: no minimum).
 
@@ -47,8 +63,8 @@ def integer(value, name, minimum=None):
 
 
 def positive(value, name):
-    """``value``: ``TypeError`` for a bool, ``ValueError`` unless it is finite and positive."""
-    if not 0 < not_bool(value, name) < np.inf:
+    """``value``, a :func:`real` number, if it is finite and positive (``ValueError`` otherwise)."""
+    if not 0 < real(value, name) < np.inf:
         raise ValueError(f"{name} must be finite and positive")
     return value
 

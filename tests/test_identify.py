@@ -63,6 +63,14 @@ class TestRecordValidation:
         with pytest.raises(ValueError):
             rec(0, 1, -1e-6)
 
+    @pytest.mark.parametrize("err", [-1e-6, np.nan])
+    def test_error_must_be_nonnegative(self, err):
+        with pytest.raises(ValueError, match="linf_rel_error must be nonnegative"):
+            rec(0, 1, err)
+
+    def test_a_failed_fits_infinite_error_builds(self):
+        assert rec(0, 1, np.inf, converged=False).linf_rel_error == np.inf
+
 
 def fake_backend(table, saturate=None):
     """Backend stub driven by a {degree: (terms, err, converged)} table.

@@ -143,6 +143,8 @@ NUMBERS = [
     ("identify", "max_abs_degree", identify_with, True, [0, -1]),
     ("CandidateRecord", "terms", lambda v: CandidateRecord(
         degree=0, terms=v, linf_rel_error=0.0, converged=True, model=None), True, [0]),
+    ("CandidateRecord", "linf_rel_error", lambda v: CandidateRecord(
+        degree=0, terms=1, linf_rel_error=v, converged=True, model=None), False, [NAN]),
     ("moments", "order", lambda v: moments(inverse_model(), v), True, [-1]),
     ("cutoff_radius", "T", lambda v: cutoff_radius(v, 1e-6, -4, 10), False, [0.0, NAN, INF]),
     ("cutoff_radius", "eps", lambda v: cutoff_radius(1.0, v, -4, 10), False, [-1e-3, NAN, INF]),
@@ -191,4 +193,12 @@ def test_a_non_integer_is_not_truncated(name, call, value):
 @pytest.mark.parametrize("name, call, value", number_cases(lambda whole, bad: bad))
 def test_an_out_of_range_value_names_its_argument(name, call, value):
     with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        call(value)
+
+
+# every real argument with a range: its range test must not be the first to see the value
+@pytest.mark.parametrize("name, call, value",
+                         number_cases(lambda whole, bad: [] if whole or not bad else ["1e-3", 1j]))
+def test_a_value_that_is_not_real_names_its_argument(name, call, value):
+    with pytest.raises(TypeError, match=rf"\b{name}\b must be a real number"):
         call(value)
