@@ -84,14 +84,13 @@ def aaa(samples, config, *, spine=None):
     steps m <= |d| of a fit at target d, and the checks m <= |d| + 1 that
     follow them, depend on d only through its sign.  The dict holds two
     append-only lists per sign, ``spine[sign] = (picks, steps)`` with sign
-    -1 for d < 0 and 1 otherwise:
-    ``picks[m]`` is the support index picked at check m and ``steps[m]``
-    step m's weights.  One rule reads them: check m takes ``picks[m]`` when
-    m < len(picks), m <= |d| + 1 and m is below the cap, and step m takes
-    ``steps[m]`` when m < len(steps) and m <= |d|.  A fit appends what it
-    computes inside those bounds at the next index.  A check that converges
-    or ends the fit at its cap is thus always evaluated, since the report
-    needs its errors.
+    -1 for d < 0 and 1 otherwise: ``picks[m]`` is the support index picked
+    at check m and ``steps[m]`` step m's weights.  One rule reads them:
+    check m takes ``picks[m]`` when m < len(picks), m <= |d| + 1 and m is
+    below the cap, and step m takes ``steps[m]`` when m < len(steps) and
+    m <= |d|.  A fit appends what it computes inside those bounds at the
+    next index.  A check that converges or ends the fit at its cap is thus
+    always evaluated, since the report needs its errors.
 
     The weights of a step whose constraint basis has one column are that
     column; the Loewner block is built at the first step whose basis has

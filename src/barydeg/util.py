@@ -33,15 +33,19 @@ def real(value, name):
     """``value``, if it is a real number: ``TypeError`` for a bool or a value that does not order.
 
     The range tests that follow it compare the value with numbers, so a
-    string, a complex or ``None`` would fail there with a message that
-    names no argument.  nan passes: it orders, and the range tests reject it.
+    string or ``None`` would fail there with a message that names no
+    argument, and a numpy complex would pass.  nan passes: it orders, and
+    the range tests reject it.
     """
     not_bool(value, name)
     try:
-        value < 0.0  # only the TypeError of a value that does not order matters
+        value < 0.0  # a value that does not order raises here
     except TypeError:
-        raise TypeError(f"{name} must be a real number, not {type(value).__name__}") from None
-    return value
+        pass
+    else:
+        if not np.iscomplexobj(value):  # numpy orders its complex numbers
+            return value
+    raise TypeError(f"{name} must be a real number, not {type(value).__name__}")
 
 
 def integer(value, name, minimum=None):

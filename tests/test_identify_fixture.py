@@ -59,7 +59,7 @@ def calls():
 
 
 def switch_rung(pm):
-    """The ladder ratio of the rung where ``pm`` switches branch; ``"cutoff"`` when none below it does."""
+    """The ladder ratio at which ``pm`` switches branch; ``"cutoff"`` when no rung below it does."""
     estimates = pm._far_side[1](pm.cutoff)
     return next((ratio for ratio, (_, e_far, e_bary) in zip(_ladder(), estimates)
                  if e_far <= e_bary), "cutoff")
@@ -104,5 +104,4 @@ def test_candidate_tables_match_the_fixture():
 if __name__ == "__main__":
     rows = (f"  {json.dumps(name)}: {json.dumps(row(samples, backend))}"
             for name, samples, backend in calls())
-    FIXTURE.parent.mkdir(exist_ok=True)
     FIXTURE.write_text("{\n" + ",\n".join(rows) + "\n}\n", encoding="utf-8")

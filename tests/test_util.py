@@ -198,7 +198,8 @@ def test_an_out_of_range_value_names_its_argument(name, call, value):
 
 # every real argument with a range: its range test must not be the first to see the value
 @pytest.mark.parametrize("name, call, value",
-                         number_cases(lambda whole, bad: [] if whole or not bad else ["1e-3", 1j]))
+                         number_cases(lambda whole, bad: [] if whole or not bad
+                                      else ["1e-3", 1j, np.complex128(1e-3)]))
 def test_a_value_that_is_not_real_names_its_argument(name, call, value):
     with pytest.raises(TypeError, match=rf"\b{name}\b must be a real number"):
         call(value)
