@@ -17,6 +17,8 @@ Subcommands:
 argument; its ``config`` is ``argv`` without ``command`` and the two output
 paths.  ``generate`` and ``eval`` share ``--wmin/--wmax/--count/--spacing``.
 A model file loads only if it is what ``model_to_json`` writes for the fit it holds.
+Every command checks its flags before it reads a file, and an error in a
+file, or a file that cannot be opened, names the file.
 
 Exit codes: 0 on success, 2 on usage or input errors (a package error, a
 ``ValueError`` such as a point beyond the double range, or an ``OSError``),
@@ -185,13 +187,6 @@ def cmd_generate(args):
     return EXIT_OK
 
 
-def _load_input(path):
-    try:
-        return load_samples(path)
-    except FileNotFoundError:
-        raise BarydegError(f"input file not found: {path}") from None
-
-
 def _backend(args):
     # made before the input is read, so bad settings fail without reading it;
     # the default tol is the backend's, set on args so the report shows it
@@ -220,7 +215,7 @@ def _write_run(args, t0, pm, **sections):
 
 
 def cmd_fit(args):
-    backend, samples = _backend(args), _load_input(args.input)
+    backend, samples = _backend(args), load_samples(args.input)
     t0 = time.perf_counter()
     model, rep = backend(samples, args.degree)
     pm = piecewise_error = None
@@ -241,7 +236,7 @@ def cmd_fit(args):
 
 
 def cmd_identify(args):
-    backend, samples = _backend(args), _load_input(args.input)
+    backend, samples = _backend(args), load_samples(args.input)
     t0 = time.perf_counter()
     result = identify(samples, backend, max_abs_degree=args.max_abs_degree)
     _write_run(args, t0, result.piecewise, result={
@@ -263,9 +258,12 @@ def cmd_identify(args):
 
 
 def cmd_eval(args):
-    with open(args.model, encoding="utf-8") as fh:
-        pm = model_from_json(json.load(fh))
     grid = sample_grid(args.wmin, args.wmax, args.count, args.spacing)
+    with open(args.model, encoding="utf-8") as fh:
+        try:
+            pm = model_from_json(json.load(fh))
+        except ValueError as exc:  # name the file, as load_samples names a sample file
+            raise ValueError(f"{args.model}: {exc}") from None
     values = eval_piecewise(pm, grid)
     labels = np.where(pm.near(grid), "bary", "asym")
     with open(args.output, "w", encoding="utf-8") as fh:

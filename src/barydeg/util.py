@@ -2,9 +2,10 @@
 
 Every number a caller passes in goes through one of four checks, which
 name the argument in their errors: :func:`not_bool`, :func:`real` (no
-bool, and a value that orders against a float, so not a string or a
-complex), :func:`integer` (no bool, no float standing in for an integer,
-an optional minimum) and :func:`positive` (a real, finite and positive).
+bool, and a value that orders against a float, so not a string, a
+complex or an array), :func:`integer` (no bool, no float standing in for
+an integer, an optional minimum) and :func:`positive` (a real, finite and
+positive).
 """
 
 import operator
@@ -34,8 +35,9 @@ def real(value, name):
 
     The range tests that follow it compare the value with numbers, so a
     string or ``None`` would fail there with a message that names no
-    argument, and a numpy complex would pass.  nan passes: it orders, and
-    the range tests reject it.
+    argument, and a numpy complex or array would pass.  A numpy scalar
+    such as ``np.float64`` passes; nan passes too: it orders, and the range
+    tests reject it.
     """
     not_bool(value, name)
     try:
@@ -43,7 +45,8 @@ def real(value, name):
     except TypeError:
         pass
     else:
-        if not np.iscomplexobj(value):  # numpy orders its complex numbers
+        # numpy orders its complex numbers, and an array element by element
+        if not (np.iscomplexobj(value) or isinstance(value, np.ndarray)):
             return value
     raise TypeError(f"{name} must be a real number, not {type(value).__name__}")
 

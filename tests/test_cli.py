@@ -152,7 +152,7 @@ class TestFit:
     def test_missing_input(self, tmp_path, capsys):
         code = run("fit", str(tmp_path / "nope.csv"), "-o", str(tmp_path / "r.json"))
         assert code == EXIT_USAGE
-        assert "not found" in capsys.readouterr().err
+        assert f"No such file or directory: '{tmp_path / 'nope.csv'}'" in capsys.readouterr().err
 
     def test_header_only_input(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
@@ -233,6 +233,19 @@ class TestIdentify:
         assert doc["result"]["identified"] is False
         assert all(c["terms"] <= 4 and abs(c["degree"]) <= 3 for c in doc["candidates"])
 
+    @pytest.mark.parametrize("backend", ["aaa", "vf"])
+    def test_zero_data_has_no_degree(self, tmp_path, capsys, backend):
+        # unlike fit, which reports piecewise_error, identify exits 2 with the
+        # winner's typed error and writes no report
+        path = tmp_path / "zero.csv"
+        bd.save_samples(bd.SampleSet(bd.sample_grid(1.0, 10.0, 20), np.zeros(20)), path)
+        report_path = tmp_path / "id.json"
+        assert run("identify", str(path), "--backend", backend,
+                   "-o", str(report_path)) == EXIT_USAGE
+        assert "error: all numerator power sums are negligible; model is trivial" in (
+            capsys.readouterr().err)
+        assert not report_path.exists()
+
 
 class TestEval:
     def fit_model(self, tmp_path):
@@ -311,6 +324,7 @@ class TestEval:
 
     @pytest.mark.parametrize("key, value", [
         ("rdeg", 0), ("order", 3), ("kind", None), ("kind", "rational"), ("supports", 5),
+        ("supports", None),
         ("cutoff", "far"),
         ("scale", "inf"), ("cutoff", "inf"), ("train_eps", "inf"),
         ("cutoff", 1e3), ("scale", 7.0), ("schema_version", "7"), ("schema_version", None),
@@ -323,7 +337,7 @@ class TestEval:
         pytest.param("asymptotic", lambda section: {**section, "extra": 0}, id="asymptotic-extra"),
     ])
     def test_tampered_degree_or_order_rejected(self, tmp_path, capsys, key, value):
-        # a tampered or malformed model file exits 2 and names the bad entry;
+        # a tampered or malformed model file exits 2 and names the file and the bad entry;
         # value None deletes the entry, a callable maps the stored one, key
         # "object" replaces the whole file
         model_path = self.fit_model(tmp_path)
@@ -340,7 +354,8 @@ class TestEval:
         capsys.readouterr()
         assert run("eval", "--model", str(model_path), "--wmin", "1e-2",
                    "--wmax", "1e6", "--count", "10", "-o", str(tmp_path / "s.csv")) == EXIT_USAGE
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model_path}: ") and key in err
 
     def test_nonfinite_band_edge_rejected(self, tmp_path, capsys):
         model_path = self.fit_model(tmp_path)
@@ -350,6 +365,14 @@ class TestEval:
                    "--wmax", "inf", "-o", str(out_path)) == EXIT_USAGE
         assert "omega_max" in capsys.readouterr().err
         assert not out_path.exists()
+
+    def test_model_file_that_is_not_json_is_named(self, tmp_path, capsys):
+        model_path = tmp_path / "m.json"
+        model_path.write_text("{")
+        assert run("eval", "--model", str(model_path), "--wmin", "1e-2",
+                   "--wmax", "1", "--count", "10", "-o", str(tmp_path / "s.csv")) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: {model_path}: Expecting property name")
+        assert not (tmp_path / "s.csv").exists()
 
     def test_inverse_decay_sweep_accuracy(self, tmp_path):
         pts = bd.sample_grid(0.1, 10.0, 50)
@@ -478,18 +501,32 @@ class TestRunReport:
         assert run(command, str(tmp_path / "nope.csv"), "--backend", backend, option, "0",
                    "-o", str(report_path)) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert name in err and "not found" not in err
+        assert name in err and "No such file" not in err
         assert not report_path.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["identify", "PATH"], ["eval", "--model", "PATH", "--wmin", "1e-2", "--wmax", "1"],
+    ], ids=["identify", "eval"])
+    def test_a_missing_file_is_named(self, tmp_path, capsys, argv):
+        # fit's case is TestFit.test_missing_input; all go through main's one OSError branch
+        path = tmp_path / "nope"
+        assert run(*(str(path) if a == "PATH" else a for a in argv),
+                   "-o", str(tmp_path / "out")) == EXIT_USAGE
+        assert f"error: [Errno 2] No such file or directory: '{path}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv, name", [
         (["generate", "--chain", "2", "--wmin", "1e-2", "--wmax", "1", "--count", "1"], "count"),
         (["generate", "--chain", "1", "--wmin", "1e-2", "--wmax", "1"], "n"),
         (["identify", "DATA", "--max-abs-degree", "0"], "max_abs_degree"),
+        # the sweep is checked before the model file is opened
+        (["eval", "--model", "MISSING", "--wmin", "1e-2", "--wmax", "1", "--count", "1"], "count"),
     ])
     def test_out_of_range_number_named(self, tmp_path, capsys, argv, name):
         data = generate_fwd2(tmp_path)
         capsys.readouterr()
-        argv = [str(data) if a == "DATA" else a for a in argv]
+        paths = {"DATA": str(data), "MISSING": str(tmp_path / "nope.json")}
+        argv = [paths.get(a, a) for a in argv]
         assert run(*argv, "-o", str(tmp_path / "out")) == EXIT_USAGE
         assert f"error: {name} must be at least" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

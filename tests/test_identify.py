@@ -293,6 +293,14 @@ class TestIdentifyEndToEnd:
         result = bd.identify(samples, bd.aaa_backend(tol=1e-8))
         assert result.best_degree == -4
 
+    @pytest.mark.parametrize("backend", [bd.aaa_backend(tol=1e-6), bd.vf_backend()],
+                             ids=["aaa", "vf"])
+    def test_zero_data_raises_trivial_model_error(self, backend):
+        # all-zero data has no degree: the winner's piecewise model raises the typed error
+        samples = bd.SampleSet(bd.sample_grid(1.0, 10.0, 20), np.zeros(20))
+        with pytest.raises(bd.TrivialModelError, match="model is trivial"):
+            bd.identify(samples, backend)
+
     def test_candidates_in_sweep_order(self, fwd2_samples):
         result = bd.identify(fwd2_samples, bd.aaa_backend(tol=1e-6), max_abs_degree=5)
         assert result.candidates[0].degree == 0

@@ -169,9 +169,13 @@ NUMBERS = [
 ]
 
 
+def case_id(value):
+    return ("numpy.True_" if value is np.True_
+            else repr(value) if isinstance(value, np.ndarray) else value)
+
+
 def number_cases(select):
-    return [pytest.param(name, call, value,
-                         id=f"{owner}.{name}-{'numpy.True_' if value is np.True_ else value}")
+    return [pytest.param(name, call, value, id=f"{owner}.{name}-{case_id(value)}")
             for owner, name, call, whole, bad in NUMBERS
             for value in select(whole, bad)]
 
@@ -199,7 +203,8 @@ def test_an_out_of_range_value_names_its_argument(name, call, value):
 # every real argument with a range: its range test must not be the first to see the value
 @pytest.mark.parametrize("name, call, value",
                          number_cases(lambda whole, bad: [] if whole or not bad
-                                      else ["1e-3", 1j, np.complex128(1e-3)]))
+                                      else ["1e-3", 1j, np.complex128(1e-3), np.array([1e-3]),
+                                            np.array(1e-3), np.array([1e-3, 2e-3])]))
 def test_a_value_that_is_not_real_names_its_argument(name, call, value):
     with pytest.raises(TypeError, match=rf"\b{name}\b must be a real number"):
         call(value)
